@@ -151,6 +151,17 @@ impl FspNode {
     }
 }
 
+/// The node as the `fsp` batch bound reads it.
+impl fsp::SubProblem for FspNode {
+    fn front(&self) -> &[Time] {
+        &self.front
+    }
+
+    fn is_scheduled(&self, job: Job) -> bool {
+        self.scheduled.contains(job)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,17 +3,33 @@
 
 use crate::node::FspNode;
 use fsp::bound::LowerBound;
-use fsp::{Instance, JohnsonLowerBound, OneMachineBound, Time};
+use fsp::{BoundScratch, Instance, JohnsonLowerBound, OneMachineBound, Time};
 use std::sync::Arc;
 
 /// A lower bound evaluated directly on a [`FspNode`] (front + scheduled set),
 /// avoiding the construction of a borrowing `PartialSchedule`.
 ///
 /// Implemented for the two bounds shipped by the `fsp` crate; custom bounds
-/// only need this one method.
+/// only need [`NodeBound::bound_node`] and [`NodeBound::bound_name`].
 pub trait NodeBound: Send + Sync {
     /// Lower bound on the makespan of every completion of `node`.
     fn bound_node(&self, node: &FspNode) -> Time;
+
+    /// Lower bounds of `nodes` into `out`, in input order — the bounding
+    /// operator over a batch. Must equal [`NodeBound::bound_node`] node for
+    /// node; the default does exactly that, one node at a time, and the
+    /// Johnson bound overrides it with its several-nodes-per-pass entry
+    /// point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` and `nodes` differ in length.
+    fn bound_nodes(&self, nodes: &[FspNode], out: &mut [Time]) {
+        assert_eq!(nodes.len(), out.len(), "one output slot per node");
+        for (node, slot) in nodes.iter().zip(out) {
+            *slot = self.bound_node(node);
+        }
+    }
 
     /// Short name used in experiment reports.
     fn bound_name(&self) -> &'static str;
@@ -22,6 +38,10 @@ pub trait NodeBound: Send + Sync {
 impl NodeBound for JohnsonLowerBound {
     fn bound_node(&self, node: &FspNode) -> Time {
         self.bound_prefix_fn(node.front(), |j| node.is_scheduled(j))
+    }
+
+    fn bound_nodes(&self, nodes: &[FspNode], out: &mut [Time]) {
+        self.bound_many(&mut BoundScratch::new(), nodes, out);
     }
 
     fn bound_name(&self) -> &'static str {
@@ -42,6 +62,9 @@ impl NodeBound for OneMachineBound {
 impl<B: NodeBound + ?Sized> NodeBound for Arc<B> {
     fn bound_node(&self, node: &FspNode) -> Time {
         (**self).bound_node(node)
+    }
+    fn bound_nodes(&self, nodes: &[FspNode], out: &mut [Time]) {
+        (**self).bound_nodes(nodes, out)
     }
     fn bound_name(&self) -> &'static str {
         (**self).bound_name()

@@ -70,21 +70,25 @@ fn bound_wave<B: NodeBound>(problem: &FspProblem<B>, children: &mut [FspNode]) {
         .unwrap_or(1)
         .min(MAX_FREEZE_THREADS);
     if threads < 2 || children.len() < PARALLEL_BOUND_THRESHOLD {
-        for child in children {
-            problem.bound(child);
-        }
+        bound_all(problem, children);
         return;
     }
     let chunk = children.len().div_ceil(threads);
     std::thread::scope(|scope| {
         for part in children.chunks_mut(chunk) {
-            scope.spawn(move || {
-                for child in part {
-                    problem.bound(child);
-                }
-            });
+            scope.spawn(move || bound_all(problem, part));
         }
     });
+}
+
+/// Bounds `nodes` as one batch ([`NodeBound::bound_nodes`]) and records each
+/// bound on its node.
+fn bound_all<B: NodeBound>(problem: &FspProblem<B>, nodes: &mut [FspNode]) {
+    let mut bounds = vec![0; nodes.len()];
+    problem.bound_fn().bound_nodes(nodes, &mut bounds);
+    for (node, lb) in nodes.iter_mut().zip(bounds) {
+        node.set_bound(lb);
+    }
 }
 
 /// Explores `problem` with a best-first sequential B&B (seeded with the NEH

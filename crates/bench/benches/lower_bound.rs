@@ -1,31 +1,59 @@
-//! Micro-benchmark of the lower-bound functions themselves: the Johnson
-//! two-machine-relaxation bound (the paper's kernel) versus the cheap
-//! one-machine bound, on the root node of two instance classes.
+//! Micro-benchmark of the Johnson lower bound on the nodes a solver really
+//! bounds: the deterministic frozen pool of three instance classes (the
+//! benchmark's 8×20 and 9×5 classes and the paper's 20×20), bounded one
+//! node at a time by the single-node reference and eight nodes per pass by
+//! the batch entry point, reported per node. Frozen-pool nodes sit at mixed
+//! depths, so the reference's scheduled-job branch is as unpredictable here
+//! as in a solve (at the root it never mispredicts). Small instances often
+//! close before their pool fills, so each class takes the first generator
+//! seed whose freeze reaches the target size.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fsp::bound::LowerBound;
+use bb::{frozen_pool, FspProblem};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fsp::taillard::generate;
-use fsp::{JohnsonLowerBound, OneMachineBound, PartialSchedule};
+use fsp::BoundScratch;
 
 fn bench_lower_bounds(c: &mut Criterion) {
     let mut group = c.benchmark_group("lower_bound");
     group.sample_size(20);
 
-    for (jobs, machines) in [(20usize, 20usize), (50, 20)] {
-        let inst = generate(format!("{jobs}x{machines}"), jobs, machines, 2012);
-        let johnson = JohnsonLowerBound::new(&inst);
-        let one_machine = OneMachineBound::new(&inst);
-        let sched = PartialSchedule::from_prefix(&inst, &[0, 1]);
+    for (jobs, machines, pool) in [(8usize, 20usize, 256usize), (9, 5, 64), (20, 20, 256)] {
+        let class = format!("{jobs}x{machines}");
+        let (problem, nodes) = (1..)
+            .map(|seed| {
+                let problem = FspProblem::new(generate(class.as_str(), jobs, machines, seed));
+                let nodes = frozen_pool(&problem, pool).nodes;
+                (problem, nodes)
+            })
+            .find(|(_, nodes)| nodes.len() >= pool)
+            .expect("some seed freezes a full pool");
+        let lb = problem.bound_fn();
+        group.throughput(Throughput::Elements(nodes.len() as u64));
 
         group.bench_with_input(
-            BenchmarkId::new("johnson", format!("{jobs}x{machines}")),
-            &sched,
-            |b, s| b.iter(|| std::hint::black_box(johnson.bound(s))),
+            BenchmarkId::new("reference", format!("{class} ({} nodes)", nodes.len())),
+            &nodes,
+            |b, nodes| {
+                b.iter(|| {
+                    for node in nodes {
+                        std::hint::black_box(
+                            lb.bound_prefix_fn(node.front(), |j| node.is_scheduled(j)),
+                        );
+                    }
+                })
+            },
         );
         group.bench_with_input(
-            BenchmarkId::new("one-machine", format!("{jobs}x{machines}")),
-            &sched,
-            |b, s| b.iter(|| std::hint::black_box(one_machine.bound(s))),
+            BenchmarkId::new("batch", format!("{class} ({} nodes)", nodes.len())),
+            &nodes,
+            |b, nodes| {
+                let mut scratch = BoundScratch::new();
+                let mut out = vec![0; nodes.len()];
+                b.iter(|| {
+                    lb.bound_many(&mut scratch, std::hint::black_box(nodes), &mut out);
+                    std::hint::black_box(&out);
+                })
+            },
         );
     }
     group.finish();

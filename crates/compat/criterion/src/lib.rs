@@ -3,10 +3,12 @@
 //! The build image has no network access, so the real criterion cannot be
 //! fetched. This shim implements the subset of its API that the workspace
 //! benches use — `Criterion::benchmark_group`, `BenchmarkGroup::{sample_size,
-//! bench_function, bench_with_input, finish}`, `Bencher::iter`, `BenchmarkId`,
-//! and the `criterion_group!`/`criterion_main!` macros — measuring wall-clock
-//! time per iteration and printing a one-line summary per benchmark. There is
-//! no statistical analysis, HTML report, or baseline comparison.
+//! throughput, bench_function, bench_with_input, finish}`, `Bencher::iter`,
+//! `BenchmarkId`, `Throughput::Elements`, and the
+//! `criterion_group!`/`criterion_main!` macros — measuring wall-clock time
+//! per iteration (and per element when a throughput is set) and printing a
+//! one-line summary per benchmark. There is no statistical analysis, HTML
+//! report, or baseline comparison.
 //!
 //! If the real criterion ever becomes available, delete `crates/compat/` and
 //! point the dev-dependency at crates.io: the bench sources need no changes.
@@ -40,6 +42,14 @@ impl Display for BenchmarkId {
     }
 }
 
+/// Work one iteration performs, as in `criterion::Throughput`; set on a
+/// group, it adds the time per element to every benchmark line.
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    /// Elements processed per iteration.
+    Elements(u64),
+}
+
 /// Timing loop handed to the closure of `bench_function`/`bench_with_input`.
 pub struct Bencher {
     samples: usize,
@@ -65,12 +75,19 @@ pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
     sample_size: usize,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
     /// Sets how many timed iterations each benchmark runs.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n;
+        self
+    }
+
+    /// Sets the work per iteration of the benchmarks that follow.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
         self
     }
 
@@ -109,7 +126,16 @@ impl BenchmarkGroup<'_> {
     pub fn finish(&mut self) {}
 
     fn report(&mut self, id: &str, mean: Duration) {
-        println!("{}/{:<40} {:>12.3?}/iter", self.name, id, mean);
+        match self.throughput {
+            Some(Throughput::Elements(n)) => println!(
+                "{}/{:<40} {:>12.3?}/iter {:>12.3?}/elem",
+                self.name,
+                id,
+                mean,
+                mean / n.max(1) as u32
+            ),
+            None => println!("{}/{:<40} {:>12.3?}/iter", self.name, id, mean),
+        }
         self.criterion.benchmarks_run += 1;
     }
 }
@@ -125,6 +151,7 @@ impl Criterion {
         BenchmarkGroup {
             name: name.into(),
             sample_size: 10,
+            throughput: None,
             criterion: self,
         }
     }

@@ -228,8 +228,8 @@ pub struct BoundingEngine {
     /// alternated in lockstep with the device slots so chunk *k+1* is
     /// encoded while chunk *k* is modelled in flight.
     encode_bufs: [Vec<u32>; 2],
-    /// Per-engine scratch for the host-side reference bound (fast-forward
-    /// mode bounds whole pools without a single allocation).
+    /// Per-engine scratch for the host batch bound (fast-forward mode
+    /// bounds whole pools without a single allocation).
     scratch: BoundScratch,
 }
 
@@ -456,10 +456,10 @@ impl BoundingEngine {
     }
 
     /// Bounds `nodes` in fast-forward mode: the lower bounds come from the
-    /// host reference implementation and the kernel timing is derived from
-    /// the analytically known access counts — the two paths share the cost
-    /// function, so the timing matches [`BoundingEngine::bound_nodes`]
-    /// exactly (see the tests below).
+    /// host batch bound ([`JohnsonLowerBound::bound_many`]) and the kernel
+    /// timing is derived from the analytically known access counts — the
+    /// two paths share the cost function, so the timing matches
+    /// [`BoundingEngine::bound_nodes`] exactly (see the tests below).
     pub fn bound_nodes_fast(
         &mut self,
         nodes: &[FspNode],
@@ -474,14 +474,8 @@ impl BoundingEngine {
         if nodes.is_empty() {
             return self.empty_result();
         }
-        let mut bounds: Vec<Time> = Vec::with_capacity(nodes.len());
-        for node in nodes {
-            bounds.push(
-                host_bound.bound_prefix_fn_with(&mut self.scratch, node.front(), |j| {
-                    node.is_scheduled(j)
-                }),
-            );
-        }
+        let mut bounds = vec![0; nodes.len()];
+        host_bound.bound_many(&mut self.scratch, nodes, &mut bounds);
         let workload = AnalyticWorkload {
             tally: self.analytic_tally(nodes),
             total_threads: nodes.len(),
@@ -500,7 +494,7 @@ impl BoundingEngine {
     /// [`BoundingEngine::bound_nodes`]; the modelled wall time is the
     /// timeline makespan instead of the serialized sum.
     ///
-    /// With `host_bound` supplied the bounds come from the host reference
+    /// With `host_bound` supplied the bounds come from the host batch bound
     /// and the kernel timing is analytic (fast-forward mode) — results and
     /// modelled times match the functional path exactly.
     ///
@@ -602,7 +596,16 @@ impl BoundingEngine {
             self.max_pool
         );
         let start_makespan = session.timeline.makespan();
-        let mut bounds: Vec<Time> = Vec::with_capacity(nodes.len());
+        // Fast-forward bounds the whole batch in one host pass; the chunk
+        // loop below then only drives the modelled timeline.
+        let mut bounds: Vec<Time> = match host_bound {
+            Some(lb) => {
+                let mut bounds = vec![0; nodes.len()];
+                lb.bound_many(&mut self.scratch, nodes, &mut bounds);
+                bounds
+            }
+            None => Vec::with_capacity(nodes.len()),
+        };
         let mut kernel_time = Duration::ZERO;
         let mut transfer_time = Duration::ZERO;
         let mut upload_total = 0usize;
@@ -672,25 +675,15 @@ impl BoundingEngine {
             // Kernel over the chunk: waits for its upload and for the D2H
             // that last drained this output slot.
             let config = self.launch_config(chunk.len());
-            let launch = match host_bound {
-                None => {
-                    let kernel = self.kernel_on(chunk.len(), slot);
-                    self.device.launch(&kernel, &config)
-                }
-                Some(lb) => {
-                    for node in *chunk {
-                        bounds.push(lb.bound_prefix_fn_with(
-                            &mut self.scratch,
-                            node.front(),
-                            |j| node.is_scheduled(j),
-                        ));
-                    }
-                    let workload = AnalyticWorkload {
-                        tally: self.analytic_tally(chunk),
-                        total_threads: chunk.len(),
-                    };
-                    self.device.launch_analytic(&workload, &config)
-                }
+            let launch = if functional {
+                let kernel = self.kernel_on(chunk.len(), slot);
+                self.device.launch(&kernel, &config)
+            } else {
+                let workload = AnalyticWorkload {
+                    tally: self.analytic_tally(chunk),
+                    total_threads: chunk.len(),
+                };
+                self.device.launch_analytic(&workload, &config)
             };
             let mut kernel_floors: Vec<Duration> = Vec::with_capacity(1);
             if let Some(prev_d2h_end) = session.d2h_end_by_slot[slot] {

@@ -50,7 +50,7 @@ impl JohnsonLowerBound {
     ///
     /// This is the host-side reference of the GPU kernel: same algorithm,
     /// same data structures. Uses the thread-local [`BoundScratch`]; batch
-    /// callers should prefer [`Self::bound_prefix_with`].
+    /// callers use [`Self::bound_many`], which is tested against this one.
     pub fn bound_prefix(&self, front: &[Time], scheduled: &[bool]) -> Time {
         with_thread_scratch(|s| self.bound_prefix_impl(front, |j| scheduled[j], None, s))
     }
@@ -60,28 +60,6 @@ impl JohnsonLowerBound {
     /// keep the set as a bitset, such as the B&B node type).
     pub fn bound_prefix_fn(&self, front: &[Time], is_scheduled: impl Fn(Job) -> bool) -> Time {
         with_thread_scratch(|s| self.bound_prefix_impl(front, is_scheduled, None, s))
-    }
-
-    /// Like [`Self::bound_prefix`] with an explicit, caller-owned scratch —
-    /// the batch entry point: allocate the scratch once, reuse it for every
-    /// sub-problem of every pool.
-    pub fn bound_prefix_with(
-        &self,
-        scratch: &mut BoundScratch,
-        front: &[Time],
-        scheduled: &[bool],
-    ) -> Time {
-        self.bound_prefix_impl(front, |j| scheduled[j], None, scratch)
-    }
-
-    /// Predicate variant of [`Self::bound_prefix_with`].
-    pub fn bound_prefix_fn_with(
-        &self,
-        scratch: &mut BoundScratch,
-        front: &[Time],
-        is_scheduled: impl Fn(Job) -> bool,
-    ) -> Time {
-        self.bound_prefix_impl(front, is_scheduled, None, scratch)
     }
 
     /// Same as [`Self::bound_prefix`] but records how many times each of the

@@ -31,8 +31,7 @@ impl OneMachineBound {
     }
 
     /// Bound of a sub-problem given its per-machine front and scheduled set.
-    /// Uses the thread-local [`BoundScratch`]; batch callers should prefer
-    /// [`Self::bound_prefix_with`].
+    /// Uses the thread-local [`BoundScratch`].
     pub fn bound_prefix(&self, front: &[Time], scheduled: &[bool]) -> Time {
         with_thread_scratch(|s| self.bound_prefix_impl(front, |j| scheduled[j], s))
     }
@@ -41,16 +40,6 @@ impl OneMachineBound {
     /// as a predicate (for callers that keep the set as a bitset).
     pub fn bound_prefix_fn(&self, front: &[Time], is_scheduled: impl Fn(Job) -> bool) -> Time {
         with_thread_scratch(|s| self.bound_prefix_impl(front, is_scheduled, s))
-    }
-
-    /// Like [`Self::bound_prefix`] with an explicit, caller-owned scratch.
-    pub fn bound_prefix_with(
-        &self,
-        scratch: &mut BoundScratch,
-        front: &[Time],
-        scheduled: &[bool],
-    ) -> Time {
-        self.bound_prefix_impl(front, |j| scheduled[j], scratch)
     }
 
     fn bound_prefix_impl(

@@ -4,16 +4,21 @@
 //! function. The paper uses the two-machine relaxation bound of
 //! Lageweg, Lenstra and Rinnooy Kan (1978), built on Johnson's algorithm
 //! (1954); its data structures and pseudo-code are reproduced in Table I and
-//! Figure 2 of the paper and implemented in [`data`] and [`johnson_lb`].
+//! Figure 2 of the paper and implemented in [`data`] and [`johnson_lb`]
+//! (the single-node reference) and [`batch`] (several nodes per pass, the
+//! entry point of every bounding backend).
 //!
 //! A cheaper single-machine bound ([`lb1`]) is provided for ablation studies
 //! (bound quality vs bound cost), and [`counts`] models the memory-access
 //! complexities of Table I, which drive the GPU data-placement decision.
 
+pub mod batch;
 pub mod counts;
 pub mod data;
 pub mod johnson_lb;
 pub mod lb1;
+
+pub use batch::{SubProblem, LANES};
 
 use crate::schedule::PartialSchedule;
 use crate::Time;
@@ -24,17 +29,18 @@ use std::cell::RefCell;
 /// Every bound evaluation needs the per-machine minima (heads/tails, and the
 /// remaining load for [`lb1::OneMachineBound`]) over the unscheduled jobs.
 /// Allocating them per call dominates the cost of bounding small batches, so
-/// callers that bound many sub-problems — the off-load engine's fast-forward
-/// path, the serial solver — hold one `BoundScratch` and pass it to the
-/// `*_with` bound entry points. The buffers are (re)sized and reset on every
-/// use, so one scratch can serve instances of different machine counts; the
-/// convenience entry points without an explicit scratch fall back to a
-/// thread-local one and stay allocation-free after the first call.
+/// callers that bound many sub-problems — the bounding backends and the
+/// off-load engine's fast-forward path — hold one `BoundScratch` and pass it
+/// to [`JohnsonLowerBound::bound_many`](johnson_lb::JohnsonLowerBound::bound_many).
+/// The buffers are (re)sized and reset on every use, so one scratch can
+/// serve instances of different shapes; the single-node entry points fall
+/// back to a thread-local one and stay allocation-free after the first call.
 #[derive(Debug, Default)]
 pub struct BoundScratch {
     pub(crate) min_head: Vec<Time>,
     pub(crate) min_tail: Vec<Time>,
     pub(crate) load: Vec<Time>,
+    pub(crate) lanes: batch::LaneScratch,
 }
 
 impl BoundScratch {
@@ -61,9 +67,9 @@ impl BoundScratch {
     }
 }
 
-fn reset(buf: &mut Vec<Time>, m: usize, value: Time) {
+fn reset<T: Clone>(buf: &mut Vec<T>, len: usize, value: T) {
     buf.clear();
-    buf.resize(m, value);
+    buf.resize(len, value);
 }
 
 thread_local! {

@@ -44,7 +44,9 @@ pub enum ParseError {
     UnexpectedEnd,
     /// A token could not be parsed as an integer.
     BadNumber(String),
-    /// The header numbers are inconsistent (zero jobs/machines).
+    /// The header numbers are out of range (a job or machine count that is
+    /// not positive, a `jobs × machines` product that overflows, or a
+    /// recorded bound outside `0..=Time::MAX`).
     BadHeader(String),
     /// The processing-time matrix has the wrong number of values.
     WrongMatrixSize {
@@ -53,6 +55,17 @@ pub enum ParseError {
         /// Values found.
         found: usize,
     },
+    /// A processing time is negative or above [`Time::MAX`].
+    BadTime {
+        /// Job of the entry.
+        job: usize,
+        /// Machine of the entry.
+        machine: usize,
+        /// The value as written.
+        value: i64,
+    },
+    /// The processing times sum to more than [`Time::MAX`].
+    TotalTooLarge(u64),
 }
 
 impl std::fmt::Display for ParseError {
@@ -64,6 +77,18 @@ impl std::fmt::Display for ParseError {
             ParseError::WrongMatrixSize { expected, found } => {
                 write!(f, "expected {expected} processing times, found {found}")
             }
+            ParseError::BadTime {
+                job,
+                machine,
+                value,
+            } => write!(
+                f,
+                "processing time {value} of job {job} on machine {machine} is outside 0..={}",
+                Time::MAX
+            ),
+            ParseError::TotalTooLarge(total) => {
+                write!(f, "processing times sum to {total}, above {}", Time::MAX)
+            }
         }
     }
 }
@@ -73,6 +98,19 @@ impl std::error::Error for ParseError {}
 /// Parses the first instance of a Taillard-format text.
 ///
 /// Returns the instance (named `name`) and the header metadata.
+///
+/// Input rules — anything else is a [`ParseError`], never a panic or a
+/// silently different instance:
+///
+/// * the job and machine counts are positive and their product fits a
+///   `usize`;
+/// * the recorded upper and lower bounds fit a [`Time`] (a negative one
+///   means "unknown" and reads as 0);
+/// * every processing time lies in `0..=Time::MAX` (a 0 reads as 1, as the
+///   instance model needs positive times);
+/// * the processing times sum to at most `Time::MAX`. Every makespan, and
+///   every intermediate sum of the lower bounds, adds distinct matrix cells,
+///   so this total caps them all and no schedule or bound can overflow.
 pub fn parse_taillard(name: &str, text: &str) -> Result<(Instance, TaillardHeader), ParseError> {
     // Collect every integer token in order, ignoring the prose lines.
     let numbers: Vec<i64> = text
@@ -87,22 +125,31 @@ pub fn parse_taillard(name: &str, text: &str) -> Result<(Instance, TaillardHeade
     if numbers.len() < 5 {
         return Err(ParseError::UnexpectedEnd);
     }
-    let jobs = numbers[0] as usize;
-    let machines = numbers[1] as usize;
-    if jobs == 0 || machines == 0 {
+    let count = |value: i64| usize::try_from(value).ok().filter(|&c| c > 0);
+    let (Some(jobs), Some(machines)) = (count(numbers[0]), count(numbers[1])) else {
         return Err(ParseError::BadHeader(format!(
-            "jobs = {jobs}, machines = {machines}"
+            "jobs = {}, machines = {}",
+            numbers[0], numbers[1]
         )));
-    }
+    };
+    let Some(expected) = jobs.checked_mul(machines) else {
+        return Err(ParseError::BadHeader(format!(
+            "jobs × machines = {jobs} × {machines} overflows"
+        )));
+    };
+    let recorded = |value: i64| {
+        Time::try_from(value.max(0)).map_err(|_| {
+            ParseError::BadHeader(format!("recorded bound {value} exceeds {}", Time::MAX))
+        })
+    };
     let header = TaillardHeader {
         jobs,
         machines,
         time_seed: numbers[2],
-        upper_bound: numbers[3].max(0) as Time,
-        lower_bound: numbers[4].max(0) as Time,
+        upper_bound: recorded(numbers[3])?,
+        lower_bound: recorded(numbers[4])?,
     };
 
-    let expected = jobs * machines;
     let values = &numbers[5..];
     if values.len() < expected {
         return Err(ParseError::WrongMatrixSize {
@@ -112,10 +159,23 @@ pub fn parse_taillard(name: &str, text: &str) -> Result<(Instance, TaillardHeade
     }
     // Machine-major rows in the file; transpose to the job-major layout.
     let mut pt = vec![0 as Time; expected];
+    let mut total = 0u64;
     for k in 0..machines {
         for j in 0..jobs {
-            pt[j * machines + k] = values[k * jobs + j].max(1) as Time;
+            let value = values[k * jobs + j];
+            let time = Time::try_from(value)
+                .map_err(|_| ParseError::BadTime {
+                    job: j,
+                    machine: k,
+                    value,
+                })?
+                .max(1);
+            pt[j * machines + k] = time;
+            total += u64::from(time);
         }
+    }
+    if total > u64::from(Time::MAX) {
+        return Err(ParseError::TotalTooLarge(total));
     }
     Ok((Instance::new(name, jobs, machines, pt), header))
 }
@@ -219,6 +279,76 @@ mod tests {
     #[test]
     fn zero_dimensions_are_rejected() {
         let bad = "0 2 0 0 0\n";
+        assert!(matches!(
+            parse_taillard("bad", bad),
+            Err(ParseError::BadHeader(_))
+        ));
+    }
+
+    /// A one-job, two-machine file with the given header counts and times.
+    fn tiny(jobs: &str, machines: &str, times: &str) -> String {
+        format!("{jobs} {machines} 0 0 0\nprocessing times:\n{times}\n")
+    }
+
+    #[test]
+    fn negative_counts_are_rejected() {
+        for (jobs, machines) in [("-3", "2"), ("1", "-2")] {
+            assert!(matches!(
+                parse_taillard("bad", &tiny(jobs, machines, "5 5")),
+                Err(ParseError::BadHeader(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn an_overflowing_matrix_size_is_rejected() {
+        let huge = (u64::MAX / 2).to_string();
+        match parse_taillard("bad", &tiny(&huge, "4", "5")) {
+            Err(ParseError::BadHeader(msg)) => assert!(msg.contains("overflows"), "{msg}"),
+            other => panic!("unexpected result: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn negative_times_are_rejected() {
+        assert_eq!(
+            parse_taillard("bad", &tiny("1", "2", "3\n-7")).map(|_| ()),
+            Err(ParseError::BadTime {
+                job: 0,
+                machine: 1,
+                value: -7
+            })
+        );
+    }
+
+    #[test]
+    fn times_above_the_time_range_are_rejected() {
+        // 2^32 + 1 used to wrap to 1.
+        assert_eq!(
+            parse_taillard("bad", &tiny("1", "2", "4294967297\n3")).map(|_| ()),
+            Err(ParseError::BadTime {
+                job: 0,
+                machine: 0,
+                value: 4_294_967_297
+            })
+        );
+    }
+
+    #[test]
+    fn a_total_above_the_time_range_is_rejected() {
+        let big = Time::MAX.to_string();
+        assert_eq!(
+            parse_taillard("bad", &tiny("1", "2", &format!("{big}\n1"))).map(|_| ()),
+            Err(ParseError::TotalTooLarge(u64::from(Time::MAX) + 1))
+        );
+        // Right at the cap the instance still parses.
+        let cap = (Time::MAX - 1).to_string();
+        assert!(parse_taillard("ok", &tiny("1", "2", &format!("{cap}\n1"))).is_ok());
+    }
+
+    #[test]
+    fn recorded_bounds_above_the_time_range_are_rejected() {
+        let bad = "1 2 0 4294967296 0\nprocessing times:\n3\n4\n";
         assert!(matches!(
             parse_taillard("bad", bad),
             Err(ParseError::BadHeader(_))

@@ -18,8 +18,10 @@
 //! * [`johnson`] — Johnson's exact algorithm for the 2-machine case and
 //!   Johnson's rule with time lags (the building block of the lower bound);
 //! * [`bound`] — the six data structures (`PTM`, `LM`, `JM`, `RM`, `QM`, `MM`)
-//!   of Table I and the lower-bound function of Figure 2 of the paper, plus a
-//!   cheaper single-machine bound for ablation studies;
+//!   of Table I and the lower-bound function of Figure 2 of the paper (a
+//!   single-node reference and a batch entry point that bounds several nodes
+//!   per pass, as the kernel's threads do), plus a cheaper single-machine
+//!   bound for ablation studies;
 //! * [`neh`] — the NEH constructive heuristic, used to seed the upper bound;
 //! * [`brute`] — exhaustive enumeration for tiny instances (test oracle).
 
@@ -38,7 +40,7 @@ pub mod bound;
 pub use bound::data::BoundData;
 pub use bound::johnson_lb::JohnsonLowerBound;
 pub use bound::lb1::OneMachineBound;
-pub use bound::{BoundScratch, LowerBound};
+pub use bound::{BoundScratch, LowerBound, SubProblem};
 pub use instance::Instance;
 pub use schedule::{makespan, makespan_prefix, PartialSchedule};
 

@@ -74,17 +74,19 @@ impl ParallelBoundingPool {
         self.senders.len()
     }
 
-    /// Evaluates the lower bound of every node of `batch`, in input order.
+    /// Evaluates the lower bound of every node of `batch`, in input order;
+    /// each worker bounds its chunk through [`NodeBound::bound_nodes`].
     pub fn bound_batch<B: NodeBound>(&self, batch: &[FspNode], bound: &B) -> Vec<Time> {
         if batch.is_empty() {
             return Vec::new();
         }
+        let mut results = vec![0 as Time; batch.len()];
         if self.threads() == 1 || batch.len() == 1 {
-            return batch.iter().map(|n| bound.bound_node(n)).collect();
+            bound.bound_nodes(batch, &mut results);
+            return results;
         }
 
         let chunk = batch.len().div_ceil(self.threads());
-        let mut results = vec![0 as Time; batch.len()];
         let (done_tx, done_rx) = channel::<()>();
         let mut dispatched = 0usize;
         let mut send_failed = false;
@@ -95,9 +97,7 @@ impl ParallelBoundingPool {
         {
             let done = done_tx.clone();
             let task = move || {
-                for (node, slot) in nodes.iter().zip(out.iter_mut()) {
-                    *slot = bound.bound_node(node);
-                }
+                bound.bound_nodes(nodes, out);
                 let _ = done.send(());
             };
             // SAFETY: the closure borrows `batch`, `bound` and a disjoint

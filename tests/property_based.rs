@@ -4,7 +4,7 @@
 use flowshop_gpu_bnb::bb::{FspNode, FspProblem};
 use flowshop_gpu_bnb::fsp::bound::LowerBound;
 use flowshop_gpu_bnb::fsp::{
-    makespan, makespan_prefix, taillard, JohnsonLowerBound, OneMachineBound,
+    makespan, makespan_prefix, taillard, BoundScratch, JohnsonLowerBound, OneMachineBound,
 };
 use flowshop_gpu_bnb::gpu_bnb::{
     perturbed, BoundingEngine, CacheDisposition, DataPlacement, GpuSolverConfig, ServiceConfig,
@@ -22,6 +22,49 @@ fn prefix(n: usize, len: usize) -> impl Strategy<Value = Vec<usize>> {
     Just((0..n).collect::<Vec<_>>())
         .prop_shuffle()
         .prop_map(move |p| p[..len].to_vec())
+}
+
+/// Job counts on both sides of 32- and 64-job set-word boundaries, and
+/// machine counts from one machine (no pair) to the paper's twenty.
+const BATCH_JOBS: [usize; 6] = [1, 31, 32, 33, 64, 65];
+const BATCH_MACHINES: [usize; 4] = [1, 2, 5, 20];
+/// Batch lengths around the eight-lane pass: empty, one lane, a short pass,
+/// one full pass, one past it, and two passes plus one.
+const BATCH_LENGTHS: [usize; 6] = [0, 1, 7, 8, 9, LONGEST_BATCH];
+const LONGEST_BATCH: usize = 17;
+
+/// SplitMix64: a seeded stream for building node mixes inside a property.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// `count` nodes of `inst`, each a random order cut at the root, at a random
+/// depth strictly inside the tree, or at the leaf.
+fn mixed_depth_nodes(
+    inst: &flowshop_gpu_bnb::fsp::Instance,
+    count: usize,
+    state: &mut u64,
+) -> Vec<FspNode> {
+    let n = inst.jobs();
+    (0..count)
+        .map(|_| {
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, (splitmix(state) % (i as u64 + 1)) as usize);
+            }
+            let depth = match splitmix(state) % 3 {
+                0 => 0,
+                1 if n > 1 => 1 + (splitmix(state) % (n as u64 - 1)) as usize,
+                1 => 0,
+                _ => n,
+            };
+            FspNode::from_prefix(inst, &order[..depth])
+        })
+        .collect()
 }
 
 proptest! {
@@ -169,6 +212,39 @@ proptest! {
         prop_assert_eq!(firsts, (0..n).collect::<Vec<_>>());
         for child in &children {
             prop_assert_eq!(child.unscheduled().count(), n - 1);
+        }
+    }
+}
+
+proptest! {
+    // Every case walks the whole shape × batch-length grid (24 instances, up
+    // to 65×20, in a debug build), so a few cases suffice.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn batch_bound_equals_the_single_node_reference(seed in 1i64..1_000_000, salt in any::<u64>()) {
+        // One scratch for every shape: the batch entry point must resize it.
+        let mut scratch = BoundScratch::new();
+        let mut state = salt;
+        for n in BATCH_JOBS {
+            for m in BATCH_MACHINES {
+                let inst = taillard::generate("prop", n, m, seed);
+                let lb = JohnsonLowerBound::new(&inst);
+                let nodes = mixed_depth_nodes(&inst, LONGEST_BATCH, &mut state);
+                let reference: Vec<_> = nodes
+                    .iter()
+                    .map(|node| {
+                        let mut scheduled = vec![false; n];
+                        node.prefix().for_each(|j| scheduled[j] = true);
+                        lb.bound_prefix(node.front(), &scheduled)
+                    })
+                    .collect();
+                for len in BATCH_LENGTHS {
+                    let mut out = vec![0; len];
+                    lb.bound_many(&mut scratch, &nodes[..len], &mut out);
+                    prop_assert_eq!(&out[..], &reference[..len], "{}x{}, {} nodes", n, m, len);
+                }
+            }
         }
     }
 }
