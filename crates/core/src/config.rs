@@ -1,6 +1,8 @@
 //! Configuration of the GPU-accelerated solver.
 
+use crate::fleet::{fleet_member_specs, FleetMemberSpec};
 use crate::placement::DataPlacement;
+use gpu_sim::DeviceSpec;
 use std::time::Duration;
 
 /// The pool sizes swept in the paper's Tables II and III
@@ -336,7 +338,7 @@ pub struct GpuSolverConfig {
     /// and the kernel timing is derived analytically (fast-forward mode —
     /// identical results and identical timing formulas, used for the
     /// paper-scale sweeps). `false`: every bound is computed by functionally
-    /// simulating the kernel thread by thread. Only meaningful for the GPU
+    /// simulating the kernel a warp at a time. Only meaningful for the GPU
     /// backends.
     pub fast_forward: bool,
     /// Which bounding backend the solver drives (see [`BackendKind`]).
@@ -502,7 +504,8 @@ impl std::error::Error for ConfigError {}
 /// fault injection combined with checkpointing (a checkpointed solve must
 /// replay bit-identically, which an injected failure breaks), fault
 /// injection or fleet weights on a non-fleet backend, mis-sized or
-/// non-positive fleet weights, and zero pool / depth parameters.
+/// non-positive fleet weights, zero pool / depth parameters, and a block
+/// larger than a GPU the backend launches on allows.
 ///
 /// ```
 /// use gpu_bnb::{BackendKind, FleetTopology, GpuSolverConfig};
@@ -647,6 +650,16 @@ impl SolverConfigBuilder {
                     .into(),
             ));
         }
+        if let Some(gpu) = launch_devices(config.backend)
+            .iter()
+            .find(|gpu| config.block_threads > gpu.max_threads_per_block)
+        {
+            return Err(ConfigError(format!(
+                "block_threads {} exceeds the {} threads per block of the {} \
+                 the `{}` backend launches on",
+                config.block_threads, gpu.max_threads_per_block, gpu.name, config.backend
+            )));
+        }
         let fleet = match config.backend {
             BackendKind::Fleet(topology) => Some(topology),
             _ => None,
@@ -688,6 +701,23 @@ impl SolverConfigBuilder {
             }
         }
         Ok(config)
+    }
+}
+
+/// The simulated GPUs `backend` launches its kernel on: the Tesla C2050
+/// of a single-device backend, every GPU member of a fleet, none for the
+/// host backends.
+fn launch_devices(backend: BackendKind) -> Vec<DeviceSpec> {
+    match backend {
+        BackendKind::Sequential | BackendKind::Multicore => Vec::new(),
+        BackendKind::Gpu | BackendKind::GpuPipelined => vec![DeviceSpec::tesla_c2050()],
+        BackendKind::Fleet(topology) => fleet_member_specs(topology.devices, topology.is_hetero())
+            .into_iter()
+            .filter_map(|member| match member {
+                FleetMemberSpec::Gpu(spec) => Some(spec),
+                FleetMemberSpec::Cpu { .. } => None,
+            })
+            .collect(),
     }
 }
 
@@ -908,6 +938,45 @@ mod tests {
         let edited = built.to_builder().pool_size(8192).build().unwrap();
         assert_eq!(edited.pool_size, 8192);
         assert_eq!(edited.node_limit, Some(1000));
+    }
+
+    /// Builds the defaults with `backend` and `block_threads`.
+    fn with_block(
+        backend: BackendKind,
+        block_threads: usize,
+    ) -> Result<GpuSolverConfig, ConfigError> {
+        GpuSolverConfig::builder()
+            .backend(backend)
+            .block_threads(block_threads)
+            .build()
+    }
+
+    #[test]
+    fn gpu_blocks_past_the_device_limit_are_rejected() {
+        assert!(with_block(BackendKind::Gpu, 1024).is_ok());
+        let err = with_block(BackendKind::Gpu, 2048).unwrap_err();
+        assert!(err.to_string().contains("1024 threads per block"), "{err}");
+    }
+
+    #[test]
+    fn pipelined_blocks_past_the_device_limit_are_rejected() {
+        assert!(with_block(BackendKind::GpuPipelined, 1024).is_ok());
+        let err = with_block(BackendKind::GpuPipelined, 1025).unwrap_err();
+        assert!(err.to_string().contains("Tesla C2050"), "{err}");
+    }
+
+    #[test]
+    fn fleet_blocks_past_any_member_limit_are_rejected() {
+        let hetero = BackendKind::Fleet(FleetTopology::uniform(2).mixed());
+        assert!(with_block(hetero, 1024).is_ok());
+        let err = with_block(hetero, 2048).unwrap_err();
+        assert!(err.to_string().contains("fleet:2:hetero"), "{err}");
+    }
+
+    #[test]
+    fn host_backends_launch_no_blocks() {
+        assert!(with_block(BackendKind::Sequential, 2048).is_ok());
+        assert!(with_block(BackendKind::Multicore, 2048).is_ok());
     }
 
     #[test]

@@ -8,10 +8,9 @@ use bb::FspNode;
 use fsp::bound::counts::AccessCounts;
 use fsp::{BoundData, BoundScratch, JohnsonLowerBound, Time};
 use gpu_sim::host::BufferKind;
-use gpu_sim::thread::AccessTally;
 use gpu_sim::{
-    AnalyticWorkload, Device, DeviceBuffer, DeviceStreams, KernelTiming, LaunchConfig, LaunchStats,
-    Timeline,
+    AccessTally, AnalyticWorkload, Device, DeviceBuffer, DeviceStreams, KernelTiming, LaunchConfig,
+    LaunchStats, Timeline,
 };
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -427,7 +426,7 @@ impl BoundingEngine {
         }
     }
 
-    /// Bounds `nodes` by functionally simulating the kernel (every thread is
+    /// Bounds `nodes` by functionally simulating the kernel (every warp is
     /// executed; results are exact, timing is estimated).
     ///
     /// # Panics

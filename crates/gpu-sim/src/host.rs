@@ -7,13 +7,13 @@
 //! produces the timing estimates used to regenerate the paper's tables.
 
 use crate::device::DeviceSpec;
-use crate::executor::{AnalyticWorkload, KernelTiming, LaunchStats};
+use crate::executor::{AccessTally, AnalyticWorkload, KernelTiming, LaunchStats};
 use crate::kernel::{Kernel, LaunchConfig};
 use crate::memory::{MemorySpace, SharedMemoryConfig};
 use crate::occupancy::occupancy;
-use crate::thread::{AccessTally, BufferCell, ThreadCtx, ThreadId};
 use crate::timing::{kernel_cost, CostModel, KernelCostInputs};
 use crate::transfer::TransferModel;
+use crate::warp::{BufferCell, WarpCtx, MAX_LANES};
 use std::time::Duration;
 
 /// What a buffer holds — determines whether it counts toward the L1
@@ -265,19 +265,31 @@ impl Device {
     /// Runs `kernel` over the grid described by `config`, returning the
     /// functional statistics and the timing estimate.
     ///
+    /// Each block runs as `ceil(block_threads / warp_size)` warps, the last
+    /// one short when the block size is not a multiple of the warp size.
     /// Buffers listed in `config.shared_buffers` are charged shared-memory
     /// latency and count against the shared-memory occupancy limit; the
     /// launch then uses the 48 KB-shared/16 KB-L1 split, otherwise the
     /// 16 KB/48 KB split (Section IV-B of the paper).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device's warp size is 0 or exceeds
+    /// [`MAX_LANES`], or if the kernel panics.
     pub fn launch<K: Kernel>(&mut self, kernel: &K, config: &LaunchConfig) -> LaunchResult {
+        let warp_size = self.spec.warp_size;
+        assert!(
+            (1..=MAX_LANES).contains(&warp_size),
+            "a warp of {warp_size} lanes does not fit a {MAX_LANES}-bit lane mask"
+        );
         let shared_config = self.shared_config_for(config);
         let spaces = self.bind_spaces(config);
 
-        // Functional execution: every thread of every block, sequentially.
+        // Functional execution: every warp of every block, sequentially.
         // The allocations are moved (not cloned) into per-buffer execution
         // cells — data plus flat access counters, attributed to memory
         // spaces once after the grid walk — and moved back afterwards; one
-        // kernel scratch serves every thread of the launch.
+        // kernel scratch serves every warp of the launch.
         let mut cells: Vec<BufferCell> = self
             .allocations
             .iter_mut()
@@ -289,20 +301,11 @@ impl Device {
         let mut scratch = kernel.new_scratch();
         let walk = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             for block in 0..config.grid_blocks {
-                for thread in 0..config.block_threads {
-                    let id = ThreadId {
-                        block,
-                        thread,
-                        global: block * config.block_threads + thread,
-                    };
-                    let mut ctx = ThreadCtx::new(
-                        id,
-                        config.block_threads,
-                        config.grid_blocks,
-                        &mut cells,
-                        &spaces,
-                    );
-                    kernel.run(&mut ctx, &mut scratch);
+                let block_start = block * config.block_threads;
+                for first in (0..config.block_threads).step_by(warp_size) {
+                    let lanes = warp_size.min(config.block_threads - first);
+                    let mut warp = WarpCtx::new(block_start + first, lanes, &mut cells);
+                    kernel.run(&mut warp, &mut scratch);
                 }
             }
         }));
@@ -418,11 +421,11 @@ mod tests {
     impl Kernel for DoubleKernel {
         type Scratch = ();
         fn new_scratch(&self) -> Self::Scratch {}
-        fn run(&self, ctx: &mut ThreadCtx<'_>, _scratch: &mut ()) {
-            let i = ctx.id().global;
-            if i < self.len {
-                let v = ctx.read(self.input, i);
-                ctx.write(self.output, i, v * 2);
+        fn run(&self, warp: &mut WarpCtx<'_>, _scratch: &mut ()) {
+            let first = warp.first_thread();
+            for i in first..(first + warp.lanes()).min(self.len) {
+                let v = warp.read(self.input, i);
+                warp.write(self.output, i, v * 2);
             }
         }
         fn name(&self) -> &str {
@@ -452,6 +455,42 @@ mod tests {
     }
 
     #[test]
+    fn blocks_run_as_warps_and_broadcasts_charge_every_lane() {
+        /// Every lane reads the same table cell; lane 0 writes its warp's
+        /// lane count at its own index.
+        struct WarpShape {
+            table: DeviceBuffer,
+            output: DeviceBuffer,
+        }
+        impl Kernel for WarpShape {
+            type Scratch = ();
+            fn new_scratch(&self) -> Self::Scratch {}
+            fn run(&self, warp: &mut WarpCtx<'_>, _scratch: &mut ()) {
+                let every_lane = u32::MAX >> (MAX_LANES - warp.lanes());
+                let v = warp.read_broadcast(self.table, 0, every_lane);
+                warp.write(self.output, warp.first_thread(), v + warp.lanes() as u32);
+            }
+        }
+        let mut dev = Device::tesla_c2050();
+        let table = dev.alloc_init(vec![100], 4, BufferKind::InstanceData);
+        let output = dev.alloc(96, 4, BufferKind::Stream);
+        let kernel = WarpShape { table, output };
+        // Blocks of 48 threads: a full warp, then a short one of 16 lanes.
+        let result = dev.launch(&kernel, &LaunchConfig::for_threads(96, 48));
+        let warps: Vec<(usize, u32)> = dev
+            .download(output)
+            .iter()
+            .enumerate()
+            .filter(|(_, &v)| v != 0)
+            .map(|(i, &v)| (i, v - 100))
+            .collect();
+        assert_eq!(warps, vec![(0, 32), (32, 16), (48, 32), (80, 16)]);
+        // One fetch per warp, one read charged per thread.
+        assert_eq!(result.stats.tally.global, 96);
+        assert_eq!(result.stats.tally.global_writes, 4);
+    }
+
+    #[test]
     fn shared_binding_changes_the_space_and_occupancy() {
         let mut dev = Device::tesla_c2050();
         let table = dev.alloc_init(vec![7; 8000], 1, BufferKind::InstanceData);
@@ -464,10 +503,12 @@ mod tests {
         impl Kernel for ReadTable {
             type Scratch = ();
             fn new_scratch(&self) -> Self::Scratch {}
-            fn run(&self, ctx: &mut ThreadCtx<'_>, _scratch: &mut ()) {
-                let i = ctx.id().global;
-                let v = ctx.read(self.table, i % self.table.len());
-                ctx.write(self.output, i % self.output.len(), v);
+            fn run(&self, warp: &mut WarpCtx<'_>, _scratch: &mut ()) {
+                let first = warp.first_thread();
+                for i in first..first + warp.lanes() {
+                    let v = warp.read(self.table, i % self.table.len());
+                    warp.write(self.output, i % self.output.len(), v);
+                }
             }
         }
         let kernel = ReadTable { table, output };
@@ -530,8 +571,8 @@ mod tests {
         impl Kernel for OobKernel {
             type Scratch = ();
             fn new_scratch(&self) -> Self::Scratch {}
-            fn run(&self, ctx: &mut ThreadCtx<'_>, _scratch: &mut ()) {
-                ctx.read(self.buf, usize::MAX); // kernel bug: fails loudly
+            fn run(&self, warp: &mut WarpCtx<'_>, _scratch: &mut ()) {
+                warp.read(self.buf, usize::MAX); // kernel bug: fails loudly
             }
         }
         let mut dev = Device::tesla_c2050();

@@ -2,27 +2,32 @@
 
 use crate::host::DeviceBuffer;
 
-/// A GPU kernel: a function executed once per thread of the launch grid.
+/// A GPU kernel: a function executed once per warp of the launch grid, its
+/// lanes (one GPU thread each) in lockstep.
 ///
 /// Kernels read and write device memory exclusively through the
-/// [`crate::thread::ThreadCtx`] handed to them, which is what lets the
-/// simulator attribute every access to a memory space and price it.
+/// [`crate::warp::WarpCtx`] handed to them, which is what lets the simulator
+/// attribute every access to a memory space and price it. A kernel charges
+/// each lane's accesses: one-lane reads and writes for per-thread data, and
+/// [`crate::warp::WarpCtx::read_broadcast`] over exactly the lanes that read
+/// a shared element — so the counts equal those of the same threads run one
+/// at a time.
 ///
 /// The executor allocates one [`Kernel::Scratch`] per launch and hands the
-/// same instance to every thread in turn, so per-thread working storage
-/// (local arrays a CUDA kernel would keep in registers or local memory) is
-/// allocated once per launch instead of once per thread. A kernel must
+/// same instance to every warp in turn, so per-lane working storage (local
+/// arrays a CUDA kernel would keep in registers or local memory) is
+/// allocated once per launch instead of once per warp. A kernel must
 /// therefore reset whatever scratch state it reads before writing it —
 /// exactly the discipline an uninitialised `__local__` array demands.
 pub trait Kernel: Sync {
-    /// Reusable per-thread working storage, allocated once per launch.
+    /// Reusable per-warp working storage, allocated once per launch.
     type Scratch;
 
     /// Allocates the scratch sized for this kernel's dimensions.
     fn new_scratch(&self) -> Self::Scratch;
 
-    /// Executes the kernel body for one thread.
-    fn run(&self, ctx: &mut crate::thread::ThreadCtx<'_>, scratch: &mut Self::Scratch);
+    /// Executes the kernel body for one warp.
+    fn run(&self, warp: &mut crate::warp::WarpCtx<'_>, scratch: &mut Self::Scratch);
 
     /// Human-readable kernel name (for reports).
     fn name(&self) -> &str {

@@ -5,9 +5,11 @@
 //! described in DESIGN.md: a **functional + timing** simulator of the device
 //! the paper used.
 //!
-//! * **Functional**: kernels are ordinary Rust closures run once per GPU
-//!   thread against a [`thread::ThreadCtx`] that performs real reads/writes
+//! * **Functional**: a kernel body runs once per warp, its lanes in
+//!   lockstep, against a [`warp::WarpCtx`] that performs real reads/writes
 //!   on device buffers — the lower bounds produced by the "GPU" are exact.
+//!   A read the lanes of a mask share is fetched once and charged once per
+//!   lane, so access counts equal those of running every thread alone.
 //! * **Timing**: every access is attributed to the memory space its buffer is
 //!   bound to ([`memory::MemorySpace`]); the executor combines per-warp
 //!   arithmetic, memory-bandwidth and latency components with the occupancy
@@ -33,18 +35,17 @@ pub mod kernel;
 pub mod memory;
 pub mod occupancy;
 pub mod stream;
-pub mod thread;
 pub mod timing;
 pub mod transfer;
 pub mod warp;
 
 pub use device::DeviceSpec;
-pub use executor::{AnalyticWorkload, KernelTiming, LaunchStats};
+pub use executor::{AccessTally, AnalyticWorkload, KernelTiming, LaunchStats};
 pub use host::{Device, DeviceBuffer};
 pub use kernel::{Kernel, LaunchConfig};
 pub use memory::{MemorySpace, SharedMemoryConfig};
 pub use occupancy::Occupancy;
 pub use stream::{DeviceStreams, EventId, StreamId, Timeline};
-pub use thread::{ThreadCtx, ThreadId};
 pub use timing::{CostModel, HostModel};
 pub use transfer::TransferModel;
+pub use warp::WarpCtx;

@@ -10,9 +10,9 @@
 //! discussion.
 
 use crate::device::DeviceSpec;
+use crate::executor::AccessTally;
 use crate::memory::{MemorySpace, MemoryTimings};
 use crate::occupancy::Occupancy;
-use crate::thread::AccessTally;
 use std::time::Duration;
 
 /// Calibration constants of the device-side timing model.

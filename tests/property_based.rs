@@ -1,6 +1,7 @@
 //! Workspace-level property-based tests: invariants that must hold for any
 //! randomly generated instance, prefix or pool.
 
+use flowshop_gpu_bnb::bb::problem::NodeBound;
 use flowshop_gpu_bnb::bb::{FspNode, FspProblem};
 use flowshop_gpu_bnb::fsp::bound::LowerBound;
 use flowshop_gpu_bnb::fsp::{
@@ -32,6 +33,13 @@ const BATCH_MACHINES: [usize; 4] = [1, 2, 5, 20];
 /// one full pass, one past it, and two passes plus one.
 const BATCH_LENGTHS: [usize; 6] = [0, 1, 7, 8, 9, LONGEST_BATCH];
 const LONGEST_BATCH: usize = 17;
+/// Launch lengths around the 32-lane warp and two 256-thread blocks.
+const LAUNCH_LENGTHS: [usize; 7] = [1, 31, 32, 33, 64, 65, LONGEST_LAUNCH];
+const LONGEST_LAUNCH: usize = 257;
+/// Threads per block: one warp, a full warp plus a short one of 16 lanes,
+/// and the paper's 256.
+const LAUNCH_BLOCKS: [usize; 3] = [32, 48, 256];
+const LAUNCH_JOBS: [usize; 5] = [1, 2, 8, 33, 65];
 
 /// SplitMix64: a seeded stream for building node mixes inside a property.
 fn splitmix(state: &mut u64) -> u64 {
@@ -43,7 +51,8 @@ fn splitmix(state: &mut u64) -> u64 {
 }
 
 /// `count` nodes of `inst`, each a random order cut at the root, at a random
-/// depth strictly inside the tree, or at the leaf.
+/// depth strictly inside the tree, or at the leaf, in turn — so every
+/// eight-lane pass and every warp holds all three kinds.
 fn mixed_depth_nodes(
     inst: &flowshop_gpu_bnb::fsp::Instance,
     count: usize,
@@ -51,12 +60,12 @@ fn mixed_depth_nodes(
 ) -> Vec<FspNode> {
     let n = inst.jobs();
     (0..count)
-        .map(|_| {
+        .map(|slot| {
             let mut order: Vec<usize> = (0..n).collect();
             for i in (1..n).rev() {
                 order.swap(i, (splitmix(state) % (i as u64 + 1)) as usize);
             }
-            let depth = match splitmix(state) % 3 {
+            let depth = match slot % 3 {
                 0 => 0,
                 1 if n > 1 => 1 + (splitmix(state) % (n as u64 - 1)) as usize,
                 1 => 0,
@@ -243,6 +252,39 @@ proptest! {
                     let mut out = vec![0; len];
                     lb.bound_many(&mut scratch, &nodes[..len], &mut out);
                     prop_assert_eq!(&out[..], &reference[..len], "{}x{}, {} nodes", n, m, len);
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    // Every case walks the whole shape × placement × block × length grid
+    // (840 launches in a debug build), so one case suffices.
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    #[test]
+    fn functional_kernel_equals_the_single_node_reference(seed in 1i64..1_000_000, salt in any::<u64>()) {
+        let mut state = salt;
+        for n in LAUNCH_JOBS {
+            for m in BATCH_MACHINES {
+                let inst = taillard::generate("prop", n, m, seed);
+                let lb = JohnsonLowerBound::new(&inst);
+                let nodes = mixed_depth_nodes(&inst, LONGEST_LAUNCH, &mut state);
+                let reference: Vec<_> = nodes.iter().map(|node| lb.bound_node(node)).collect();
+                for placement in [DataPlacement::AllGlobal, DataPlacement::SharedJmPtm] {
+                    for block in LAUNCH_BLOCKS {
+                        // One engine per shape: launches of every length reuse
+                        // its buffers, as a solve does.
+                        let mut engine =
+                            BoundingEngine::new(lb.data(), placement.clone(), block, 26, LONGEST_LAUNCH);
+                        for len in LAUNCH_LENGTHS {
+                            let launch = engine.bound_nodes(&nodes[..len]);
+                            let at = format!("{n}x{m}, {}, blocks of {block}, {len} nodes", placement.name());
+                            prop_assert_eq!(&launch.bounds[..], &reference[..len], "{}", at);
+                            prop_assert_eq!(launch.stats.tally, engine.analytic_tally(&nodes[..len]), "{}", at);
+                        }
+                    }
                 }
             }
         }
