@@ -14,7 +14,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bitset;
 pub mod node;
 pub mod pool;
 pub mod problem;
@@ -23,7 +22,6 @@ pub mod solver;
 pub mod stats;
 pub mod upper_bound;
 
-pub use bitset::JobSet;
 pub use node::FspNode;
 pub use pool::{BestFirstPool, DepthFirstPool, FifoPool, Pool, PoolStrategy};
 pub use problem::FspProblem;

@@ -6,32 +6,63 @@
 //! set of scheduled jobs and its lower bound — everything the four B&B
 //! operators and the GPU off-load engine need, without back-references to the
 //! parent.
+//!
+//! # Layout
+//!
+//! Everything but the bound lives in one heap block of `u32`s, of the same
+//! length for every node of an instance:
+//!
+//! ```text
+//! [ front: m times | scheduled set: ⌈n/32⌉ words | prefix: n slots ]
+//! ```
+//!
+//! Bit `j % 32` of set word `j / 32` is one when job `j` is scheduled; the
+//! bits past job `n − 1` stay zero. The first `depth` prefix slots hold the
+//! scheduled jobs in order and the others stay zero. The job count and the
+//! depth sit inline beside the bound (the pools order by depth without
+//! reading the block) and the machine count is what the block length
+//! leaves. A child therefore costs one allocation, a copy of its parent's
+//! block with one more slot filled, and the node the pools move around is
+//! 24 bytes on a 64-bit target.
+//!
+//! One block length per instance means a freed block fits the next child
+//! exactly, so the allocator reuses it whole. Blocks of several lengths
+//! get split to fit one another, and the remainders stranded beside
+//! long-lived allocations pile up as small free chunks no node can use.
 
-use crate::bitset::JobSet;
 use fsp::{Instance, Job, Time};
+use std::fmt;
+
+/// Jobs per scheduled-set word.
+const WORD_BITS: usize = u32::BITS as usize;
 
 /// A sub-problem of the Flow-Shop B&B tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct FspNode {
-    /// Scheduled prefix, in processing order (job indices fit in `u16`).
-    prefix: Vec<u16>,
-    /// Membership set of the prefix.
-    scheduled: JobSet,
-    /// Completion time of the prefix on every machine.
-    front: Vec<Time>,
+    /// Front, scheduled-set words and prefix slots, in that order.
+    block: Box<[u32]>,
     /// Lower bound on the makespan of every completion of this node.
     /// Set by the bounding operator; `0` until then.
     bound: Time,
+    /// Jobs of the instance (`n`), the number of prefix slots.
+    jobs: u16,
+    /// Scheduled jobs, the filled prefix slots.
+    depth: u16,
 }
 
 impl FspNode {
     /// The root node: empty schedule, zero front, zero bound.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instance has more than `u16::MAX` jobs.
     pub fn root(inst: &Instance) -> Self {
+        let (n, m) = (inst.jobs(), inst.machines());
         Self {
-            prefix: Vec::new(),
-            scheduled: JobSet::new(inst.jobs()),
-            front: vec![0; inst.machines()],
+            block: vec![0; m + n.div_ceil(WORD_BITS) + n].into_boxed_slice(),
             bound: 0,
+            jobs: u16::try_from(n).expect("at most u16::MAX jobs"),
+            depth: 0,
         }
     }
 
@@ -60,87 +91,119 @@ impl FspNode {
     /// Panics if `job` is already scheduled or out of range.
     pub fn child(&self, inst: &Instance, job: Job) -> Self {
         assert!(job < inst.jobs(), "job {job} out of range");
-        assert!(!self.scheduled.contains(job), "job {job} already scheduled");
-        let mut prefix = Vec::with_capacity(self.prefix.len() + 1);
-        prefix.extend_from_slice(&self.prefix);
-        prefix.push(job as u16);
-        let mut scheduled = self.scheduled.clone();
-        scheduled.insert(job);
-        let mut front = self.front.clone();
+        assert!(!self.is_scheduled(job), "job {job} already scheduled");
+        let m = self.machines();
+        let mut block = self.block.clone();
+        block[self.prefix_start() + self.depth()] = job as u32;
         let mut prev = 0;
-        for (k, c) in front.iter_mut().enumerate() {
-            let start = (*c).max(prev);
-            *c = start + inst.pt(job, k);
+        for (c, &p) in block[..m].iter_mut().zip(inst.job_row(job)) {
+            *c = (*c).max(prev) + p;
             prev = *c;
         }
+        block[m + job / WORD_BITS] |= 1 << (job % WORD_BITS);
         Self {
-            prefix,
-            scheduled,
-            front,
+            block,
             bound: self.bound,
+            jobs: self.jobs,
+            depth: self.depth + 1,
         }
+    }
+
+    /// Index of the first prefix slot in the block (the block ends with
+    /// one slot per job).
+    #[inline]
+    fn prefix_start(&self) -> usize {
+        self.block.len() - self.jobs as usize
+    }
+
+    /// Machines of the instance (`m`), the length of the front.
+    #[inline]
+    fn machines(&self) -> usize {
+        self.prefix_start() - (self.jobs as usize).div_ceil(WORD_BITS)
+    }
+
+    /// The scheduled-set words.
+    #[inline]
+    fn words(&self) -> &[u32] {
+        &self.block[self.machines()..self.prefix_start()]
     }
 
     /// Scheduled prefix as job indices.
     pub fn prefix(&self) -> impl Iterator<Item = Job> + '_ {
-        self.prefix.iter().map(|&j| j as Job)
+        self.prefix_raw().iter().map(|&j| j as Job)
     }
 
     /// Scheduled prefix as a freshly allocated `Vec<Job>`.
     pub fn prefix_vec(&self) -> Vec<Job> {
-        self.prefix.iter().map(|&j| j as Job).collect()
+        self.prefix().collect()
     }
 
-    /// Raw `u16` prefix — the exact payload the GPU off-load engine copies to
-    /// the device.
-    pub fn prefix_raw(&self) -> &[u16] {
-        &self.prefix
+    /// Raw prefix, one `u32` per job — what the GPU off-load engine copies
+    /// into its flat pool encoding.
+    pub fn prefix_raw(&self) -> &[u32] {
+        let start = self.prefix_start();
+        &self.block[start..start + self.depth()]
     }
 
     /// Per-machine completion times of the prefix.
+    #[inline]
     pub fn front(&self) -> &[Time] {
-        &self.front
+        &self.block[..self.machines()]
     }
 
     /// Number of scheduled jobs (the node's depth in the tree).
+    #[inline]
     pub fn depth(&self) -> usize {
-        self.prefix.len()
+        self.depth as usize
     }
 
     /// Number of jobs still to schedule (`n'` in the paper).
     pub fn remaining(&self, inst: &Instance) -> usize {
-        inst.jobs() - self.prefix.len()
+        inst.jobs() - self.depth()
     }
 
     /// `true` when every job is scheduled (the node is a leaf / a complete
     /// schedule).
     pub fn is_complete(&self, inst: &Instance) -> bool {
-        self.prefix.len() == inst.jobs()
+        self.depth() == inst.jobs()
     }
 
     /// `true` when `job` belongs to the prefix.
+    #[inline]
     pub fn is_scheduled(&self, job: Job) -> bool {
-        self.scheduled.contains(job)
-    }
-
-    /// The set of scheduled jobs.
-    pub fn scheduled(&self) -> &JobSet {
-        &self.scheduled
+        job < self.jobs as usize
+            && self.block[self.machines() + job / WORD_BITS] >> (job % WORD_BITS) & 1 != 0
     }
 
     /// Jobs not yet scheduled, in increasing index order — the branching
     /// operator creates one child per element.
     pub fn unscheduled(&self) -> impl Iterator<Item = Job> + '_ {
-        self.scheduled.iter_absent()
+        let n = self.jobs as usize;
+        self.words().iter().enumerate().flat_map(move |(w, &word)| {
+            let base = w * WORD_BITS;
+            let valid = match n - base {
+                left if left >= WORD_BITS => u32::MAX,
+                left => (1 << left) - 1,
+            };
+            let mut free = !word & valid;
+            std::iter::from_fn(move || {
+                (free != 0).then(|| {
+                    let bit = free.trailing_zeros() as usize;
+                    free &= free - 1;
+                    base + bit
+                })
+            })
+        })
     }
 
     /// Makespan of the prefix alone; equals the full makespan for a complete
     /// node.
     pub fn prefix_makespan(&self) -> Time {
-        *self.front.last().expect("at least one machine")
+        *self.front().last().expect("at least one machine")
     }
 
     /// The node's lower bound (0 until the bounding operator ran).
+    #[inline]
     pub fn bound(&self) -> Time {
         self.bound
     }
@@ -151,14 +214,24 @@ impl FspNode {
     }
 }
 
+impl fmt::Debug for FspNode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FspNode")
+            .field("prefix", &self.prefix_raw())
+            .field("front", &self.front())
+            .field("bound", &self.bound)
+            .finish()
+    }
+}
+
 /// The node as the `fsp` batch bound reads it.
 impl fsp::SubProblem for FspNode {
     fn front(&self) -> &[Time] {
-        &self.front
+        FspNode::front(self)
     }
 
     fn is_scheduled(&self, job: Job) -> bool {
-        self.scheduled.contains(job)
+        FspNode::is_scheduled(self, job)
     }
 }
 
@@ -227,9 +300,39 @@ mod tests {
     }
 
     #[test]
-    fn prefix_raw_is_u16() {
+    fn jobs_past_the_instance_are_never_scheduled() {
+        let inst = generate("t", 33, 2, 2);
+        let node = FspNode::from_prefix(&inst, &[32, 0]);
+        assert!(node.is_scheduled(32));
+        assert!(!node.is_scheduled(33));
+        assert!(!node.is_scheduled(64));
+        assert!(!node.is_scheduled(1_000));
+        assert_eq!(node.unscheduled().last(), Some(31));
+    }
+
+    #[test]
+    fn prefix_raw_keeps_large_job_indices() {
         let inst = generate("t", 300, 5, 2);
         let node = FspNode::from_prefix(&inst, &[299, 0, 150]);
-        assert_eq!(node.prefix_raw(), &[299u16, 0, 150]);
+        assert_eq!(node.prefix_raw(), &[299, 0, 150]);
+    }
+
+    #[test]
+    fn a_node_is_a_boxed_block_beside_the_bound() {
+        // Slice pointer and length, then the bound, the job count and the
+        // depth.
+        let expected = 2 * std::mem::size_of::<usize>() + 8;
+        assert_eq!(std::mem::size_of::<FspNode>(), expected);
+    }
+
+    #[test]
+    fn every_node_of_an_instance_has_one_block_length() {
+        let inst = generate("t", 33, 4, 5);
+        let root = FspNode::root(&inst);
+        let mut node = root.clone();
+        for job in (0..33).rev() {
+            node = node.child(&inst, job);
+            assert_eq!(node.block.len(), root.block.len());
+        }
     }
 }

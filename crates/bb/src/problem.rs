@@ -135,6 +135,7 @@ impl<B: NodeBound> FspProblem<B> {
     /// one allocation across iterations. Children are appended; the buffer is
     /// not cleared.
     pub fn branch_into(&self, node: &FspNode, out: &mut Vec<FspNode>) {
+        out.reserve(node.remaining(&self.inst));
         out.extend(node.unscheduled().map(|job| node.child(&self.inst, job)));
     }
 

@@ -1,64 +1,9 @@
-//! Satellite test suite: `JobSet` round-trips and pool strategy invariants
-//! (FIFO order, LIFO order, best-first bound ordering) checked over random
-//! operation sequences.
+//! Pool strategy invariants (FIFO order, LIFO order, best-first bound
+//! ordering, node conservation) checked over random operation sequences.
 
-use bb::{BestFirstPool, DepthFirstPool, FifoPool, FspNode, JobSet, Pool, PoolStrategy};
+use bb::{BestFirstPool, DepthFirstPool, FifoPool, FspNode, Pool, PoolStrategy};
 use fsp::taillard::generate;
 use proptest::prelude::*;
-
-// ---------------------------------------------------------------------------
-// JobSet round-trips
-// ---------------------------------------------------------------------------
-
-#[test]
-fn jobset_insert_iterate_remove_round_trip() {
-    let mut set = JobSet::new(200);
-    let jobs = [0usize, 1, 63, 64, 65, 127, 128, 199];
-    for &j in &jobs {
-        assert!(set.insert(j), "first insert of {j} must report true");
-    }
-    assert_eq!(set.iter().collect::<Vec<_>>(), jobs.to_vec());
-    for &j in &jobs {
-        assert!(set.contains(j));
-        assert!(set.remove(j), "first remove of {j} must report true");
-        assert!(!set.contains(j));
-    }
-    assert!(set.is_empty());
-    assert_eq!(set.iter_absent().count(), 200);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Applying a random insert/remove trace and then removing everything the
-    /// iterator reports must leave the set empty — i.e. `iter` sees exactly
-    /// the live elements and `remove` clears exactly one each.
-    #[test]
-    fn jobset_iterate_then_remove_all_empties_the_set(
-        ops in proptest::collection::vec((0usize..150, any::<bool>()), 0..300)
-    ) {
-        let mut set = JobSet::new(150);
-        for (j, add) in ops {
-            if add {
-                set.insert(j);
-            } else {
-                set.remove(j);
-            }
-        }
-        let live: Vec<usize> = set.iter().collect();
-        prop_assert_eq!(live.len(), set.len());
-        // Iteration order must be strictly increasing.
-        prop_assert!(live.windows(2).all(|w| w[0] < w[1]));
-        for j in live {
-            prop_assert!(set.remove(j));
-        }
-        prop_assert!(set.is_empty());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pool strategy invariants
-// ---------------------------------------------------------------------------
 
 fn nodes_with_bounds(bounds: &[u32]) -> Vec<FspNode> {
     let inst = generate("pool-inv", bounds.len().max(2), 3, 7);

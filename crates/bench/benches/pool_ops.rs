@@ -1,12 +1,13 @@
 //! Micro-benchmark of the pending-pool implementations (the selection
 //! operator's data structure): best-first heap vs depth-first stack vs FIFO —
-//! plus the `PartialSchedule` push/pop pair, whose pop must stay `O(m)` at
-//! every depth (per-depth front snapshots, not a prefix replay).
+//! the node layer of a solve (branch, push, pop) per child — plus the
+//! `PartialSchedule` push/pop pair, whose pop must stay `O(m)` at every depth
+//! (per-depth front snapshots, not a prefix replay).
 
 use bb::pool::PoolStrategy;
-use bb::FspNode;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fsp::taillard::generate;
+use bb::{BestFirstPool, FspNode, FspProblem, Pool};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use fsp::taillard::{generate, TaillardRng};
 use fsp::PartialSchedule;
 
 fn nodes_for_bench(count: usize) -> Vec<FspNode> {
@@ -51,6 +52,59 @@ fn bench_pools(c: &mut Criterion) {
     group.finish();
 }
 
+/// Times the node layer of a solve, per child: `FspProblem::branch_into` of
+/// 64 parents, a `BestFirstPool` push of every child and a pop of each. The
+/// parents sit at half depth along seeded random orders of the benchmark's
+/// 9×5 and 8×20 classes, so the children carry the prefix, scheduled set
+/// and front a real solve moves; their bounds spread over a few values so
+/// the heap's depth and insertion tie-breaks fire.
+fn bench_branch_push_pop(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pool_ops");
+    group.sample_size(1_000);
+
+    for (jobs, machines) in [(9usize, 5usize), (8, 20)] {
+        let class = format!("{jobs}x{machines}");
+        let problem = FspProblem::new(generate(class.as_str(), jobs, machines, 1));
+        let mut rng = TaillardRng::new(7);
+        let parents: Vec<FspNode> = (0..64u32)
+            .map(|i| {
+                let mut order: Vec<usize> = (0..jobs).collect();
+                for k in (1..jobs).rev() {
+                    order.swap(k, rng.unif(0, k as i64) as usize);
+                }
+                let mut node = FspNode::from_prefix(problem.instance(), &order[..jobs / 2]);
+                node.set_bound(1_000 + i % 4);
+                node
+            })
+            .collect();
+        let children = parents.len() * (jobs - jobs / 2);
+        group.throughput(Throughput::Elements(children as u64));
+        group.bench_with_input(
+            BenchmarkId::new("branch_push_pop", format!("{class} ({children} children)")),
+            &parents,
+            |b, parents| {
+                let mut batch = Vec::with_capacity(children);
+                let mut pool = BestFirstPool::new();
+                b.iter(|| {
+                    for parent in parents {
+                        problem.branch_into(parent, &mut batch);
+                    }
+                    for (i, mut child) in batch.drain(..).enumerate() {
+                        child.set_bound(child.bound() + (i % 3) as u32);
+                        pool.push(child);
+                    }
+                    let mut depths = 0usize;
+                    while let Some(node) = pool.pop() {
+                        depths += node.depth();
+                    }
+                    std::hint::black_box(depths)
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 /// Times one `push`/`pop` pair at the bottom of an existing prefix of the
 /// given depth. Before the per-depth front snapshots, `pop` replayed the
 /// whole prefix (`O(l·m)`) and this benchmark's cost grew linearly with
@@ -81,5 +135,10 @@ fn bench_schedule_pops(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pools, bench_schedule_pops);
+criterion_group!(
+    benches,
+    bench_pools,
+    bench_branch_push_pop,
+    bench_schedule_pops
+);
 criterion_main!(benches);

@@ -313,8 +313,12 @@ impl SolveCheckpoint {
     }
 
     /// Parses a document emitted by [`SolveCheckpoint::to_json`]. Rejects
-    /// unknown schema versions, unknown or missing fields, and malformed
-    /// cost counters, with a human-readable reason.
+    /// unknown schema versions, unknown or missing fields, malformed cost
+    /// counters, a frontier prefix that is longer than `jobs`, repeats a job
+    /// or names a job outside `0..jobs`, and a `best_schedule` that is not a
+    /// permutation of `0..jobs` — with a human-readable reason, so
+    /// [`crate::solver::GpuBnbSolver::resume`] never sees a node it cannot
+    /// build.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let doc = Json::parse(text)?;
         let obj = doc.as_object("checkpoint")?;
@@ -331,6 +335,15 @@ impl SolveCheckpoint {
             Json::Null => None,
             value => Some(jobs_from_json(value, "best_schedule")?),
         };
+        if let Some(schedule) = &best_schedule {
+            check_distinct_jobs(schedule, jobs).map_err(|e| format!("best_schedule {e}"))?;
+            if schedule.len() != jobs {
+                return Err(format!(
+                    "best_schedule has {} jobs, not a permutation of 0..{jobs}",
+                    schedule.len()
+                ));
+            }
+        }
         let proven_bound = get(obj, "proven_bound")?.as_time("proven_bound")?;
         let cost_entries = get(obj, "cost")?.as_object("cost")?;
         let mut cost = CostReport::default();
@@ -347,9 +360,15 @@ impl SolveCheckpoint {
             ));
         }
         let mut frontier = Vec::new();
-        for entry in get(obj, "frontier")?.as_array("frontier")? {
+        for (i, entry) in get(obj, "frontier")?
+            .as_array("frontier")?
+            .iter()
+            .enumerate()
+        {
             let node = entry.as_object("frontier entry")?;
             let prefix = jobs_from_json(get(node, "prefix")?, "prefix")?;
+            check_distinct_jobs(&prefix, jobs)
+                .map_err(|e| format!("frontier entry {i}: prefix {e}"))?;
             let bound = get(node, "bound")?.as_time("bound")?;
             frontier.push((prefix, bound));
         }
@@ -376,6 +395,28 @@ fn jobs_from_json(value: &Json, what: &str) -> Result<Vec<Job>, String> {
         .iter()
         .map(|v| v.as_usize(what))
         .collect()
+}
+
+/// `Ok` when `list` holds distinct jobs of `0..jobs`; otherwise the first
+/// reason it does not, phrased to follow the list's name.
+fn check_distinct_jobs(list: &[Job], jobs: usize) -> Result<(), String> {
+    if list.len() > jobs {
+        return Err(format!(
+            "has {} jobs, more than the instance's {jobs}",
+            list.len()
+        ));
+    }
+    // Sized by the list, never by `jobs`, which the document also supplies.
+    let mut seen = std::collections::HashSet::with_capacity(list.len());
+    for &job in list {
+        if job >= jobs {
+            return Err(format!("names job {job}, out of range for {jobs} jobs"));
+        }
+        if !seen.insert(job) {
+            return Err(format!("repeats job {job}"));
+        }
+    }
+    Ok(())
 }
 
 fn get<'a>(obj: &'a [(String, Json)], name: &str) -> Result<&'a Json, String> {
@@ -767,5 +808,74 @@ mod tests {
             .replace("\"batches\": 0,\n", "")
             .replace("\"waves\": 0,\n", "");
         assert!(SolveCheckpoint::from_json(&mangled).is_err());
+    }
+
+    /// A 4-job checkpoint with the given incumbent schedule and frontier.
+    fn checkpoint_with(
+        best_schedule: Option<Vec<Job>>,
+        frontier: Vec<(Vec<Job>, Time)>,
+    ) -> SolveCheckpoint {
+        SolveCheckpoint {
+            jobs: 4,
+            machines: 3,
+            upper_bound: 100,
+            best_schedule,
+            proven_bound: 90,
+            cost: CostReport::default(),
+            frontier,
+        }
+    }
+
+    fn parse_error(checkpoint: &SolveCheckpoint) -> String {
+        SolveCheckpoint::from_json(&checkpoint.to_json()).expect_err("must be rejected")
+    }
+
+    #[test]
+    fn checkpoint_parser_rejects_a_prefix_that_repeats_a_job() {
+        let err = parse_error(&checkpoint_with(
+            None,
+            vec![(vec![1], 90), (vec![2, 0, 2], 95)],
+        ));
+        assert_eq!(err, "frontier entry 1: prefix repeats job 2");
+    }
+
+    #[test]
+    fn checkpoint_parser_rejects_a_prefix_naming_a_job_out_of_range() {
+        let err = parse_error(&checkpoint_with(None, vec![(vec![42], 90)]));
+        assert_eq!(
+            err,
+            "frontier entry 0: prefix names job 42, out of range for 4 jobs"
+        );
+    }
+
+    #[test]
+    fn checkpoint_parser_rejects_a_prefix_longer_than_the_instance() {
+        let err = parse_error(&checkpoint_with(None, vec![(vec![0, 1, 2, 3, 0], 90)]));
+        assert_eq!(
+            err,
+            "frontier entry 0: prefix has 5 jobs, more than the instance's 4"
+        );
+    }
+
+    #[test]
+    fn checkpoint_parser_rejects_an_incumbent_that_is_not_a_permutation() {
+        for (schedule, reason) in [
+            (
+                vec![0, 1, 2],
+                "best_schedule has 3 jobs, not a permutation of 0..4",
+            ),
+            (vec![0, 1, 1, 3], "best_schedule repeats job 1"),
+            (
+                vec![0, 1, 2, 4],
+                "best_schedule names job 4, out of range for 4 jobs",
+            ),
+        ] {
+            assert_eq!(
+                parse_error(&checkpoint_with(Some(schedule), Vec::new())),
+                reason
+            );
+        }
+        let valid = checkpoint_with(Some(vec![3, 1, 0, 2]), vec![(vec![3, 1], 95)]);
+        assert_eq!(SolveCheckpoint::from_json(&valid.to_json()), Ok(valid));
     }
 }

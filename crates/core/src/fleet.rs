@@ -519,7 +519,9 @@ enum MemberEngine {
 }
 
 /// One fleet member: its bounding implementation and a reusable gather
-/// buffer for its shard of the current batch.
+/// buffer for a shard of the current batch that spans several ranges. The
+/// buffer is emptied once the shard is bounded, so an idle fleet (the
+/// service keeps one per workload key) pins no node copies.
 struct FleetMember {
     engine: MemberEngine,
     gather: Vec<FspNode>,
@@ -844,23 +846,29 @@ impl BoundingBackend for FleetBackend {
         let mut critical_paths: Vec<(usize, Duration)> = Vec::with_capacity(shards.len());
         for shard in &shards {
             let member = &mut self.members[shard.device];
-            // Gather this member's ranges contiguously (chunking the
-            // gathered shard at `eff` keeps the launch granularity the plan
-            // was cut at).
-            member.gather.clear();
-            for &(start, len) in &shard.ranges {
-                member.gather.extend_from_slice(&nodes[start..start + len]);
-            }
+            // A shard of one range is bounded in place; a split or stolen
+            // shard is gathered contiguously first (chunking the gathered
+            // shard at `eff` keeps the launch granularity the plan was cut
+            // at).
+            let shard_nodes: &[FspNode] = match shard.ranges[..] {
+                [(start, len)] => &nodes[start..start + len],
+                _ => {
+                    for &(start, len) in &shard.ranges {
+                        member.gather.extend_from_slice(&nodes[start..start + len]);
+                    }
+                    &member.gather
+                }
+            };
             let host = self.fast_forward.then_some(self.host_lb.as_ref());
             let (result, device_nodes): (PipelinedBatch, u64) = match &mut member.engine {
                 MemberEngine::Gpu { engine, session } => {
                     let result = if self.pipelined {
                         match session {
                             Some(session) => {
-                                engine.bound_nodes_pipelined_in(&member.gather, eff, host, session)
+                                engine.bound_nodes_pipelined_in(shard_nodes, eff, host, session)
                             }
                             None => {
-                                let r = engine.bound_nodes_pipelined(&member.gather, eff, host);
+                                let r = engine.bound_nodes_pipelined(shard_nodes, eff, host);
                                 PipelinedBatch {
                                     bounds: r.bounds,
                                     kernel_time: r.kernel_time,
@@ -876,8 +884,8 @@ impl BoundingBackend for FleetBackend {
                         }
                     } else {
                         let r = match host {
-                            Some(lb) => engine.bound_nodes_fast(&member.gather, lb),
-                            None => engine.bound_nodes(&member.gather),
+                            Some(lb) => engine.bound_nodes_fast(shard_nodes, lb),
+                            None => engine.bound_nodes(shard_nodes),
                         };
                         let shard_waves = engine.device().spec().waves(r.stats.grid_blocks) as u64;
                         PipelinedBatch {
@@ -895,7 +903,7 @@ impl BoundingBackend for FleetBackend {
                     (result, shard.nodes() as u64)
                 }
                 MemberEngine::Cpu(backend) => {
-                    let batch = backend.bound_batch(&member.gather);
+                    let batch = backend.bound_batch(shard_nodes);
                     let result = PipelinedBatch {
                         bounds: batch.bounds,
                         kernel_time: batch.accounting.kernel_time,
@@ -910,6 +918,8 @@ impl BoundingBackend for FleetBackend {
                     (result, 0)
                 }
             };
+
+            member.gather.clear();
 
             // Scatter the shard's bounds back to their input positions.
             let mut cursor = 0;
@@ -1538,6 +1548,9 @@ mod tests {
         assert_eq!(greedy_batch.accounting.steals, 0);
         assert!(steal_batch.accounting.steals > 0, "the gate must fire");
         assert!(steal_batch.accounting.stolen_nodes > 0);
+        // Stolen shards span several ranges and are gathered; the copies
+        // are dropped once each shard is bounded.
+        assert!(stealing.members.iter().all(|m| m.gather.is_empty()));
         assert!(
             steal_batch.accounting.device_time < greedy_batch.accounting.device_time,
             "stealing {:?} must beat the starved deal {:?}",

@@ -206,8 +206,6 @@ pub struct BoundingEngine {
     num_pairs: usize,
     node_stride: usize,
     max_pool: usize,
-    block_threads: usize,
-    registers_per_thread: usize,
     placement: DataPlacement,
     ptm: DeviceBuffer,
     lm: DeviceBuffer,
@@ -223,6 +221,9 @@ pub struct BoundingEngine {
     /// overlap too. [`BoundingEngine::bound_nodes`] uses slot 0 only.
     pool_bufs: [DeviceBuffer; 2],
     out_bufs: [DeviceBuffer; 2],
+    /// Block size, registers and the placement's shared buffers, built once;
+    /// each launch only resizes the grid ([`LaunchConfig::fit_threads`]).
+    launch: LaunchConfig,
     /// Two reusable host staging buffers for the flat pool encoding,
     /// alternated in lockstep with the device slots so chunk *k+1* is
     /// encoded while chunk *k* is modelled in flight.
@@ -308,6 +309,23 @@ impl BoundingEngine {
             device.alloc(max_pool, 4, BufferKind::Stream),
             device.alloc(max_pool, 4, BufferKind::Stream),
         ];
+        let buffer_of = |matrix| match matrix {
+            MatrixId::Ptm => ptm,
+            MatrixId::Lm => lm,
+            MatrixId::Jm => jm,
+            MatrixId::Rm => rm,
+            MatrixId::Qm => qm,
+            MatrixId::Mm => mm,
+        };
+        let launch = LaunchConfig::for_threads(max_pool, block_threads)
+            .with_registers(registers_per_thread)
+            .with_shared_buffers(
+                placement
+                    .shared_matrices()
+                    .iter()
+                    .map(|&m| buffer_of(m))
+                    .collect(),
+            );
 
         Self {
             device,
@@ -316,8 +334,6 @@ impl BoundingEngine {
             num_pairs: pairs,
             node_stride,
             max_pool,
-            block_threads,
-            registers_per_thread,
             placement,
             ptm,
             lm,
@@ -327,6 +343,7 @@ impl BoundingEngine {
             mm,
             pool_bufs,
             out_bufs,
+            launch,
             encode_bufs: [Vec::new(), Vec::new()],
             scratch: BoundScratch::new(),
         }
@@ -354,37 +371,12 @@ impl BoundingEngine {
 
     /// Threads per block this engine launches with.
     pub fn block_threads(&self) -> usize {
-        self.block_threads
+        self.launch.block_threads
     }
 
     /// Shared-memory bytes per block required by the placement.
     pub fn shared_bytes_per_block(&self) -> usize {
         self.placement.shared_bytes(self.jobs, self.machines)
-    }
-
-    fn buffer_of(&self, matrix: MatrixId) -> DeviceBuffer {
-        match matrix {
-            MatrixId::Ptm => self.ptm,
-            MatrixId::Lm => self.lm,
-            MatrixId::Jm => self.jm,
-            MatrixId::Rm => self.rm,
-            MatrixId::Qm => self.qm,
-            MatrixId::Mm => self.mm,
-        }
-    }
-
-    fn shared_buffers(&self) -> Vec<DeviceBuffer> {
-        self.placement
-            .shared_matrices()
-            .iter()
-            .map(|&m| self.buffer_of(m))
-            .collect()
-    }
-
-    fn launch_config(&self, num_nodes: usize) -> LaunchConfig {
-        LaunchConfig::for_threads(num_nodes, self.block_threads)
-            .with_registers(self.registers_per_thread)
-            .with_shared_buffers(self.shared_buffers())
     }
 
     /// Packed host→device payload size of `nodes` (two bytes per depth field
@@ -401,10 +393,9 @@ impl BoundingEngine {
         flat.resize(nodes.len() * self.node_stride, 0);
         for (i, node) in nodes.iter().enumerate() {
             let base = i * self.node_stride;
-            flat[base] = node.depth() as u32;
-            for (p, &job) in node.prefix_raw().iter().enumerate() {
-                flat[base + 1 + p] = job as u32;
-            }
+            let prefix = node.prefix_raw();
+            flat[base] = prefix.len() as u32;
+            flat[base + 1..base + 1 + prefix.len()].copy_from_slice(prefix);
         }
     }
 
@@ -444,9 +435,9 @@ impl BoundingEngine {
         }
         self.encode(nodes, 0);
         self.device.upload(self.pool_bufs[0], &self.encode_bufs[0]);
-        let config = self.launch_config(nodes.len());
+        self.launch.fit_threads(nodes.len());
         let kernel = self.kernel_on(nodes.len(), 0);
-        let result = self.device.launch(&kernel, &config);
+        let result = self.device.launch(&kernel, &self.launch);
         let bounds = self
             .device
             .download_prefix(self.out_bufs[0], nodes.len())
@@ -479,8 +470,8 @@ impl BoundingEngine {
             tally: self.analytic_tally(nodes),
             total_threads: nodes.len(),
         };
-        let config = self.launch_config(nodes.len());
-        let result = self.device.launch_analytic(&workload, &config);
+        self.launch.fit_threads(nodes.len());
+        let result = self.device.launch_analytic(&workload, &self.launch);
         self.finish(nodes, bounds, result.timing, result.stats)
     }
 
@@ -663,40 +654,39 @@ impl BoundingEngine {
                 self.device
                     .upload(self.pool_bufs[slot], &self.encode_bufs[slot]);
             }
-            let mut up_floors: Vec<Duration> = Vec::with_capacity(1);
-            if let Some(prev_kernel_end) = session.kernel_end_by_slot[slot] {
-                up_floors.push(prev_kernel_end);
-            }
-            let up_ev = timeline.record_after(streams.h2d, up_dur, &[encode_events[k]], &up_floors);
+            let up_floor = session.kernel_end_by_slot[slot];
+            let up_ev = timeline.record_after(
+                streams.h2d,
+                up_dur,
+                &[encode_events[k]],
+                up_floor.as_slice(),
+            );
             upload_total += up_bytes;
             transfer_time += up_dur;
 
             // Kernel over the chunk: waits for its upload and for the D2H
             // that last drained this output slot.
-            let config = self.launch_config(chunk.len());
+            self.launch.fit_threads(chunk.len());
             let launch = if functional {
                 let kernel = self.kernel_on(chunk.len(), slot);
-                self.device.launch(&kernel, &config)
+                self.device.launch(&kernel, &self.launch)
             } else {
                 let workload = AnalyticWorkload {
                     tally: self.analytic_tally(chunk),
                     total_threads: chunk.len(),
                 };
-                self.device.launch_analytic(&workload, &config)
+                self.device.launch_analytic(&workload, &self.launch)
             };
-            let mut kernel_floors: Vec<Duration> = Vec::with_capacity(1);
-            if let Some(prev_d2h_end) = session.d2h_end_by_slot[slot] {
-                kernel_floors.push(prev_d2h_end);
-            }
+            let kernel_floor = session.d2h_end_by_slot[slot];
             let kernel_ev = timeline.record_after(
                 streams.compute,
                 launch.timing.duration,
                 &[up_ev],
-                &kernel_floors,
+                kernel_floor.as_slice(),
             );
             session.kernel_end_by_slot[slot] = Some(timeline.completion(kernel_ev));
             kernel_time += launch.timing.duration;
-            waves += self.device.spec().waves(config.grid_blocks) as u64;
+            waves += self.device.spec().waves(self.launch.grid_blocks) as u64;
             launch_times.push(launch.timing.duration);
 
             // Double buffering: encode chunk k+1 into the other slot while
@@ -751,41 +741,53 @@ impl BoundingEngine {
     /// The exact per-space access tally the kernel produces for `nodes`,
     /// computed without executing it (used by fast-forward mode and checked
     /// against the functional tally in tests).
+    ///
+    /// Every per-node term is affine in the node's depth, so the chunk is
+    /// reduced to three sums first — nodes, depths, and unfinished nodes —
+    /// and the placement is looked up once per matrix, not once per node.
     pub fn analytic_tally(&self, nodes: &[FspNode]) -> AccessTally {
-        let n = self.jobs;
-        let m = self.machines;
-        let mut tally = AccessTally::default();
-        for node in nodes {
-            let depth = node.depth();
-            let np = n - depth;
+        let (n, m) = (self.jobs, self.machines);
+        let count = nodes.len() as u64;
+        let (depths, unfinished) = nodes
+            .iter()
+            .map(FspNode::depth)
+            .fold((0u64, 0u64), |(d, u), depth| {
+                (d + depth as u64, u + u64::from(depth < n))
+            });
+        // Remaining jobs summed over the chunk (a finished node has none).
+        let remaining = count * n as u64 - depths;
 
+        // `impl_expected` is affine in the remaining jobs: a part every
+        // unfinished node pays plus a part per remaining job. A finished
+        // node reads no matrix.
+        let fixed = AccessCounts::impl_expected(n, m, 0);
+        let one = AccessCounts::impl_expected(n, m, 1);
+        let sum = |read: fn(&AccessCounts) -> u64| {
+            unfinished * read(&fixed) + remaining * (read(&one) - read(&fixed))
+        };
+
+        let mut tally = AccessTally {
             // Decode: depth word + prefix (always from the streamed pool
-            // buffer in global memory).
-            tally.global += (1 + depth) as u64;
-            // Front recomputation: depth × m PTM reads.
-            let front_ptm = (depth * m) as u64;
-            // Output write.
-            tally.global_writes += 1;
-
-            let counts = if np == 0 {
-                AccessCounts::default()
+            // buffer in global memory), then one output write per node.
+            global: count + depths,
+            global_writes: count,
+            ..AccessTally::default()
+        };
+        // Front recomputation: depth × m PTM reads per node.
+        let front_ptm = depths * m as u64;
+        for (matrix, amount) in [
+            (MatrixId::Ptm, sum(|c| c.ptm) + front_ptm),
+            (MatrixId::Lm, sum(|c| c.lm)),
+            (MatrixId::Jm, sum(|c| c.jm)),
+            (MatrixId::Rm, sum(|c| c.rm)),
+            (MatrixId::Qm, sum(|c| c.qm)),
+            (MatrixId::Mm, sum(|c| c.mm)),
+        ] {
+            if self.placement.is_shared(matrix) {
+                tally.shared += amount;
             } else {
-                AccessCounts::impl_expected(n, m, np)
-            };
-
-            let mut add = |matrix: MatrixId, amount: u64| {
-                if self.placement.is_shared(matrix) {
-                    tally.shared += amount;
-                } else {
-                    tally.global += amount;
-                }
-            };
-            add(MatrixId::Ptm, counts.ptm + front_ptm);
-            add(MatrixId::Lm, counts.lm);
-            add(MatrixId::Jm, counts.jm);
-            add(MatrixId::Rm, counts.rm);
-            add(MatrixId::Qm, counts.qm);
-            add(MatrixId::Mm, counts.mm);
+                tally.global += amount;
+            }
         }
         tally
     }

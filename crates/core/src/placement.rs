@@ -114,13 +114,13 @@ pub enum DataPlacement {
 
 impl DataPlacement {
     /// The matrices this placement stages into shared memory.
-    pub fn shared_matrices(&self) -> Vec<MatrixId> {
+    pub fn shared_matrices(&self) -> &[MatrixId] {
         match self {
-            DataPlacement::AllGlobal => vec![],
-            DataPlacement::SharedJmPtm => vec![MatrixId::Jm, MatrixId::Ptm],
-            DataPlacement::SharedJm => vec![MatrixId::Jm],
-            DataPlacement::SharedPtm => vec![MatrixId::Ptm],
-            DataPlacement::Custom(v) => v.clone(),
+            DataPlacement::AllGlobal => &[],
+            DataPlacement::SharedJmPtm => &[MatrixId::Jm, MatrixId::Ptm],
+            DataPlacement::SharedJm => &[MatrixId::Jm],
+            DataPlacement::SharedPtm => &[MatrixId::Ptm],
+            DataPlacement::Custom(v) => v,
         }
     }
 

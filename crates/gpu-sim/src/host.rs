@@ -370,12 +370,14 @@ impl Device {
             shared_config,
         );
         // Footprint: instance-level data that stays in global memory.
-        let shared_ids: Vec<usize> = config.shared_buffers.iter().map(|b| b.id).collect();
         let footprint = self
             .allocations
             .iter()
             .enumerate()
-            .filter(|(id, a)| a.kind == BufferKind::InstanceData && !shared_ids.contains(id))
+            .filter(|(id, a)| {
+                a.kind == BufferKind::InstanceData
+                    && config.shared_buffers.iter().all(|b| b.id != *id)
+            })
             .map(|(_, a)| a.data.len() * a.elem_bytes)
             .sum();
         LaunchStats {

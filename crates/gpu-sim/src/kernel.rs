@@ -57,12 +57,21 @@ impl LaunchConfig {
     /// `block_threads`.
     pub fn for_threads(total_threads: usize, block_threads: usize) -> Self {
         assert!(block_threads > 0, "block size must be positive");
-        Self {
-            grid_blocks: total_threads.div_ceil(block_threads).max(1),
+        let mut config = Self {
+            grid_blocks: 1,
             block_threads,
             registers_per_thread: 26,
             shared_buffers: Vec::new(),
-        }
+        };
+        config.fit_threads(total_threads);
+        config
+    }
+
+    /// Resizes the grid to cover at least `total_threads` threads, keeping
+    /// the block size, registers and shared buffers — so one configuration
+    /// serves every launch of a kernel without rebuilding its buffer list.
+    pub fn fit_threads(&mut self, total_threads: usize) {
+        self.grid_blocks = total_threads.div_ceil(self.block_threads).max(1);
     }
 
     /// Sets the per-thread register count.
@@ -99,6 +108,16 @@ mod tests {
         assert_eq!(cfg.block_threads, 256);
         assert_eq!(cfg.total_threads(), 1024);
         assert_eq!(cfg.registers_per_thread, 26);
+    }
+
+    #[test]
+    fn fit_threads_resizes_only_the_grid() {
+        let mut cfg = LaunchConfig::for_threads(1000, 256).with_registers(30);
+        cfg.fit_threads(257);
+        assert_eq!((cfg.grid_blocks, cfg.block_threads), (2, 256));
+        assert_eq!(cfg.registers_per_thread, 30);
+        cfg.fit_threads(0);
+        assert_eq!(cfg.grid_blocks, 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! randomly generated instance, prefix or pool.
 
 use flowshop_gpu_bnb::bb::problem::NodeBound;
-use flowshop_gpu_bnb::bb::{FspNode, FspProblem};
+use flowshop_gpu_bnb::bb::{BestFirstPool, FspNode, FspProblem, Pool};
 use flowshop_gpu_bnb::fsp::bound::LowerBound;
 use flowshop_gpu_bnb::fsp::{
     makespan, makespan_prefix, taillard, BoundScratch, JohnsonLowerBound, OneMachineBound,
@@ -12,6 +12,7 @@ use flowshop_gpu_bnb::gpu_bnb::{
     SolveRequest, SolveService,
 };
 use proptest::prelude::*;
+use std::cmp::Reverse;
 
 /// Strategy: a small random instance (3..=8 jobs, 2..=6 machines) plus a seed.
 fn small_instance() -> impl Strategy<Value = (usize, usize, i64)> {
@@ -40,6 +41,9 @@ const LONGEST_LAUNCH: usize = 257;
 /// and the paper's 256.
 const LAUNCH_BLOCKS: [usize; 3] = [32, 48, 256];
 const LAUNCH_JOBS: [usize; 5] = [1, 2, 8, 33, 65];
+/// Job counts on both sides of every 32- and 64-bit set-word edge up to
+/// two 64-bit words, and one instance spanning seven 32-bit words.
+const NODE_JOBS: [usize; 8] = [1, 31, 32, 33, 63, 64, 65, 200];
 
 /// SplitMix64: a seeded stream for building node mixes inside a property.
 fn splitmix(state: &mut u64) -> u64 {
@@ -48,6 +52,15 @@ fn splitmix(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The jobs `0..n` in a random order.
+fn shuffled_jobs(n: usize, state: &mut u64) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        order.swap(i, (splitmix(state) % (i as u64 + 1)) as usize);
+    }
+    order
 }
 
 /// `count` nodes of `inst`, each a random order cut at the root, at a random
@@ -61,10 +74,7 @@ fn mixed_depth_nodes(
     let n = inst.jobs();
     (0..count)
         .map(|slot| {
-            let mut order: Vec<usize> = (0..n).collect();
-            for i in (1..n).rev() {
-                order.swap(i, (splitmix(state) % (i as u64 + 1)) as usize);
-            }
+            let order = shuffled_jobs(n, state);
             let depth = match slot % 3 {
                 0 => 0,
                 1 if n > 1 => 1 + (splitmix(state) % (n as u64 - 1)) as usize,
@@ -288,5 +298,80 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    // Every case walks all 32 shapes, checking a node at every depth of one
+    // random order (up to 200 deep), so a few cases suffice.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The node oracle: built child by child along a random order, a node
+    /// agrees at every depth with the schedule recurrence and with its
+    /// prefix as a set, across every set-word edge.
+    #[test]
+    fn nodes_agree_with_their_prefix_across_word_edges(seed in 1i64..1_000_000, salt in any::<u64>()) {
+        let mut state = salt;
+        for n in NODE_JOBS {
+            for m in BATCH_MACHINES {
+                let inst = taillard::generate("prop", n, m, seed);
+                let order = shuffled_jobs(n, &mut state);
+                let mut node = FspNode::root(&inst);
+                for depth in 0..=n {
+                    let prefix = &order[..depth];
+                    let at = format!("{n}x{m}, depth {depth}");
+                    prop_assert_eq!(node.front(), makespan_prefix(&inst, prefix).as_slice(), "{}", at);
+                    prop_assert_eq!(node.depth(), depth, "{}", at);
+                    prop_assert_eq!(node.prefix_vec(), prefix.to_vec(), "{}", at);
+                    prop_assert!(FspNode::from_prefix(&inst, &node.prefix_vec()) == node, "{}", at);
+                    let mut rest: Vec<usize> = order[depth..].to_vec();
+                    rest.sort_unstable();
+                    prop_assert_eq!(node.unscheduled().collect::<Vec<_>>(), rest, "{}", at);
+                    for job in 0..n {
+                        prop_assert_eq!(node.is_scheduled(job), prefix.contains(&job), "{} job {}", at, job);
+                    }
+                    for job in [n, n + 1, n.next_multiple_of(64), 1_000] {
+                        prop_assert!(!node.is_scheduled(job), "{} job {}", at, job);
+                    }
+                    if depth < n {
+                        node = node.child(&inst, order[depth]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Best-first pops any multiset of nodes by bound ascending, then depth
+    /// descending, then insertion order. Bounds and depths come from small
+    /// ranges so both tie-breaks fire, and random prefixes tell equal-key
+    /// nodes apart.
+    #[test]
+    fn best_first_pops_by_bound_then_depth_then_insertion(
+        keys in proptest::collection::vec((0u32..4, 0usize..4), 1..200),
+        salt in any::<u64>(),
+    ) {
+        let inst = taillard::generate("prop", 9, 3, 7);
+        let mut state = salt;
+        let nodes: Vec<FspNode> = keys
+            .iter()
+            .map(|&(bound, depth)| {
+                let mut node = FspNode::from_prefix(&inst, &shuffled_jobs(9, &mut state)[..depth]);
+                node.set_bound(bound);
+                node
+            })
+            .collect();
+        let mut expected = nodes.clone();
+        expected.sort_by_key(|node| (node.bound(), Reverse(node.depth())));
+
+        let mut pool = BestFirstPool::new();
+        for node in nodes {
+            pool.push(node);
+        }
+        let popped: Vec<FspNode> = std::iter::from_fn(|| pool.pop()).collect();
+        prop_assert_eq!(popped, expected);
     }
 }
