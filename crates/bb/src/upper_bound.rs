@@ -1,9 +1,9 @@
 //! The shared incumbent (upper bound).
 //!
 //! Sequential solvers could keep the upper bound in a local variable, but the
-//! multi-core baseline and the hybrid GPU+multi-core solver need a value that
-//! many workers can read cheaply and improve atomically, so a single
-//! lock-free implementation is shared by everyone.
+//! multi-core baseline needs a value that many workers can read cheaply and
+//! improve atomically, so a single lock-free implementation is shared by
+//! everyone.
 
 use fsp::Time;
 use std::sync::atomic::{AtomicU32, Ordering};

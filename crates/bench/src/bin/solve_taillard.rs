@@ -424,9 +424,9 @@ const SMOKE_ROWS: [(BackendKind, bool); 5] = [
     ),
 ];
 
-fn parse_args() -> Result<Options, String> {
+/// Parses the command line (`args` without the program name).
+fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options::default();
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     // `--jobs` is overloaded: the generated instance's job count normally,
     // the concurrent-job count under `--service` (whose workload is frozen).
@@ -443,26 +443,26 @@ fn parse_args() -> Result<Options, String> {
             "--smoke" => apply_smoke_preset(&mut opts),
             "--service" => opts.service = true,
             "--warm-start" => opts.warm_start = true,
-            "--file" => opts.file = Some(value(&args, &mut i, flag)?),
+            "--file" => opts.file = Some(value(args, &mut i, flag)?),
             "--jobs" => {
-                let jobs = value(&args, &mut i, flag)?
+                let jobs = value(args, &mut i, flag)?
                     .parse()
                     .map_err(|e| format!("{e}"))?;
                 opts.jobs = jobs;
                 jobs_flag = Some(jobs);
             }
             "--machines" => {
-                opts.machines = value(&args, &mut i, flag)?
+                opts.machines = value(args, &mut i, flag)?
                     .parse()
                     .map_err(|e| format!("{e}"))?
             }
             "--seed" => {
-                opts.seed = value(&args, &mut i, flag)?
+                opts.seed = value(args, &mut i, flag)?
                     .parse()
                     .map_err(|e| format!("{e}"))?
             }
             "--mode" => {
-                opts.mode = match value(&args, &mut i, flag)?.as_str() {
+                opts.mode = match value(args, &mut i, flag)?.as_str() {
                     "serial" => Mode::Serial,
                     "gpu" => Mode::Backend(BackendKind::Gpu),
                     "gpu-fast" => Mode::BackendFast(BackendKind::Gpu),
@@ -470,14 +470,14 @@ fn parse_args() -> Result<Options, String> {
                 }
             }
             "--backend" => {
-                let kind: BackendKind = value(&args, &mut i, flag)?.parse()?;
+                let kind: BackendKind = value(args, &mut i, flag)?.parse()?;
                 opts.mode = opts.mode.with_backend(kind);
             }
             "--lookahead" => opts.lookahead = true,
             "--autotune" => opts.autotune = true,
             "--hetero" => opts.hetero = true,
             "--fleet-weights" => {
-                let weights: Result<Vec<f64>, _> = value(&args, &mut i, flag)?
+                let weights: Result<Vec<f64>, _> = value(args, &mut i, flag)?
                     .split(',')
                     .map(|w| w.trim().parse::<f64>())
                     .collect();
@@ -485,51 +485,51 @@ fn parse_args() -> Result<Options, String> {
             }
             "--devices" => {
                 opts.devices = Some(
-                    value(&args, &mut i, flag)?
+                    value(args, &mut i, flag)?
                         .parse()
                         .map_err(|e| format!("{e}"))?,
                 )
             }
             "--pipeline-chunk" => {
                 opts.pipeline_chunk = Some(
-                    value(&args, &mut i, flag)?
+                    value(args, &mut i, flag)?
                         .parse()
                         .map_err(|e| format!("{e}"))?,
                 )
             }
             "--pool-size" => {
-                opts.pool_size = value(&args, &mut i, flag)?
+                opts.pool_size = value(args, &mut i, flag)?
                     .parse()
                     .map_err(|e| format!("{e}"))?
             }
             "--node-limit" => {
                 opts.node_limit = Some(
-                    value(&args, &mut i, flag)?
+                    value(args, &mut i, flag)?
                         .parse()
                         .map_err(|e| format!("{e}"))?,
                 )
             }
             "--frozen" => {
                 opts.frozen = Some(
-                    value(&args, &mut i, flag)?
+                    value(args, &mut i, flag)?
                         .parse()
                         .map_err(|e| format!("{e}"))?,
                 )
             }
             "--reps" => {
-                opts.reps = value(&args, &mut i, flag)?
+                opts.reps = value(args, &mut i, flag)?
                     .parse()
                     .map_err(|e| format!("{e}"))?
             }
             "--fail-seed" => {
                 opts.fail_seed = Some(
-                    value(&args, &mut i, flag)?
+                    value(args, &mut i, flag)?
                         .parse()
                         .map_err(|e| format!("{e}"))?,
                 )
             }
             "--fail-at" => {
-                let events: Result<Vec<(u64, usize)>, String> = value(&args, &mut i, flag)?
+                let events: Result<Vec<(u64, usize)>, String> = value(args, &mut i, flag)?
                     .split(',')
                     .map(|pair| {
                         let pair = pair.trim();
@@ -545,7 +545,7 @@ fn parse_args() -> Result<Options, String> {
                 opts.fail_at = events?;
             }
             "--checkpoint" => {
-                let spec = value(&args, &mut i, flag)?;
+                let spec = value(args, &mut i, flag)?;
                 let (batches, path) = spec
                     .split_once(':')
                     .ok_or_else(|| format!("--checkpoint `{spec}` is not BATCHES:PATH"))?;
@@ -554,10 +554,10 @@ fn parse_args() -> Result<Options, String> {
                     path.to_string(),
                 ));
             }
-            "--resume" => opts.resume = Some(value(&args, &mut i, flag)?),
+            "--resume" => opts.resume = Some(value(args, &mut i, flag)?),
             "--cache" => opts.cache = true,
             "--perturb" => {
-                let spec = value(&args, &mut i, flag)?;
+                let spec = value(args, &mut i, flag)?;
                 let (seed, edits) = spec
                     .split_once(':')
                     .ok_or_else(|| format!("--perturb `{spec}` is not SEED:EDITS"))?;
@@ -566,14 +566,14 @@ fn parse_args() -> Result<Options, String> {
                     edits.parse().map_err(|e| format!("{e}"))?,
                 ));
             }
-            "--json" => opts.json = Some(value(&args, &mut i, flag)?),
-            "--baseline" => opts.baseline = Some(value(&args, &mut i, flag)?),
-            "--cost-baseline" => opts.cost_baseline = Some(value(&args, &mut i, flag)?),
-            "--emit-cost-baseline" => opts.emit_cost_baseline = Some(value(&args, &mut i, flag)?),
+            "--json" => opts.json = Some(value(args, &mut i, flag)?),
+            "--baseline" => opts.baseline = Some(value(args, &mut i, flag)?),
+            "--cost-baseline" => opts.cost_baseline = Some(value(args, &mut i, flag)?),
+            "--emit-cost-baseline" => opts.emit_cost_baseline = Some(value(args, &mut i, flag)?),
             "--advisory" => opts.advisory = true,
-            "--summary" => opts.summary = Some(value(&args, &mut i, flag)?),
+            "--summary" => opts.summary = Some(value(args, &mut i, flag)?),
             "--max-regression" => {
-                opts.max_regression = value(&args, &mut i, flag)?
+                opts.max_regression = value(args, &mut i, flag)?
                     .parse()
                     .map_err(|e| format!("{e}"))?
             }
@@ -787,6 +787,20 @@ fn parse_args() -> Result<Options, String> {
         let smoke_was = opts.smoke;
         apply_smoke_preset(&mut opts);
         opts.smoke = smoke_was;
+    }
+    if !opts.service && !opts.cache {
+        // The generated instance's shape: `Instance` needs at least one job
+        // and one machine, and a search node stores the job count in 16 bits.
+        if opts.jobs == 0 || opts.jobs > usize::from(u16::MAX) {
+            return Err(format!(
+                "--jobs must be between 1 and {} (got {})",
+                u16::MAX,
+                opts.jobs
+            ));
+        }
+        if opts.machines == 0 {
+            return Err("--machines must be at least 1".into());
+        }
     }
     if opts.perturb.is_some() && !opts.cache {
         return Err(
@@ -1290,12 +1304,6 @@ struct CostRow {
     cost: CostReport,
 }
 
-/// Counters per row of an older baseline: 13 before the v7 fleet steal/idle
-/// counters, 16 before the v8 failure-recovery counters, 19 before the v9
-/// cache counters. Those rows parse with the missing counters at zero,
-/// which is exactly what the old backends recorded.
-const LEGACY_COST_COUNTERS: [usize; 3] = [13, 16, 19];
-
 /// Pulls every `"cost": { ... }` block (a flat object of integer counters)
 /// out of a cost baseline or a v5 perf report, keyed by the row fields that
 /// precede it.
@@ -1334,10 +1342,9 @@ fn cost_rows(text: &str) -> Result<Vec<CostRow>, String> {
             }
             seen += 1;
         }
-        if seen != COST_COUNTERS && !LEGACY_COST_COUNTERS.contains(&seen) {
+        if seen != COST_COUNTERS {
             return Err(format!(
-                "row `{backend}` has {seen} cost counters, expected {COST_COUNTERS} \
-                 (or a legacy count of {LEGACY_COST_COUNTERS:?})"
+                "row `{backend}` has {seen} cost counters, expected {COST_COUNTERS}"
             ));
         }
         rows.push(CostRow {
@@ -1386,7 +1393,8 @@ fn cost_baseline_json(reports: &[Report]) -> String {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = match parse_args(&args) {
         Ok(opts) => opts,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -1904,4 +1912,58 @@ fn append_summary(
         .append(true)
         .open(path)?;
     file.write_all(out.as_bytes())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Options, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn zero_jobs_are_rejected() {
+        let err = parse("--jobs 0 --machines 5").err().expect("rejected");
+        assert!(err.contains("--jobs"), "{err}");
+    }
+
+    #[test]
+    fn zero_machines_are_rejected() {
+        let err = parse("--jobs 5 --machines 0").err().expect("rejected");
+        assert!(err.contains("--machines"), "{err}");
+    }
+
+    #[test]
+    fn more_jobs_than_a_node_can_hold_are_rejected() {
+        let err = parse("--jobs 70000 --machines 1").err().expect("rejected");
+        assert!(err.contains("65535"), "{err}");
+        assert!(parse("--jobs 65535 --machines 1").is_ok());
+    }
+
+    #[test]
+    fn service_and_cache_read_jobs_as_a_count() {
+        for mode in ["--service", "--cache"] {
+            assert!(parse(&format!("{mode} --jobs 70000")).is_ok(), "{mode}");
+            assert!(parse(&format!("{mode} --jobs 0")).is_err(), "{mode}");
+        }
+    }
+
+    #[test]
+    fn a_cost_row_with_a_legacy_counter_count_is_an_error() {
+        let counters = CostReport::default().counters();
+        for count in [13, 16, 19] {
+            let body: Vec<String> = counters[..count]
+                .iter()
+                .map(|(name, value)| format!("\"{name}\": {value}"))
+                .collect();
+            let text = format!(
+                "{{\"backend\": \"gpu\", \"cost\": {{ {} }}}}",
+                body.join(", ")
+            );
+            let err = cost_rows(&text).err().expect("rejected");
+            assert!(err.contains(&format!("has {count} cost counters")), "{err}");
+        }
+    }
 }

@@ -451,9 +451,7 @@ impl PipelinedGpuBackend {
             config.registers_per_thread,
             capacity,
         );
-        let session = config
-            .lookahead
-            .then(|| engine.pipeline_session_with_depth(config.lookahead_depth.max(1)));
+        let session = config.lookahead.then(|| engine.pipeline_session());
         Self {
             engine,
             host_lb: problem.bound_fn().clone(),

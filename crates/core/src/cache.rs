@@ -96,7 +96,6 @@ fn hash_config(config: &GpuSolverConfig, scope: KeyScope, h: &mut DefaultHasher)
     config.pipeline_depth.hash(h);
     config.pipeline_chunk.hash(h);
     config.lookahead.hash(h);
-    config.lookahead_depth.hash(h);
     match &config.fleet_weights {
         None => 0u8.hash(h),
         Some(weights) => {
@@ -106,7 +105,6 @@ fn hash_config(config: &GpuSolverConfig, scope: KeyScope, h: &mut DefaultHasher)
             }
         }
     }
-    config.lookahead_pool_guard.hash(h);
     config.fail_seed.hash(h);
     config.fail_at.hash(h);
 }
@@ -481,15 +479,7 @@ mod tests {
                 ..base.clone()
             },
             GpuSolverConfig {
-                lookahead_depth: base.lookahead_depth + 1,
-                ..base.clone()
-            },
-            GpuSolverConfig {
                 fleet_weights: Some(vec![1.0, 2.0]),
-                ..base.clone()
-            },
-            GpuSolverConfig {
-                lookahead_pool_guard: !base.lookahead_pool_guard,
                 ..base.clone()
             },
             GpuSolverConfig {

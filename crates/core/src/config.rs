@@ -232,28 +232,6 @@ impl BackendKind {
         BackendKind::Fleet(FleetTopology::uniform(DEFAULT_FLEET_DEVICES)),
     ];
 
-    /// Pre-[`FleetTopology`] fleet constructor, kept so call sites written
-    /// against the boolean-flag form keep compiling. New code should build a
-    /// [`FleetTopology`] with the chainable constructors instead.
-    #[deprecated(
-        since = "0.10.0",
-        note = "build a FleetTopology instead, e.g. \
-                BackendKind::Fleet(FleetTopology::uniform(n).mixed().stealing())"
-    )]
-    pub const fn fleet(devices: usize, pipelined: bool, hetero: bool, stealing: bool) -> Self {
-        let mut topology = FleetTopology::uniform(devices);
-        if !pipelined {
-            topology = topology.one_launch();
-        }
-        if hetero {
-            topology = topology.mixed();
-        }
-        if stealing {
-            topology = topology.stealing();
-        }
-        BackendKind::Fleet(topology)
-    }
-
     /// Stable name used in reports and on the command line. Fleet backends
     /// report through [`FleetTopology::name`] (`fleet` with `-hetero` /
     /// `-steal` suffixes), while the device count travels separately
@@ -372,14 +350,6 @@ pub struct GpuSolverConfig {
     /// the visited node set provably matches the strict loop (constant
     /// incumbent).
     pub lookahead: bool,
-    /// Staging-gate depth of the persistent [`crate::offload::PipelineSession`]:
-    /// how many batches the host may have selected but not yet consumed the
-    /// bounds of. With depth *d*, the first encode of batch *b* waits for the
-    /// last D2H of batch *b − (d + 1)*. The single-threaded solver keeps one
-    /// batch in flight (depth 1, the default); the hybrid coordinator derives
-    /// `workers × in-flight chunks per worker` so several workers' lookahead
-    /// batches can be staged concurrently. Must be ≥ 1.
-    pub lookahead_depth: usize,
     /// Explicit per-member throughput weights for the
     /// [`BackendKind::Fleet`] deal (nodes per modelled second, relative —
     /// only ratios matter). `None` derives each member's weight from its
@@ -390,14 +360,6 @@ pub struct GpuSolverConfig {
     /// only — the steal pass and per-member wave quantization keep using the
     /// physical device models.
     pub fleet_weights: Option<Vec<f64>>,
-    /// `true` restores the legacy pool-depth speculation guard (lookahead
-    /// batch submitted only while the frontier holds at least one full
-    /// pool). The default `false` uses the cost-model-driven guard:
-    /// speculate only when the modelled drain saving per batch exceeds the
-    /// expected frontier penalty scaled by the pool deficit (see
-    /// `GpuBnbSolver`). Both guards are deterministic pure functions of the
-    /// observed [`crate::cost::CostReport`] counters and the pool depth.
-    pub lookahead_pool_guard: bool,
     /// Seed of the deterministic fleet failure plan
     /// ([`crate::fault::FailurePlan::seeded`]): `Some(seed)` kills
     /// `devices / 2` distinct fleet members at seed-derived batch ordinals.
@@ -433,9 +395,7 @@ impl Default for GpuSolverConfig {
             pipeline_depth: 4,
             pipeline_chunk: None,
             lookahead: false,
-            lookahead_depth: 1,
             fleet_weights: None,
-            lookahead_pool_guard: false,
             fail_seed: None,
             fail_at: Vec::new(),
             checkpoint_after: None,
@@ -595,16 +555,8 @@ impl SolverConfigBuilder {
         lookahead: bool
     );
     builder_setter!(
-        /// Sets [`GpuSolverConfig::lookahead_depth`].
-        lookahead_depth: usize
-    );
-    builder_setter!(
         /// Sets [`GpuSolverConfig::fleet_weights`].
         fleet_weights: Option<Vec<f64>>
-    );
-    builder_setter!(
-        /// Sets [`GpuSolverConfig::lookahead_pool_guard`].
-        lookahead_pool_guard: bool
     );
     builder_setter!(
         /// Sets [`GpuSolverConfig::fail_seed`].
@@ -634,9 +586,6 @@ impl SolverConfigBuilder {
         }
         if config.pipeline_depth == 0 {
             return Err(ConfigError("pipeline_depth must be at least 1".into()));
-        }
-        if config.lookahead_depth == 0 {
-            return Err(ConfigError("lookahead_depth must be at least 1".into()));
         }
         if config.pipeline_chunk == Some(0) {
             return Err(ConfigError("pipeline_chunk must be at least 1".into()));
@@ -755,7 +704,6 @@ mod tests {
         // wave-aligned heuristic until the auto-tuner persists a sweep.
         assert!(!GpuSolverConfig::default().lookahead);
         assert_eq!(GpuSolverConfig::default().pipeline_chunk, None);
-        assert_eq!(GpuSolverConfig::default().lookahead_depth, 1);
     }
 
     #[test]
@@ -823,33 +771,6 @@ mod tests {
             "fleet:2:one-launch:one-launch",
         ] {
             assert!(bad.parse::<BackendKind>().is_err(), "{bad} must not parse");
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_fleet_constructor_matches_topologies() {
-        for (pipelined, hetero, stealing) in [
-            (true, false, false),
-            (false, false, false),
-            (true, true, false),
-            (true, false, true),
-            (false, true, true),
-        ] {
-            let legacy = BackendKind::fleet(3, pipelined, hetero, stealing);
-            let BackendKind::Fleet(topology) = legacy else {
-                panic!("constructor must build a fleet");
-            };
-            assert_eq!(topology.devices, 3);
-            assert_eq!(topology.is_pipelined(), pipelined);
-            assert_eq!(topology.is_hetero(), hetero);
-            assert_eq!(topology.is_stealing(), stealing);
-            // String round-trip: the legacy form and the topology form
-            // produce the same canonical spelling and report name.
-            assert_eq!(
-                legacy.to_string().parse::<BackendKind>().unwrap(),
-                BackendKind::Fleet(topology)
-            );
         }
     }
 
@@ -923,10 +844,6 @@ mod tests {
         assert!(GpuSolverConfig::builder().pool_size(0).build().is_err());
         assert!(GpuSolverConfig::builder()
             .pipeline_depth(0)
-            .build()
-            .is_err());
-        assert!(GpuSolverConfig::builder()
-            .lookahead_depth(0)
             .build()
             .is_err());
         assert!(GpuSolverConfig::builder()

@@ -9,7 +9,7 @@
 //! [`crate::backend::MulticoreBackend`] per CPU member — splits every batch
 //! into per-member shards, bounds the shards concurrently on the model, and
 //! merges the bounds back in input order — so the rest of the workspace
-//! (solvers, auto-tuner, hybrid coordinator, service, bench binaries)
+//! (solver, auto-tuner, service, bench binaries)
 //! drives a fleet through the very same [`BoundingBackend`] trait as a
 //! single card.
 //!
@@ -647,9 +647,8 @@ impl FleetBackend {
                             config.registers_per_thread,
                             capacity,
                         );
-                        let session = (pipelined && config.lookahead).then(|| {
-                            engine.pipeline_session_with_depth(config.lookahead_depth.max(1))
-                        });
+                        let session =
+                            (pipelined && config.lookahead).then(|| engine.pipeline_session());
                         MemberEngine::Gpu {
                             engine: Box::new(engine),
                             session,

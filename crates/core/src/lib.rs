@@ -14,10 +14,10 @@ pub mod config;
 pub mod cost;
 pub mod fault;
 pub mod fleet;
-pub mod hybrid;
 pub mod kernel_lb;
 pub mod offload;
 pub mod placement;
+mod search;
 pub mod service;
 pub mod solver;
 pub mod stats;

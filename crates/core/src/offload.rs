@@ -117,6 +117,10 @@ pub struct PipelinedBatch {
     pub launch_times: Vec<Duration>,
 }
 
+/// Batch tails a [`PipelineSession`] remembers: the one batch in flight plus
+/// the batch whose bounds gate the next staging.
+const GATED_BATCHES: usize = 2;
+
 /// Persistent cross-iteration pipeline state: one event timeline spanning
 /// every batch of a solve, so that the D2H tail of wave *k* and the H2D fill
 /// of wave *k+1* genuinely overlap on the modelled schedule instead of the
@@ -132,13 +136,10 @@ pub struct PipelinedBatch {
 ///   the kernel that last read it, and a kernel writing a slot's output must
 ///   wait for the download that last drained it (the WAR hazards real
 ///   double buffering has);
-/// * the **staging gate** — with a lookahead depth of *d*
-///   ([`BoundingEngine::pipeline_session_with_depth`]; the default depth is
-///   one), the host selects and encodes batch *b* only after the bounds of
-///   batch *b − (d + 1)* have landed, so the first encode of a batch waits
-///   for the last D2H completion `d + 1` batches back. The single-threaded
-///   solver keeps one batch in flight (depth 1); the hybrid coordinator
-///   derives its depth from `workers × in-flight chunks per worker`.
+/// * the **staging gate** — the solver keeps one batch in flight, so the
+///   host selects and encodes batch *b* only after the bounds of batch
+///   *b − 2* have landed: the first encode of a batch waits for the last
+///   D2H completion two batches back.
 ///
 /// Cross-batch dependencies are carried as completion-time floors
 /// (equivalent to event dependencies), which lets the session compact the
@@ -162,12 +163,10 @@ pub struct PipelineSession {
     /// Completion of the D2H that last drained each output slot (kernel WAR
     /// hazard).
     d2h_end_by_slot: [Option<Duration>; 2],
-    /// Completion of the last D2H of the most recent `depth + 1` batches,
-    /// oldest first; once full, the front — batch *b − (depth + 1)* — gates
-    /// the next batch's staging.
+    /// Completion of the last D2H of the two most recent batches, oldest
+    /// first; once full, the front — batch *b − 2* — gates the next batch's
+    /// staging.
     batch_tails: VecDeque<Duration>,
-    /// The staging-gate lookahead depth (≥ 1).
-    depth: usize,
     batches: usize,
 }
 
@@ -189,11 +188,6 @@ impl PipelineSession {
     /// Number of batches bounded through this session.
     pub fn batches(&self) -> usize {
         self.batches
-    }
-
-    /// The staging-gate lookahead depth this session models.
-    pub fn depth(&self) -> usize {
-        self.depth
     }
 }
 
@@ -520,22 +514,8 @@ impl BoundingEngine {
 
     /// Starts a fresh cross-iteration pipeline on this engine's device: an
     /// empty timeline with the four standard streams, slot parity at zero,
-    /// staging-gate depth one (one batch in flight).
+    /// one batch in flight at the staging gate.
     pub fn pipeline_session(&self) -> PipelineSession {
-        self.pipeline_session_with_depth(1)
-    }
-
-    /// Like [`BoundingEngine::pipeline_session`], but with an explicit
-    /// staging-gate lookahead depth: the first encode of batch *b* waits for
-    /// the last D2H of batch *b − (depth + 1)*. Deeper gates model hosts
-    /// that keep several batches in flight at once (the hybrid coordinator
-    /// uses `workers × in-flight chunks per worker`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub fn pipeline_session_with_depth(&self, depth: usize) -> PipelineSession {
-        assert!(depth > 0, "the staging gate needs a positive depth");
         let (timeline, streams) = self.device.timeline();
         PipelineSession {
             timeline,
@@ -543,8 +523,7 @@ impl BoundingEngine {
             parity: 0,
             kernel_end_by_slot: [None; 2],
             d2h_end_by_slot: [None; 2],
-            batch_tails: VecDeque::with_capacity(depth + 1),
-            depth,
+            batch_tails: VecDeque::with_capacity(GATED_BATCHES),
             batches: 0,
         }
     }
@@ -628,11 +607,11 @@ impl BoundingEngine {
             if functional {
                 self.encode(first, session.parity);
             }
-            // The ring holds the tails of the most recent `depth + 1`
-            // batches; when full, its front is batch b − (depth + 1), whose
-            // bounds the host consumed before selecting this batch.
+            // The ring holds the tails of the two most recent batches; when
+            // full, its front is batch b − 2, whose bounds the host consumed
+            // before selecting this batch.
             let gate: &[Duration] = match session.batch_tails.front() {
-                Some(end) if session.batch_tails.len() == session.depth + 1 => {
+                Some(end) if session.batch_tails.len() == GATED_BATCHES => {
                     std::slice::from_ref(end)
                 }
                 _ => &[],
@@ -718,7 +697,7 @@ impl BoundingEngine {
         if !chunks.is_empty() {
             if let Some(end) = last_d2h_end {
                 session.batch_tails.push_back(end);
-                if session.batch_tails.len() > session.depth + 1 {
+                if session.batch_tails.len() > GATED_BATCHES {
                     session.batch_tails.pop_front();
                 }
             }
@@ -1125,52 +1104,6 @@ mod tests {
             last_len = session.timeline().len();
         }
         assert_eq!(session.batches(), 3);
-    }
-
-    #[test]
-    fn deeper_staging_gates_never_lengthen_the_schedule() {
-        // A depth-d gate makes batch b wait for the bounds of batch
-        // b − (d + 1); a deeper gate is a weaker constraint, so the session
-        // makespan is monotonically non-increasing in the depth, and the
-        // default session is exactly the depth-1 session.
-        let inst = generate("t", 12, 6, 421);
-        let (mut engine, lb) = engine_for(&inst, DataPlacement::SharedJmPtm, 64);
-        let nodes = some_nodes(&inst, 60);
-        let run = |engine: &mut BoundingEngine, mut session: PipelineSession| {
-            let mut bounds = Vec::new();
-            for chunk in nodes.chunks(10) {
-                bounds.extend(
-                    engine
-                        .bound_nodes_pipelined_in(chunk, 5, Some(&lb), &mut session)
-                        .bounds,
-                );
-            }
-            (session.makespan(), bounds)
-        };
-        let default_session = engine.pipeline_session();
-        assert_eq!(default_session.depth(), 1);
-        let (default_makespan, reference) = run(&mut engine, default_session);
-        let mut last = None;
-        for depth in [1, 2, 4, 16] {
-            let session = engine.pipeline_session_with_depth(depth);
-            let (makespan, bounds) = run(&mut engine, session);
-            assert_eq!(bounds, reference, "depth {depth} must not change bounds");
-            if depth == 1 {
-                assert_eq!(makespan, default_makespan);
-            }
-            if let Some(prev) = last {
-                assert!(makespan <= prev, "depth {depth} lengthened the schedule");
-            }
-            last = Some(makespan);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "positive depth")]
-    fn zero_depth_session_panics() {
-        let inst = generate("t", 8, 4, 2);
-        let (engine, _) = engine_for(&inst, DataPlacement::AllGlobal, 8);
-        engine.pipeline_session_with_depth(0);
     }
 
     #[test]

@@ -1,15 +1,14 @@
-//! Solver-as-a-service: a job front door over one shared bounding fleet.
+//! Solver-as-a-service: a job front door over shared bounding backends.
 //!
-//! Everything below [`SolveService`] turns the one-instance solvers of this
+//! Everything below [`SolveService`] turns the one-instance solver of this
 //! crate into a long-lived multi-tenant service, the setting the paper's
 //! cluster story assumes: callers **submit** solve jobs (instance +
 //! [`GpuSolverConfig`] + optional node/deadline budget), the service queues
-//! and prioritizes them, and a deterministic scheduler multiplexes every
-//! running job onto **one shared fleet** — the launch dispatcher lifted out
-//! of the hybrid solver, its merge key generalized from worker-id to job-id,
-//! so batches from several solves ride the same backend (and, under
-//! [`GpuSolverConfig::lookahead`], the same persistent pipeline sessions)
-//! back to back while the accounting still splits exactly per job.
+//! and prioritizes them, and a deterministic scheduler steps every running
+//! job one batch per round. Jobs whose instance and engine-relevant
+//! configuration hash to the same key share one backend, so their batches
+//! ride it (and, under [`GpuSolverConfig::lookahead`], its persistent
+//! pipeline sessions) back to back, while each job keeps its own books.
 //!
 //! Three guarantees, all covered by `tests/service_equivalence.rs`:
 //!
@@ -21,259 +20,28 @@
 //!   [`JobHandle::cancel`] still returns its best incumbent together with a
 //!   proven lower bound and optimality gap, and incumbent improvements can
 //!   be polled while the job runs ([`JobHandle::poll_incumbents`]).
-//! * **Carved accounting** — the per-job [`CostReport`]s sum exactly to the
-//!   shared fleet accounting ([`SolveService::shared_cost`]), so the cost
-//!   gate extends to service-mode runs unchanged.
+//! * **Exhaustive accounting** — the per-job [`CostReport`]s sum exactly to
+//!   the service-wide accounting ([`SolveService::shared_cost`]), so the
+//!   cost gate extends to service-mode runs unchanged.
 //!
 //! See `docs/SERVICE.md` for the lifecycle, scheduling and fairness rules.
 
-use crate::backend::{make_backend, BackendAccounting, BoundingBackend};
+use crate::backend::{make_backend, BoundingBackend};
 use crate::cache::{Certificate, ConfigKey, InstanceKey, SolveCache};
 use crate::config::GpuSolverConfig;
 use crate::cost::{CostReport, SolveLatencies};
 use crate::fault::SolveCheckpoint;
+use crate::search::SearchState;
 use crate::stats::GpuRunStats;
-use bb::pool::Pool;
 use bb::stats::SolveStats;
-use bb::{BestFirstPool, FspNode, FspProblem, SharedUpperBound};
-use fsp::{Instance, Job, JohnsonLowerBound, Time};
+use bb::{FspNode, FspProblem};
+use fsp::{Instance, Job, Time};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// The accounting one combined launch updates under one lock: legacy run
-/// stats, the deterministic cost counters and the latency histograms. The
-/// dispatcher keeps one shared instance (the fleet-wide totals) plus one per
-/// job (the carve the service returns in each [`JobOutcome`]).
-#[derive(Debug, Default, Clone)]
-pub(crate) struct SharedAccounting {
-    pub(crate) gpu: GpuRunStats,
-    pub(crate) cost: CostReport,
-    pub(crate) latencies: SolveLatencies,
-}
-
-impl SharedAccounting {
-    fn record_batch(
-        &mut self,
-        acc: &BackendAccounting,
-        launch_times: &[Duration],
-        nodes: u64,
-        serial_accesses: u64,
-    ) {
-        self.gpu.absorb_batch(acc, nodes, serial_accesses);
-        self.cost.record_backend_batch(acc, nodes, serial_accesses);
-        for launch in launch_times {
-            self.latencies.launch.record(*launch);
-        }
-        self.latencies.batch.record(acc.device_time);
-    }
-}
-
-/// Nodes travelling back to their submitter with the bounds attached (the
-/// launcher owns the combined pool, so ownership round-trips instead of
-/// cloning).
-pub(crate) type BoundedBatch = (Vec<FspNode>, Vec<Time>);
-
-/// A batch a client (service job or hybrid worker) has submitted for
-/// bounding, with the channel its bounds travel back on.
-struct PendingBatch {
-    job: u64,
-    nodes: Vec<FspNode>,
-    done: Sender<BoundedBatch>,
-}
-
-/// Shares one bounding backend between many submitters and merges their
-/// batches into combined launches, keyed by **job id**: batches of the same
-/// job ride one launch together, batches of different jobs run back to back
-/// on the same backend (and through its persistent sessions, when the
-/// backend keeps any) — cross-solve batching with exact per-job accounting.
-///
-/// This is the launch coordinator formerly private to the hybrid solver,
-/// lifted here so the service owns it; the hybrid solver now submits every
-/// worker's batch under one job id and gets the old single-solve combined
-/// launches back unchanged.
-pub(crate) struct LaunchDispatcher {
-    queue: Mutex<VecDeque<PendingBatch>>,
-    backend: Mutex<Box<dyn BoundingBackend>>,
-    /// Largest combined pool one launch may carry.
-    capacity: usize,
-    accounting: Mutex<SharedAccounting>,
-    per_job: Mutex<HashMap<u64, SharedAccounting>>,
-    jobs: usize,
-    machines: usize,
-}
-
-impl LaunchDispatcher {
-    pub(crate) fn new(
-        backend: Box<dyn BoundingBackend>,
-        capacity: usize,
-        jobs: usize,
-        machines: usize,
-    ) -> Self {
-        Self {
-            queue: Mutex::new(VecDeque::new()),
-            backend: Mutex::new(backend),
-            capacity,
-            accounting: Mutex::new(SharedAccounting::default()),
-            per_job: Mutex::new(HashMap::new()),
-            jobs,
-            machines,
-        }
-    }
-
-    /// Records `nodes` bounded by host code outside any backend batch (the
-    /// root bound / initial pool of `job`), in both the shared and the
-    /// per-job accounting.
-    pub(crate) fn record_host_bound(&self, job: u64, nodes: u64) {
-        self.accounting
-            .lock()
-            .unwrap()
-            .cost
-            .record_host_bound(nodes);
-        self.per_job
-            .lock()
-            .unwrap()
-            .entry(job)
-            .or_default()
-            .cost
-            .record_host_bound(nodes);
-    }
-
-    /// Absorbs a resumed job's checkpointed counters into both the shared
-    /// and the per-job accounting (the pre-checkpoint work happened in an
-    /// earlier incarnation of the job, not on this dispatcher's backend, but
-    /// the per-job carves must still sum to the shared totals).
-    pub(crate) fn absorb_cost(&self, job: u64, cost: &CostReport) {
-        self.accounting.lock().unwrap().cost.absorb(cost);
-        self.per_job
-            .lock()
-            .unwrap()
-            .entry(job)
-            .or_default()
-            .cost
-            .absorb(cost);
-    }
-
-    /// Bounds `batch` on behalf of `job`, possibly riding other pending
-    /// batches of the same job in one launch; pending batches of *other*
-    /// jobs drained in the same turn are bounded in separate, back-to-back
-    /// launches on the same backend. Returns the nodes (ownership travels
-    /// through the queue) with their bounds, in input order.
-    pub(crate) fn bound(&self, job: u64, batch: Vec<FspNode>) -> BoundedBatch {
-        let (done, rx) = channel();
-        self.queue.lock().unwrap().push_back(PendingBatch {
-            job,
-            nodes: batch,
-            done,
-        });
-        loop {
-            // Another launcher may already have bounded our batch.
-            if let Ok(result) = rx.try_recv() {
-                return result;
-            }
-            // Park on the backend mutex (no spinning): either we become the
-            // launcher, or we wake when the current launcher — who may well
-            // have bounded our batch — releases it.
-            let mut backend = self.backend.lock().unwrap();
-            // We are the launcher: drain every pending batch that fits.
-            let taken = {
-                let mut queue = self.queue.lock().unwrap();
-                let mut taken: Vec<PendingBatch> = Vec::new();
-                let mut total = 0;
-                while let Some(front) = queue.front() {
-                    if !taken.is_empty() && total + front.nodes.len() > self.capacity {
-                        break;
-                    }
-                    let batch = queue.pop_front().expect("front exists");
-                    total += batch.nodes.len();
-                    taken.push(batch);
-                }
-                taken
-            };
-            if taken.is_empty() {
-                // The queue is empty, so some other launcher owns our batch
-                // and will deliver its bounds.
-                drop(backend);
-                return rx.recv().expect("the launcher delivers our bounds");
-            }
-
-            // Group the drained batches by job, preserving first-appearance
-            // order: one combined launch per job keeps every device-side
-            // charge attributable to exactly one job, while the groups still
-            // run back to back on the shared backend.
-            let mut groups: Vec<(u64, Vec<PendingBatch>)> = Vec::new();
-            for pending in taken {
-                match groups.iter_mut().find(|(j, _)| *j == pending.job) {
-                    Some((_, list)) => list.push(pending),
-                    None => groups.push((pending.job, vec![pending])),
-                }
-            }
-
-            for (group_job, batches) in groups {
-                // One launch for every batch of this job taken.
-                let mut parts: Vec<(usize, Sender<BoundedBatch>)> =
-                    Vec::with_capacity(batches.len());
-                let mut combined: Vec<FspNode> = Vec::new();
-                for batch in batches {
-                    parts.push((batch.nodes.len(), batch.done));
-                    combined.extend(batch.nodes);
-                }
-                let result = backend.bound_batch(&combined);
-                let acc = result.accounting;
-                let accesses = crate::backend::serial_accesses(self.jobs, self.machines, &combined);
-                let nodes = combined.len() as u64;
-                self.accounting.lock().unwrap().record_batch(
-                    &acc,
-                    &result.launch_times,
-                    nodes,
-                    accesses,
-                );
-                self.per_job
-                    .lock()
-                    .unwrap()
-                    .entry(group_job)
-                    .or_default()
-                    .record_batch(&acc, &result.launch_times, nodes, accesses);
-
-                // Hand every batch its slice of nodes and bounds back.
-                let mut nodes = combined.into_iter();
-                let mut bounds = result.bounds.into_iter();
-                for (len, done) in parts {
-                    let part_nodes: Vec<FspNode> = nodes.by_ref().take(len).collect();
-                    let part_bounds: Vec<Time> = bounds.by_ref().take(len).collect();
-                    // A submitter that hit its budget may have gone; its
-                    // bounds are then simply dropped.
-                    let _ = done.send((part_nodes, part_bounds));
-                }
-            }
-            drop(backend);
-        }
-    }
-
-    /// Removes and returns the accounting carved for `job`.
-    pub(crate) fn take_job(&self, job: u64) -> SharedAccounting {
-        self.per_job
-            .lock()
-            .unwrap()
-            .remove(&job)
-            .unwrap_or_default()
-    }
-
-    /// A snapshot of the shared (fleet-wide) accounting.
-    pub(crate) fn shared_snapshot(&self) -> SharedAccounting {
-        self.accounting.lock().unwrap().clone()
-    }
-
-    /// Consumes the dispatcher, returning the shared accounting (the hybrid
-    /// solver's single-job path).
-    pub(crate) fn into_shared(self) -> SharedAccounting {
-        self.accounting.into_inner().unwrap()
-    }
-}
 
 /// Opaque identifier of a submitted job, unique within one [`SolveService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -470,8 +238,8 @@ pub struct IncumbentUpdate {
 }
 
 /// The final result of a job: the solver outcome plus the anytime
-/// certificate (proven lower bound and optimality gap) and the per-job
-/// accounting carved out of the shared fleet.
+/// certificate (proven lower bound and optimality gap) and the job's own
+/// accounting.
 #[derive(Debug, Clone)]
 pub struct JobOutcome {
     /// Which job this is.
@@ -483,9 +251,10 @@ pub struct JobOutcome {
     pub best_schedule: Option<Vec<Job>>,
     /// Node counters (same semantics as the standalone solvers').
     pub stats: SolveStats,
-    /// Device-side accounting of this job's launches alone.
+    /// Device-side accounting of this job's batches alone.
     pub gpu: GpuRunStats,
-    /// Deterministic cost counters of this job's share of the fleet.
+    /// Deterministic cost counters of this job's batches (plus, for a
+    /// resumed job, the checkpoint's counters).
     pub cost: CostReport,
     /// Latency histograms of this job's launches/batches.
     pub latencies: SolveLatencies,
@@ -597,27 +366,16 @@ struct QueuedJob {
     spec: JobSpec,
 }
 
-/// One shared backend (and its dispatcher), reused by every job whose
-/// instance and engine-relevant configuration hash to the same key.
-struct BackendSlot {
-    key: u64,
-    dispatcher: LaunchDispatcher,
-}
-
-/// A running job: the strict solver loop of
-/// [`crate::solver::GpuBnbSolver::solve_from`], unrolled so the scheduler
-/// can interleave one batch per job per round.
+/// A running job: one [`SearchState`] plus the service-level stops, stepped
+/// one batch per scheduler round.
 struct JobRun {
     id: JobId,
     shared: Arc<JobShared>,
     priority: i32,
-    problem: FspProblem<JohnsonLowerBound>,
-    config: GpuSolverConfig,
-    backend_slot: usize,
-    pool: BestFirstPool,
-    ub: SharedUpperBound,
-    best_schedule: Option<Vec<Job>>,
-    stats: SolveStats,
+    /// Key of the shared backend the job's batches ride (see
+    /// [`backend_key`]).
+    backend_key: u64,
+    search: SearchState,
     node_budget: Option<u64>,
     deadline: Option<Duration>,
     started: Instant,
@@ -626,54 +384,10 @@ struct JobRun {
 }
 
 impl JobRun {
-    /// Selection + branching on the CPU, exactly as the standalone solver:
-    /// accumulate children until the configured pool size is reached or the
-    /// pending pool runs dry.
-    fn select_batch(&mut self) -> Vec<FspNode> {
-        let n = self.problem.instance().jobs();
-        let mut batch: Vec<FspNode> = Vec::with_capacity(self.config.pool_size + n);
-        while batch.len() < self.config.pool_size {
-            let Some(node) = self.pool.pop() else { break };
-            self.stats.selected += 1;
-            if self.ub.prunes(node.bound()) {
-                self.stats.pruned += 1;
-                continue;
-            }
-            self.stats.decomposed += 1;
-            self.problem.branch_into(&node, &mut batch);
-        }
-        batch
-    }
-
-    /// Elimination of one bounded batch + incumbent updates (streamed to
-    /// the handle).
-    fn consume(&mut self, children: Vec<FspNode>, bounds: Vec<Time>) {
-        for (mut child, bound) in children.into_iter().zip(bounds) {
-            child.set_bound(bound);
-            self.stats.bounded += 1;
-            if self.problem.is_leaf(&child) {
-                self.stats.leaves += 1;
-                let cost = self.problem.leaf_cost(&child);
-                if self.ub.try_improve(cost) {
-                    self.stats.improvements += 1;
-                    self.best_schedule = Some(child.prefix_vec());
-                    self.shared.updates.lock().unwrap().push(IncumbentUpdate {
-                        makespan: cost,
-                        after_nodes: self.stats.bounded,
-                    });
-                }
-            } else if self.ub.prunes(bound) {
-                self.stats.pruned += 1;
-            } else {
-                self.pool.push(child);
-            }
-        }
-        self.stats.max_pool = self.stats.max_pool.max(self.pool.len());
-    }
-
     /// One scheduler round for this job: budget checks, then select → bound
-    /// → eliminate one batch. Returns the stop reason when the job is over.
-    fn step(&mut self, dispatcher: &LaunchDispatcher) -> Option<JobStopReason> {
+    /// → eliminate one batch, streaming incumbent improvements to the
+    /// handle. Returns the stop reason when the job is over.
+    fn step(&mut self, backend: &mut dyn BoundingBackend) -> Option<JobStopReason> {
         if self.shared.cancelled.load(Ordering::Relaxed) {
             return Some(JobStopReason::Cancelled);
         }
@@ -683,13 +397,13 @@ impl JobRun {
             }
         }
         if let Some(limit) = self.node_budget {
-            if self.stats.bounded >= limit {
+            if self.search.stats.bounded >= limit {
                 return Some(JobStopReason::NodeBudget);
             }
         }
-        let batch = self.select_batch();
+        let batch = self.search.select_batch();
         if batch.is_empty() {
-            return if self.pool.is_empty() {
+            return if self.search.pending() == 0 {
                 Some(JobStopReason::Exhausted)
             } else {
                 // Defensive: a non-empty pool of nothing-but-prunable nodes
@@ -697,9 +411,41 @@ impl JobRun {
                 None
             };
         }
-        let (nodes, bounds) = dispatcher.bound(self.id.0, batch);
-        self.consume(nodes, bounds);
+        let result = backend.bound_batch(&batch);
+        let updates = &self.shared.updates;
+        self.search.consume(batch, result, |makespan, after_nodes| {
+            updates.lock().unwrap().push(IncumbentUpdate {
+                makespan,
+                after_nodes,
+            });
+        });
         None
+    }
+
+    /// Builds the terminal outcome: close the books the way the standalone
+    /// solver does and attach the anytime certificate.
+    fn finalize(&mut self, stop: JobStopReason) -> JobOutcome {
+        let upper = self.search.upper_bound();
+        let lower_bound = self.search.lower_bound();
+        // The frontier checkpoint, when the caller asked to keep it and the
+        // job stopped with pending work: the same shape a paused standalone
+        // solve writes.
+        let frontier =
+            (self.keep_frontier && self.search.pending() > 0).then(|| self.search.freeze());
+        let gpu = self.search.finish(self.started.elapsed());
+        JobOutcome {
+            job: self.id,
+            best_makespan: upper,
+            best_schedule: self.search.best_schedule.take(),
+            stats: self.search.stats,
+            gpu,
+            cost: self.search.cost,
+            latencies: std::mem::take(&mut self.search.latencies),
+            stop,
+            lower_bound,
+            gap: optimality_gap(upper, lower_bound),
+            frontier,
+        }
     }
 }
 
@@ -716,7 +462,7 @@ fn optimality_gap(upper: Time, lower: Time) -> f64 {
 
 /// The key under which jobs share a backend: the instance content plus
 /// every configuration field the backend construction depends on. Jobs with
-/// equal keys ride one [`LaunchDispatcher`].
+/// equal keys share one backend.
 fn backend_key(instance: &Instance, config: &GpuSolverConfig) -> u64 {
     let mut h = DefaultHasher::new();
     instance.jobs().hash(&mut h);
@@ -732,7 +478,6 @@ fn backend_key(instance: &Instance, config: &GpuSolverConfig) -> u64 {
     config.pipeline_depth.hash(&mut h);
     config.pipeline_chunk.hash(&mut h);
     config.lookahead.hash(&mut h);
-    config.lookahead_depth.hash(&mut h);
     // Failure plans are backend state (deaths are keyed to the shared
     // backend's batch ordinals), so jobs with different plans never share
     // an engine.
@@ -741,13 +486,15 @@ fn backend_key(instance: &Instance, config: &GpuSolverConfig) -> u64 {
     h.finish()
 }
 
-/// Scheduler state: the admitted jobs, the waiting queue and the shared
-/// backends.
+/// Scheduler state: the admitted jobs, the waiting queue, the shared
+/// backends and the books of the jobs that finished.
 #[derive(Default)]
 struct ServiceState {
     queued: Vec<QueuedJob>,
     running: Vec<JobRun>,
-    backends: Vec<BackendSlot>,
+    backends: HashMap<u64, Box<dyn BoundingBackend>>,
+    /// The absorbed counters of every job that finished after running.
+    finished_cost: CostReport,
 }
 
 /// Whether a request may read and feed the service's [`SolveCache`].
@@ -992,14 +739,15 @@ impl SolveService {
         }
     }
 
-    /// The fleet-wide cost counters: the sum over every shared backend of
-    /// the work all jobs charged it. Equals the absorbed sum of the per-job
-    /// [`JobOutcome::cost`] reports — the carve is exhaustive.
+    /// The service-wide cost counters: the finished jobs' absorbed
+    /// counters plus the running jobs' so far. Once the service is idle
+    /// this equals the absorbed sum of the per-job [`JobOutcome::cost`]
+    /// reports.
     pub fn shared_cost(&self) -> CostReport {
         let state = self.state.lock().unwrap();
-        let mut total = CostReport::default();
-        for slot in &state.backends {
-            total.absorb(&slot.dispatcher.shared_snapshot().cost);
+        let mut total = state.finished_cost;
+        for run in &state.running {
+            total.absorb(&run.search.cost);
         }
         total
     }
@@ -1243,90 +991,43 @@ impl SolveService {
         finished.push(outcome);
     }
 
-    /// Admits one job: builds (or finds) its shared backend, seeds the
-    /// incumbent and the pending pool exactly as the standalone solver
-    /// does, and marks it running.
+    /// Admits one job: finds (or builds) its shared backend, seeds the
+    /// search exactly as the standalone solver does, and marks it running.
     fn start_job(state: &mut ServiceState, queued: QueuedJob) {
         let QueuedJob { id, shared, spec } = queued;
         let problem = FspProblem::new(spec.instance.clone());
-        let n = spec.instance.jobs();
-        let m = spec.instance.machines();
-
-        // One shared backend per (instance, engine-relevant config) key.
-        let key = backend_key(&spec.instance, &spec.config);
-        let slot = match state.backends.iter().position(|s| s.key == key) {
-            Some(i) => i,
-            None => {
-                let capacity = spec.config.pool_size + n;
-                let backend = make_backend(&problem, &spec.config, capacity);
-                state.backends.push(BackendSlot {
-                    key,
-                    dispatcher: LaunchDispatcher::new(backend, capacity, n, m),
-                });
-                state.backends.len() - 1
-            }
-        };
-
-        // Incumbent: explicit seed, else NEH, else unbounded — the same
-        // three-way choice as `GpuBnbSolver::solve_from`.
-        let mut best_schedule = spec.initial_schedule;
-        let ub = match spec.initial_upper_bound {
-            Some(v) => SharedUpperBound::new(v),
-            None if spec.config.use_initial_ub => {
-                let (perm, value) = problem.initial_upper_bound();
-                best_schedule = Some(perm);
-                SharedUpperBound::new(value)
-            }
-            None => SharedUpperBound::unbounded(),
-        };
-        if ub.get() != Time::MAX {
+        let backend_key = backend_key(&spec.instance, &spec.config);
+        state.backends.entry(backend_key).or_insert_with(|| {
+            let capacity = spec.config.pool_size + spec.instance.jobs();
+            make_backend(&problem, &spec.config, capacity)
+        });
+        let search = SearchState::new(
+            problem,
+            &spec.config,
+            spec.initial_nodes,
+            spec.initial_upper_bound,
+            spec.initial_schedule,
+            spec.resume_cost,
+        );
+        if search.upper_bound() != Time::MAX {
             shared.updates.lock().unwrap().push(IncumbentUpdate {
-                makespan: ub.get(),
+                makespan: search.upper_bound(),
                 after_nodes: 0,
             });
         }
-
-        // Pending pool: the supplied nodes, or the root bounded on the
-        // host. Either way the seed counts as host-bounded work.
-        let initial_nodes = spec.initial_nodes.unwrap_or_else(|| {
-            let mut root = problem.root();
-            problem.bound(&mut root);
-            vec![root]
-        });
-        match &spec.resume_cost {
-            // A resumed job carries its pre-checkpoint counters instead of
-            // re-charging the restored frontier as fresh host work.
-            Some(cost) => state.backends[slot].dispatcher.absorb_cost(id.0, cost),
-            None => state.backends[slot]
-                .dispatcher
-                .record_host_bound(id.0, initial_nodes.len() as u64),
-        }
-        let mut pool = BestFirstPool::new();
-        for node in initial_nodes {
-            pool.push(node);
-        }
-        let stats = SolveStats {
-            max_pool: pool.len(),
-            ..Default::default()
-        };
 
         *shared.status.lock().unwrap() = JobStatus::Running;
         state.running.push(JobRun {
             id,
             shared,
             priority: spec.priority,
-            problem,
-            backend_slot: slot,
-            pool,
-            ub,
-            best_schedule,
-            stats,
+            backend_key,
+            search,
             node_budget: spec.node_budget.or(spec.config.node_limit),
             deadline: spec.deadline.or(spec.config.time_limit),
             started: Instant::now(),
             finished: false,
             keep_frontier: spec.keep_frontier,
-            config: spec.config,
         });
     }
 
@@ -1338,13 +1039,19 @@ impl SolveService {
             jb.priority.cmp(&ja.priority).then(ja.id.cmp(&jb.id))
         });
         let ServiceState {
-            running, backends, ..
+            running,
+            backends,
+            finished_cost,
+            ..
         } = state;
         for idx in order {
             let run = &mut running[idx];
-            let dispatcher = &backends[run.backend_slot].dispatcher;
-            if let Some(stop) = run.step(dispatcher) {
-                let outcome = Self::finalize(run, dispatcher, stop);
+            let backend = backends
+                .get_mut(&run.backend_key)
+                .expect("admission built the job's backend");
+            if let Some(stop) = run.step(backend.as_mut()) {
+                let outcome = run.finalize(stop);
+                finished_cost.absorb(&outcome.cost);
                 *run.shared.status.lock().unwrap() = match stop {
                     JobStopReason::Cancelled => JobStatus::Cancelled,
                     JobStopReason::Deadline => JobStatus::DeadlineExpired,
@@ -1356,56 +1063,6 @@ impl SolveService {
             }
         }
         state.running.retain(|r| !r.finished);
-    }
-
-    /// Builds the terminal outcome of `run`: carve the job's accounting out
-    /// of the dispatcher, close the books the way the standalone solver
-    /// does, and attach the anytime certificate.
-    fn finalize(
-        run: &mut JobRun,
-        dispatcher: &LaunchDispatcher,
-        stop: JobStopReason,
-    ) -> JobOutcome {
-        let mut acc = dispatcher.take_job(run.id.0);
-        acc.gpu.wall_time = run.started.elapsed();
-        acc.latencies.solve.record(acc.gpu.device_schedule_time());
-        let upper = run.ub.get();
-        let lower_bound = match stop {
-            JobStopReason::Exhausted => upper,
-            _ => run.pool.best_bound().map_or(upper, |b| b.min(upper)),
-        };
-        // The frontier checkpoint, when the caller asked to keep it and the
-        // job stopped with pending work: the pool drained in pop order, the
-        // same shape a paused standalone solve writes.
-        let frontier = (run.keep_frontier && !run.pool.is_empty()).then(|| {
-            let inst = run.problem.instance();
-            let mut entries = Vec::with_capacity(run.pool.len());
-            while let Some(node) = run.pool.pop() {
-                entries.push((node.prefix_vec(), node.bound()));
-            }
-            SolveCheckpoint {
-                jobs: inst.jobs(),
-                machines: inst.machines(),
-                upper_bound: upper,
-                best_schedule: run.best_schedule.clone(),
-                proven_bound: lower_bound,
-                cost: acc.cost,
-                frontier: entries,
-            }
-        });
-        JobOutcome {
-            job: run.id,
-            best_makespan: upper,
-            best_schedule: run.best_schedule.take(),
-            stats: run.stats,
-            gpu: acc.gpu,
-            cost: acc.cost,
-            latencies: acc.latencies,
-            stop,
-            lower_bound,
-            gap: optimality_gap(upper, lower_bound),
-            frontier,
-        }
     }
 }
 

@@ -6,16 +6,16 @@
 //! (simulated) GPU, where one thread evaluates the lower bound of one
 //! sub-problem; the bounds come back and drive pruning and the incumbent.
 
-use crate::backend::make_backend;
+use crate::backend::{make_backend, BackendBatch};
 use crate::config::GpuSolverConfig;
 use crate::cost::{CostReport, SolveLatencies};
 use crate::fault::SolveCheckpoint;
 use crate::placement::MatrixId;
+use crate::search::SearchState;
 use crate::stats::GpuRunStats;
-use bb::pool::Pool;
 use bb::solver::StopReason;
 use bb::stats::SolveStats;
-use bb::{BestFirstPool, FspNode, FspProblem, SharedUpperBound};
+use bb::{FspNode, FspProblem};
 use fsp::{Instance, Job, JohnsonLowerBound, Time};
 use gpu_sim::HostModel;
 use std::time::Instant;
@@ -103,9 +103,7 @@ impl GpuBnbSolver {
 
     /// Solves from the root.
     pub fn solve(&self) -> GpuSolveOutcome {
-        let mut root = self.problem.root();
-        self.problem.bound(&mut root);
-        self.solve_from(vec![root], None, None)
+        self.solve_inner(None, None, None, None)
     }
 
     /// Solves from an explicit list of pending sub-problems (the frozen-pool
@@ -116,13 +114,7 @@ impl GpuBnbSolver {
         initial_ub: Option<Time>,
         initial_schedule: Option<Vec<Job>>,
     ) -> GpuSolveOutcome {
-        self.solve_inner(
-            initial_nodes,
-            initial_ub,
-            initial_schedule,
-            CostReport::default(),
-            true,
-        )
+        self.solve_inner(Some(initial_nodes), initial_ub, initial_schedule, None)
     }
 
     /// Resumes a solve frozen by [`GpuSolverConfig::checkpoint_after`]:
@@ -142,218 +134,104 @@ impl GpuBnbSolver {
         let nodes = checkpoint.to_nodes(self.problem.instance());
         let initial_ub = (checkpoint.upper_bound != Time::MAX).then_some(checkpoint.upper_bound);
         self.solve_inner(
-            nodes,
+            Some(nodes),
             initial_ub,
             checkpoint.best_schedule.clone(),
-            checkpoint.cost,
-            false,
+            Some(checkpoint.cost),
         )
     }
 
-    /// The shared solve loop. `cost` seeds the counters (a resumed solve
-    /// carries the checkpoint's totals forward); `record_root` charges the
-    /// initial nodes as host-side bounding work — true for fresh solves,
-    /// false on resume, where the checkpointed counters already include
-    /// them.
+    /// The solve loop: the limits and the lookahead speculation around one
+    /// [`SearchState`]. `carried` holds a resumed run's counters (see
+    /// [`SearchState::new`]).
     fn solve_inner(
         &self,
-        initial_nodes: Vec<FspNode>,
+        initial_nodes: Option<Vec<FspNode>>,
         initial_ub: Option<Time>,
         initial_schedule: Option<Vec<Job>>,
-        initial_cost: CostReport,
-        record_root: bool,
+        carried: Option<CostReport>,
     ) -> GpuSolveOutcome {
         let start = Instant::now();
-        let inst = self.problem.instance();
-        let n = inst.jobs();
-        let m = inst.machines();
-
-        let mut stats = SolveStats::default();
-        let mut gpu = GpuRunStats::default();
-        let mut cost = initial_cost;
-        let mut latencies = SolveLatencies::default();
-        // Whatever seeded the search — the root bound of `solve()` or a
-        // frozen pool — was bounded by host code before the off-load loop,
-        // so it counts against the off-loading rate as host-side work. A
-        // resumed solve skips this: the checkpointed counters it carries
-        // already charged the frontier when the original run started.
-        if record_root {
-            cost.record_host_bound(initial_nodes.len() as u64);
-        }
-        // `checkpoint_after` counts batches of this run, not lifetime
-        // totals, so a resumed solve does not re-trigger immediately.
-        let batches_at_start = cost.batches;
-
-        // Incumbent.
-        let mut best_schedule = initial_schedule;
-        let ub = match initial_ub {
-            Some(v) => SharedUpperBound::new(v),
-            None if self.config.use_initial_ub => {
-                let (perm, value) = self.problem.initial_upper_bound();
-                best_schedule = Some(perm);
-                SharedUpperBound::new(value)
-            }
-            None => SharedUpperBound::unbounded(),
-        };
+        let config = &self.config;
+        let mut search = SearchState::new(
+            self.problem.clone(),
+            config,
+            initial_nodes,
+            initial_ub,
+            initial_schedule,
+            carried,
+        );
 
         // Bounding backend (selected by `config.backend`) sized for one pool
         // plus the children of the last decomposed node.
-        let mut backend = make_backend(&self.problem, &self.config, self.config.pool_size + n);
+        let n = self.problem.instance().jobs();
+        let mut backend = make_backend(&self.problem, config, config.pool_size + n);
 
-        let mut pool = BestFirstPool::new();
-        for node in initial_nodes {
-            pool.push(node);
-        }
-        stats.max_pool = pool.len();
-
-        // Selection + branching on the CPU: accumulate children until the
-        // configured pool size is reached or the pending pool runs dry.
-        let select_batch = |pool: &mut BestFirstPool, stats: &mut SolveStats| -> Vec<FspNode> {
-            let mut batch: Vec<FspNode> = Vec::with_capacity(self.config.pool_size + n);
-            while batch.len() < self.config.pool_size {
-                let Some(node) = pool.pop() else { break };
-                stats.selected += 1;
-                if ub.prunes(node.bound()) {
-                    stats.pruned += 1;
-                    continue;
-                }
-                stats.decomposed += 1;
-                self.problem.branch_into(&node, &mut batch);
-            }
-            batch
-        };
-
-        // Device accounting + elimination of one bounded batch. Factored
-        // out so a pending lookahead batch can be consumed on the
-        // (time-limit) break path too — every batch the backend bounds is
-        // either consumed here or never submitted, so
-        // `gpu.nodes_bounded == stats.bounded` holds unconditionally.
-        let consume = |batch: Vec<FspNode>,
-                       result: crate::backend::BackendBatch,
-                       pool: &mut BestFirstPool,
-                       stats: &mut SolveStats,
-                       gpu: &mut GpuRunStats,
-                       cost: &mut CostReport,
-                       latencies: &mut SolveLatencies,
-                       best_schedule: &mut Option<Vec<Job>>| {
-            let acc = result.accounting;
-            let accesses = crate::backend::serial_accesses(n, m, &batch);
-            gpu.absorb_batch(&acc, batch.len() as u64, accesses);
-            cost.record_backend_batch(&acc, batch.len() as u64, accesses);
-            for launch in &result.launch_times {
-                latencies.launch.record(*launch);
-            }
-            latencies.batch.record(acc.device_time);
-
-            // Elimination on the CPU.
-            for (mut child, bound) in batch.into_iter().zip(result.bounds) {
-                child.set_bound(bound);
-                stats.bounded += 1;
-                if self.problem.is_leaf(&child) {
-                    stats.leaves += 1;
-                    let cost = self.problem.leaf_cost(&child);
-                    if ub.try_improve(cost) {
-                        stats.improvements += 1;
-                        *best_schedule = Some(child.prefix_vec());
-                    }
-                } else if ub.prunes(bound) {
-                    stats.pruned += 1;
-                } else {
-                    pool.push(child);
-                }
-            }
-            stats.max_pool = stats.max_pool.max(pool.len());
-        };
-
-        // Lookahead admission guard. The legacy heuristic speculates only
-        // when the pending pool could fill a batch by itself
-        // (`pool.len() >= pool_size`) — a depth proxy for "the speculative
-        // batch will not be built from stale, shallow nodes". The default
-        // guard prices the same trade with the deterministic counters the
-        // solve has already accumulated: speculation pays when the overlap
-        // saving the backend has demonstrated per batch
+        // Lookahead admission guard, priced with the deterministic counters
+        // the solve has already accumulated: speculation pays when the
+        // overlap saving the backend has demonstrated per batch
         // (`(kernel + transfer − schedule) / batches`, zero for backends
         // that cannot overlap) exceeds a staleness penalty that scales the
         // mean batch schedule time by the pool deficit
         // (`(schedule / batches) · deficit / pool_size`). All-integer and
         // derived from modelled time only, so the decision is bit-identical
         // across machines. With no batch recorded yet there is no evidence
-        // either way and both guards fall back to the depth rule.
+        // either way, and the guard speculates only when the pending pool
+        // could fill a batch by itself.
         let speculation_pays = |cost: &CostReport, pool_len: usize| -> bool {
-            if self.config.lookahead_pool_guard || cost.batches == 0 {
-                return pool_len >= self.config.pool_size;
+            if cost.batches == 0 {
+                return pool_len >= config.pool_size;
             }
             let saving = (cost.kernel_nanos + cost.transfer_nanos)
                 .saturating_sub(cost.schedule_nanos)
                 / cost.batches;
-            let deficit = self.config.pool_size.saturating_sub(pool_len) as u64;
+            let deficit = config.pool_size.saturating_sub(pool_len) as u64;
             let penalty =
-                cost.schedule_nanos / cost.batches * deficit / self.config.pool_size.max(1) as u64;
+                cost.schedule_nanos / cost.batches * deficit / config.pool_size.max(1) as u64;
             saving > penalty
         };
 
         let mut stop = StopReason::Exhausted;
         // Lookahead queue (cross-iteration pipelining): the batch of pool
         // k+1 already bounded by the backend while pool k's elimination was
-        // still pending. `None` in the strict (non-lookahead) loop.
-        let mut in_flight: Option<(Vec<FspNode>, crate::backend::BackendBatch)> = None;
-        'outer: loop {
-            if let Some(after) = self.config.checkpoint_after {
-                if cost.batches - batches_at_start >= after {
-                    // A pending lookahead batch is already bounded; fold it
-                    // in first so the checkpoint sits on a true batch
-                    // boundary with no bounded node unaccounted.
-                    if let Some((batch, result)) = in_flight.take() {
-                        consume(
-                            batch,
-                            result,
-                            &mut pool,
-                            &mut stats,
-                            &mut gpu,
-                            &mut cost,
-                            &mut latencies,
-                            &mut best_schedule,
-                        );
-                    }
-                    stop = StopReason::Checkpoint;
-                    break;
-                }
+        // still pending. `None` in the strict (non-lookahead) loop. Every
+        // batch the backend bounds is consumed, on the break paths too, so
+        // no bounded node goes unaccounted.
+        let mut in_flight: Option<(Vec<FspNode>, BackendBatch)> = None;
+        loop {
+            if config
+                .checkpoint_after
+                .is_some_and(|after| search.batches_run() >= after)
+            {
+                stop = StopReason::Checkpoint;
+            } else if config
+                .node_limit
+                .is_some_and(|limit| search.stats.bounded >= limit)
+            {
+                stop = StopReason::NodeLimit;
+            } else if config
+                .time_limit
+                .is_some_and(|limit| start.elapsed() >= limit)
+            {
+                stop = StopReason::TimeLimit;
             }
-            if let Some(limit) = self.config.node_limit {
-                if stats.bounded >= limit {
-                    stop = StopReason::NodeLimit;
-                    break;
+            if stop != StopReason::Exhausted {
+                // A pending lookahead batch is already bounded: fold it in so
+                // the stop sits on a true batch boundary. (A node-limit stop
+                // never has one, see `budget_survives` below.)
+                if let Some((batch, result)) = in_flight.take() {
+                    search.consume(batch, result, |_, _| {});
                 }
-            }
-            if let Some(limit) = self.config.time_limit {
-                if start.elapsed() >= limit {
-                    // A pending lookahead batch is already bounded; apply
-                    // its elimination so no bounded node goes unaccounted
-                    // (the time limit, like the node limit, is a soft cap).
-                    if let Some((batch, result)) = in_flight.take() {
-                        consume(
-                            batch,
-                            result,
-                            &mut pool,
-                            &mut stats,
-                            &mut gpu,
-                            &mut cost,
-                            &mut latencies,
-                            &mut best_schedule,
-                        );
-                    }
-                    stop = StopReason::TimeLimit;
-                    break;
-                }
+                break;
             }
 
             let (batch, result) = match in_flight.take() {
                 Some(flight) => flight,
                 None => {
-                    let batch = select_batch(&mut pool, &mut stats);
+                    let batch = search.select_batch();
                     if batch.is_empty() {
-                        if pool.is_empty() {
-                            break 'outer;
+                        if search.pending() == 0 {
+                            break;
                         }
                         continue;
                     }
@@ -364,69 +242,39 @@ impl GpuBnbSolver {
 
             // Lookahead: select and submit pool k+1 *before* eliminating
             // pool k, so the backend bounds it while the host below runs
-            // elimination — the cross-iteration overlap of the tentpole.
-            // The selection sees the incumbent as of pool k-1's elimination
-            // (bounds are node-local, so results stay exact; pruning is
-            // re-checked per child at elimination time). Speculate only when
-            // (a) the admission guard above judges the overlap saving worth
-            // the staleness of a thin pool — on a thin pool the speculative
-            // batch would be built from stale, shallow nodes the strict loop
-            // may never visit — and (b) the node budget survives the batch
-            // in hand, so no speculative work is orphaned by the node-limit
-            // break.
-            let budget_survives = self
-                .config
+            // elimination. The selection sees the incumbent as of pool k-1's
+            // elimination (bounds are node-local, so results stay exact;
+            // pruning is re-checked per child at elimination time).
+            // Speculate only when (a) the admission guard above judges the
+            // overlap saving worth the staleness of a thin pool and (b) the
+            // node budget survives the batch in hand, so no speculative work
+            // is orphaned by the node-limit break.
+            let budget_survives = config
                 .node_limit
-                .is_none_or(|limit| stats.bounded + (batch.len() as u64) < limit);
-            if self.config.lookahead && budget_survives && speculation_pays(&cost, pool.len()) {
-                let next = select_batch(&mut pool, &mut stats);
+                .is_none_or(|limit| search.stats.bounded + (batch.len() as u64) < limit);
+            if config.lookahead
+                && budget_survives
+                && speculation_pays(&search.cost, search.pending())
+            {
+                let next = search.select_batch();
                 if !next.is_empty() {
                     let result = backend.bound_batch(&next);
                     in_flight = Some((next, result));
                 }
             }
 
-            consume(
-                batch,
-                result,
-                &mut pool,
-                &mut stats,
-                &mut gpu,
-                &mut cost,
-                &mut latencies,
-                &mut best_schedule,
-            );
+            search.consume(batch, result, |_, _| {});
         }
 
-        // Freeze the solve state on a checkpoint stop: drain the pool in
-        // pop order (re-pushing in this order reproduces it exactly), and
-        // record the certificate-relevant incumbent, bound and counters.
-        let checkpoint = (stop == StopReason::Checkpoint).then(|| {
-            let proven_bound = pool.best_bound().map_or(ub.get(), |b| b.min(ub.get()));
-            let mut frontier = Vec::with_capacity(pool.len());
-            while let Some(node) = pool.pop() {
-                frontier.push((node.prefix_vec(), node.bound()));
-            }
-            SolveCheckpoint {
-                jobs: n,
-                machines: m,
-                upper_bound: ub.get(),
-                best_schedule: best_schedule.clone(),
-                proven_bound,
-                cost,
-                frontier,
-            }
-        });
-
-        gpu.wall_time = start.elapsed();
-        latencies.solve.record(gpu.device_schedule_time());
+        let checkpoint = (stop == StopReason::Checkpoint).then(|| search.freeze());
+        let gpu = search.finish(start.elapsed());
         GpuSolveOutcome {
-            best_makespan: ub.get(),
-            best_schedule,
-            stats,
+            best_makespan: search.upper_bound(),
+            best_schedule: search.best_schedule,
+            stats: search.stats,
             gpu,
-            cost,
-            latencies,
+            cost: search.cost,
+            latencies: search.latencies,
             stop,
             checkpoint,
         }
@@ -682,48 +530,6 @@ mod tests {
         assert_eq!(strict.stats.pruned, ahead.stats.pruned);
         assert_eq!(strict.stats.selected, ahead.stats.selected);
         assert_eq!(ahead.gpu.nodes_bounded, ahead.stats.bounded);
-    }
-
-    #[test]
-    fn cost_model_lookahead_guard_matches_the_legacy_depth_guard() {
-        // The admission guard only changes *when* the loop speculates, never
-        // what it explores: under a pinned incumbent both guards visit the
-        // same node set, so retiring the depth heuristic is exploration-
-        // neutral where exactness can be proven.
-        let inst = generate("t", 9, 5, 31);
-        let reference = SerialSolver::with_defaults(FspProblem::new(inst.clone())).solve();
-        let optimal = reference.best_makespan;
-        let perm = reference.best_schedule.expect("schedule");
-        let run = |legacy_guard: bool| {
-            let cfg = GpuSolverConfig {
-                pool_size: 24,
-                backend: crate::config::BackendKind::GpuPipelined,
-                lookahead: true,
-                lookahead_pool_guard: legacy_guard,
-                fast_forward: true,
-                ..Default::default()
-            };
-            GpuBnbSolver::new(inst.clone(), cfg).solve_from(
-                {
-                    let problem = FspProblem::new(inst.clone());
-                    let mut root = problem.root();
-                    problem.bound(&mut root);
-                    vec![root]
-                },
-                Some(optimal),
-                Some(perm.clone()),
-            )
-        };
-        let cost_guard = run(false);
-        let depth_guard = run(true);
-        assert_eq!(cost_guard.best_makespan, optimal);
-        assert_eq!(depth_guard.best_makespan, optimal);
-        assert_eq!(cost_guard.stats.bounded, depth_guard.stats.bounded);
-        assert_eq!(cost_guard.stats.decomposed, depth_guard.stats.decomposed);
-        assert_eq!(cost_guard.stats.pruned, depth_guard.stats.pruned);
-        // Determinism: the guard decisions are pure functions of the cost
-        // counters, so a repeat run is bit-identical.
-        assert_eq!(cost_guard.cost, run(false).cost);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Accounting of a GPU-accelerated run: modelled device time, modelled
 //! serial time, and the speedup the paper's tables report.
 
-use crate::backend::BackendAccounting;
 use gpu_sim::{HostModel, TransferModel};
 use std::time::Duration;
 
@@ -11,10 +10,13 @@ use std::time::Duration;
 /// i.e. a few hundred cycles per generated child.
 pub const HOST_OPS_CYCLES_PER_NODE: f64 = 300.0;
 
-/// Aggregated statistics of a GPU-accelerated solve.
+/// Aggregated statistics of a GPU-accelerated solve: a view of the
+/// counters one run added to its [`crate::cost::CostReport`], built once
+/// when the run finishes (a resumed run's carried counters excluded), plus
+/// its wall time.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct GpuRunStats {
-    /// Number of bounding iterations (kernel launches).
+    /// Number of bounding iterations (batches).
     pub iterations: u64,
     /// Sub-problems bounded on the device.
     pub nodes_bounded: u64,
@@ -44,23 +46,6 @@ pub struct GpuRunStats {
 }
 
 impl GpuRunStats {
-    /// Folds one bounded batch's backend accounting into the run stats: one
-    /// iteration of `nodes` nodes plus the modelled times, bytes and launch
-    /// counts the backend reported. The single-threaded solver, the hybrid
-    /// coordinator and the service dispatcher all route through this one
-    /// fold, so the three agree on what a batch contributes.
-    pub fn absorb_batch(&mut self, acc: &BackendAccounting, nodes: u64, serial_accesses: u64) {
-        self.iterations += 1;
-        self.nodes_bounded += nodes;
-        self.kernel_time += acc.kernel_time;
-        self.transfer_time += acc.transfer_time;
-        self.overlapped_time += acc.device_time;
-        self.upload_bytes += acc.upload_bytes;
-        self.download_bytes += acc.download_bytes;
-        self.launches += acc.launches;
-        self.serial_accesses += serial_accesses;
-    }
-
     /// Modelled CPU time of the operators that remain on the host.
     pub fn host_ops_time(&self, host: &HostModel) -> Duration {
         Duration::from_secs_f64(

@@ -45,8 +45,8 @@ pub enum ParseError {
     /// A token could not be parsed as an integer.
     BadNumber(String),
     /// The header numbers are out of range (a job or machine count that is
-    /// not positive, a `jobs × machines` product that overflows, or a
-    /// recorded bound outside `0..=Time::MAX`).
+    /// not positive, more than 65,535 jobs, a `jobs × machines` product that
+    /// overflows, or a recorded bound outside `0..=Time::MAX`).
     BadHeader(String),
     /// The processing-time matrix has the wrong number of values.
     WrongMatrixSize {
@@ -102,8 +102,9 @@ impl std::error::Error for ParseError {}
 /// Input rules — anything else is a [`ParseError`], never a panic or a
 /// silently different instance:
 ///
-/// * the job and machine counts are positive and their product fits a
-///   `usize`;
+/// * the job and machine counts are positive, there are at most 65,535
+///   jobs (a search node stores the job count in 16 bits), and the
+///   product of the counts fits a `usize`;
 /// * the recorded upper and lower bounds fit a [`Time`] (a negative one
 ///   means "unknown" and reads as 0);
 /// * every processing time lies in `0..=Time::MAX` (a 0 reads as 1, as the
@@ -137,6 +138,13 @@ pub fn parse_taillard(name: &str, text: &str) -> Result<(Instance, TaillardHeade
             "jobs × machines = {jobs} × {machines} overflows"
         )));
     };
+    // Search nodes store the job count in 16 bits.
+    if jobs > usize::from(u16::MAX) {
+        return Err(ParseError::BadHeader(format!(
+            "jobs = {jobs} exceeds the {} a search node can hold",
+            u16::MAX
+        )));
+    }
     let recorded = |value: i64| {
         Time::try_from(value.max(0)).map_err(|_| {
             ParseError::BadHeader(format!("recorded bound {value} exceeds {}", Time::MAX))
@@ -297,6 +305,14 @@ mod tests {
                 parse_taillard("bad", &tiny(jobs, machines, "5 5")),
                 Err(ParseError::BadHeader(_))
             ));
+        }
+    }
+
+    #[test]
+    fn more_jobs_than_a_node_can_hold_are_rejected() {
+        match parse_taillard("bad", &tiny("65536", "1", "5")) {
+            Err(ParseError::BadHeader(msg)) => assert!(msg.contains("65536"), "{msg}"),
+            other => panic!("unexpected result: {other:?}"),
         }
     }
 

@@ -1,13 +1,14 @@
 //! End-to-end integration tests spanning every crate of the workspace: all
-//! four solvers (serial, multi-core, GPU-offloaded, hybrid) must agree on the
-//! optimum of small instances, starting either from the root or from a shared
-//! frozen pool.
+//! four solvers (serial, multi-core, GPU-offloaded, and the GPU-offloaded
+//! solve as a service job) must agree on the optimum of small instances,
+//! starting either from the root or from a shared frozen pool.
 
 use flowshop_gpu_bnb::bb::{frozen_pool, FspProblem, SerialSolver, SolverConfig};
 use flowshop_gpu_bnb::fsp::brute::brute_force_optimal;
 use flowshop_gpu_bnb::fsp::{makespan, taillard};
-use flowshop_gpu_bnb::gpu_bnb::hybrid::HybridSolver;
-use flowshop_gpu_bnb::gpu_bnb::{DataPlacement, GpuBnbSolver, GpuSolverConfig};
+use flowshop_gpu_bnb::gpu_bnb::{
+    DataPlacement, GpuBnbSolver, GpuSolverConfig, SolveRequest, SolveService,
+};
 use flowshop_gpu_bnb::multicore_bnb::{MulticoreConfig, MulticoreSolver};
 
 fn gpu_config(pool: usize) -> GpuSolverConfig {
@@ -40,15 +41,17 @@ fn all_four_solvers_agree_with_brute_force() {
         let gpu = GpuBnbSolver::new(inst.clone(), gpu_config(64)).solve();
         assert_eq!(gpu.best_makespan, expected, "gpu, seed {seed}");
 
-        let hybrid = HybridSolver::new(inst.clone(), gpu_config(64), 2).solve();
-        assert_eq!(hybrid.best_makespan, expected, "hybrid, seed {seed}");
+        let service = SolveService::with_defaults()
+            .request(SolveRequest::new(inst.clone(), gpu_config(64)))
+            .certificate;
+        assert_eq!(service.best_makespan, expected, "service, seed {seed}");
 
         // Every reported schedule must actually achieve the reported makespan.
         for schedule in [
             serial.best_schedule,
             multicore.best_schedule,
             gpu.best_schedule,
-            hybrid.best_schedule,
+            service.best_schedule,
         ]
         .into_iter()
         .flatten()

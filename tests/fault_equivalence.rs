@@ -19,7 +19,9 @@
 //!    batch boundary and resuming (standalone or through the solve
 //!    service, with concurrent jobs sharing the fleet) ends with the same
 //!    certificate as the uninterrupted run: makespan, schedule, and the
-//!    summed `CostReport`.
+//!    summed `CostReport`. The two legs' `GpuRunStats` also add up to the
+//!    uninterrupted run's (that test runs its three fixed backends
+//!    whatever the filter).
 //!
 //! Everything is modelled/deterministic — no timing flake.
 //!
@@ -36,8 +38,8 @@ use flowshop_gpu_bnb::fsp::{taillard, Instance, Time};
 use flowshop_gpu_bnb::gpu_bnb::fleet::effective_chunk;
 use flowshop_gpu_bnb::gpu_bnb::{
     fleet_member_specs, member_models, redeal_plan, BackendKind, CostReport, DataPlacement,
-    FailurePlan, FleetTopology, GpuBnbSolver, GpuSolveOutcome, GpuSolverConfig, JobSpec,
-    JobStopReason, MemberModel, ServiceConfig, SolveCheckpoint, SolveService,
+    FailurePlan, FleetTopology, GpuBnbSolver, GpuRunStats, GpuSolveOutcome, GpuSolverConfig,
+    JobSpec, JobStopReason, MemberModel, ServiceConfig, SolveCheckpoint, SolveService,
 };
 use proptest::prelude::*;
 
@@ -467,6 +469,108 @@ fn a_job_resumed_through_the_service_matches_the_uninterrupted_solve() {
             service.shared_cost(),
             "{kind}: per-job reports must still partition the shared accounting"
         );
+    }
+}
+
+/// Every modelled field of a run's `GpuRunStats` (all but the wall time),
+/// durations in nanoseconds.
+fn modelled_fields(gpu: &GpuRunStats) -> [u128; 9] {
+    [
+        gpu.iterations.into(),
+        gpu.nodes_bounded.into(),
+        gpu.kernel_time.as_nanos(),
+        gpu.transfer_time.as_nanos(),
+        gpu.overlapped_time.as_nanos(),
+        gpu.upload_bytes.into(),
+        gpu.download_bytes.into(),
+        gpu.launches.into(),
+        gpu.serial_accesses.into(),
+    ]
+}
+
+/// The modelled fields of a run paused by a checkpoint plus those of the
+/// run that resumed it.
+fn two_legs(paused: &GpuRunStats, resumed: &GpuRunStats) -> [u128; 9] {
+    let (a, b) = (modelled_fields(paused), modelled_fields(resumed));
+    std::array::from_fn(|i| a[i] + b[i])
+}
+
+#[test]
+fn gpu_run_stats_match_across_service_jobs_and_checkpoint_legs() {
+    let inst = taillard::generate("gpu-stats-9x5", 9, 5, 31);
+    for kind in [
+        BackendKind::Gpu,
+        BackendKind::GpuPipelined,
+        BackendKind::Sequential,
+    ] {
+        let config = GpuSolverConfig {
+            pool_size: 32,
+            backend: kind,
+            fast_forward: true,
+            ..Default::default()
+        };
+        let whole = GpuBnbSolver::new(inst.clone(), config.clone()).solve();
+        let fields = modelled_fields(&whole.gpu);
+        // A fresh run's stats are its batches' share of the cost report.
+        let cost = &whole.cost;
+        let expected: [u128; 9] = [
+            cost.batches,
+            whole.stats.bounded,
+            cost.kernel_nanos,
+            cost.transfer_nanos,
+            cost.schedule_nanos,
+            cost.h2d_bytes,
+            cost.d2h_bytes,
+            cost.launches,
+            cost.serial_accesses,
+        ]
+        .map(u128::from);
+        assert_eq!(
+            fields, expected,
+            "{kind}: stats disagree with the cost report"
+        );
+        assert!(whole.gpu.iterations > 3, "{kind}: need room to pause");
+        assert!(!whole.gpu.kernel_time.is_zero(), "{kind}");
+
+        let service = SolveService::with_defaults();
+        let job = service.submit(JobSpec::new(inst.clone(), config.clone()));
+        service.run_until_idle();
+        let job = job.outcome().expect("job finished");
+        assert_eq!(
+            modelled_fields(&job.gpu),
+            fields,
+            "{kind}: a service job's stats must equal the standalone solve's"
+        );
+
+        for after in [0u64, 1, 3] {
+            let paused = GpuBnbSolver::new(
+                inst.clone(),
+                GpuSolverConfig {
+                    checkpoint_after: Some(after),
+                    ..config.clone()
+                },
+            )
+            .solve();
+            let checkpoint = paused.checkpoint.as_ref().expect("the solve paused");
+
+            let resumed = GpuBnbSolver::new(inst.clone(), config.clone()).resume(checkpoint);
+            assert_eq!(
+                two_legs(&paused.gpu, &resumed.gpu),
+                fields,
+                "{kind} after {after}: solver legs must add up to the whole run"
+            );
+
+            let service = SolveService::with_defaults();
+            let job =
+                service.submit(JobSpec::new(inst.clone(), config.clone()).resume_from(checkpoint));
+            service.run_until_idle();
+            let job = job.outcome().expect("job finished");
+            assert_eq!(
+                two_legs(&paused.gpu, &job.gpu),
+                fields,
+                "{kind} after {after}: solver and service legs must add up to the whole run"
+            );
+        }
     }
 }
 

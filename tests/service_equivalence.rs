@@ -1,16 +1,16 @@
 //! Workspace-level service-equivalence suite.
 //!
 //! The solve service's contract (see `docs/SERVICE.md`) is that cross-solve
-//! batching is **accounting-transparent**: the `LaunchDispatcher` merges
-//! batches from many jobs onto one shared fleet, but a launch never spans
-//! two jobs, so — without persistent lookahead sessions — every job's
-//! outcome is **bit-identical** to a standalone `GpuBnbSolver` run of the
-//! same spec. This suite pins that down four ways:
+//! batching is **accounting-transparent**: jobs with the same backend key
+//! run their batches back to back on one shared fleet, but a backend call
+//! never carries two jobs' nodes, so — without persistent lookahead
+//! sessions — every job's outcome is **bit-identical** to a standalone
+//! `GpuBnbSolver` run of the same spec. This suite pins that down four ways:
 //!
 //! 1. N concurrent jobs on *distinct* instances, each checked against its
 //!    own standalone solve: makespan, node counters, every cost counter and
 //!    the latency histograms all equal;
-//! 2. N concurrent jobs on the *same* instance (one shared dispatcher):
+//! 2. N concurrent jobs on the *same* instance (one shared backend):
 //!    bit-identical to each other and to the standalone solve, and the
 //!    per-job `CostReport`s sum exactly to `SolveService::shared_cost`;
 //! 3. cancellation regression — a job cancelled while queued never touches
@@ -141,7 +141,7 @@ fn concurrent_jobs_match_standalone_solves_on_distinct_instances() {
 }
 
 #[test]
-fn same_instance_jobs_share_one_dispatcher_and_stay_exact() {
+fn same_instance_jobs_share_one_backend_and_stay_exact() {
     let (inst, frozen) = workload(10, 6, 31);
     for kind in gated_kinds() {
         let config = config_for(kind);
@@ -159,7 +159,7 @@ fn same_instance_jobs_share_one_dispatcher_and_stay_exact() {
             assert_eq!(outcome.stats, reference.stats, "{kind}");
             assert_eq!(
                 outcome.cost, reference.cost,
-                "{kind}: sharing one dispatcher must not leak accounting across jobs"
+                "{kind}: sharing one backend must not leak accounting across jobs"
             );
             summed.absorb(&outcome.cost);
         }
