@@ -41,7 +41,7 @@ impl NodeBound for JohnsonLowerBound {
     }
 
     fn bound_nodes(&self, nodes: &[FspNode], out: &mut [Time]) {
-        self.bound_many(&mut BoundScratch::new(), nodes, out);
+        self.bound_many(&mut BoundScratch::new(), nodes, out, Time::MAX);
     }
 
     fn bound_name(&self) -> &'static str {

@@ -5,6 +5,7 @@
 use bench::workloads::PreparedInstance;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fsp::taillard::InstanceClass;
+use fsp::Time;
 use gpu_bnb::{BoundingEngine, DataPlacement};
 
 fn bench_block_sizes(c: &mut Criterion) {
@@ -23,7 +24,7 @@ fn bench_block_sizes(c: &mut Criterion) {
     for block in [64usize, 128, 256, 512] {
         let mut engine =
             BoundingEngine::new(host_lb.data(), DataPlacement::SharedJmPtm, block, 26, 2048);
-        let result = engine.bound_nodes_fast(&chunk, &host_lb);
+        let result = engine.bound_nodes_fast(&chunk, &host_lb, Time::MAX);
         eprintln!(
             "  block {block:>4}: kernel {:>10.3?}  occupancy {:>2} warps/SM",
             result.kernel.duration, result.stats.occupancy.active_warps_per_sm
@@ -36,7 +37,14 @@ fn bench_block_sizes(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(block), &chunk, |b, chunk| {
             let mut engine =
                 BoundingEngine::new(host_lb.data(), DataPlacement::SharedJmPtm, block, 26, 2048);
-            b.iter(|| std::hint::black_box(engine.bound_nodes_fast(chunk, &host_lb).bounds.len()))
+            b.iter(|| {
+                std::hint::black_box(
+                    engine
+                        .bound_nodes_fast(chunk, &host_lb, Time::MAX)
+                        .bounds
+                        .len(),
+                )
+            })
         });
     }
     group.finish();

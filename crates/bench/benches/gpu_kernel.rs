@@ -12,6 +12,7 @@
 use bench::workloads::PreparedInstance;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fsp::taillard::InstanceClass;
+use fsp::Time;
 use gpu_bnb::{BoundingEngine, DataPlacement};
 
 /// Nodes in one `service-stream` launch.
@@ -46,7 +47,12 @@ fn bench_kernel(c: &mut Criterion) {
                     let mut engine =
                         BoundingEngine::new(host_lb.data(), placement.clone(), 256, 26, 512);
                     b.iter(|| {
-                        std::hint::black_box(engine.bound_nodes_fast(chunk, &host_lb).bounds.len())
+                        std::hint::black_box(
+                            engine
+                                .bound_nodes_fast(chunk, &host_lb, Time::MAX)
+                                .bounds
+                                .len(),
+                        )
                     })
                 },
             );

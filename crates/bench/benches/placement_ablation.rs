@@ -9,6 +9,7 @@
 use bench::workloads::PreparedInstance;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fsp::taillard::InstanceClass;
+use fsp::Time;
 use gpu_bnb::placement::MatrixId;
 use gpu_bnb::{BoundingEngine, DataPlacement};
 
@@ -37,7 +38,7 @@ fn bench_placements(c: &mut Criterion) {
     eprintln!("modelled kernel time for one 1024-node pool (100x20), per placement:");
     for placement in placements() {
         let mut engine = BoundingEngine::new(host_lb.data(), placement.clone(), 256, 26, 1024);
-        let result = engine.bound_nodes_fast(&chunk, &host_lb);
+        let result = engine.bound_nodes_fast(&chunk, &host_lb, Time::MAX);
         eprintln!(
             "  {:>16}: kernel {:>10.3?}  occupancy {:>2} warps/SM  shared {:>6} B/block",
             placement.name(),
@@ -57,7 +58,12 @@ fn bench_placements(c: &mut Criterion) {
                 let mut engine =
                     BoundingEngine::new(host_lb.data(), placement.clone(), 256, 26, 1024);
                 b.iter(|| {
-                    std::hint::black_box(engine.bound_nodes_fast(chunk, &host_lb).bounds.len())
+                    std::hint::black_box(
+                        engine
+                            .bound_nodes_fast(chunk, &host_lb, Time::MAX)
+                            .bounds
+                            .len(),
+                    )
                 })
             },
         );

@@ -906,7 +906,14 @@ fn run_once(
                 },
             );
             let outcome = match (resume, frozen) {
-                (Some(checkpoint), _) => solver.resume(checkpoint),
+                (Some(checkpoint), _) => match solver.resume(checkpoint) {
+                    Ok(outcome) => outcome,
+                    Err(msg) => {
+                        let path = opts.resume.as_deref().unwrap_or_default();
+                        eprintln!("error: cannot resume from checkpoint {path}: {msg}");
+                        std::process::exit(1);
+                    }
+                },
                 (None, Some(f)) => solver.solve_from(f.nodes, Some(f.upper_bound), f.best_schedule),
                 (None, None) => solver.solve(),
             };
@@ -1498,14 +1505,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            if checkpoint.jobs != jobs || checkpoint.machines != machines {
-                eprintln!(
-                    "error: checkpoint {path} was written for a {}x{} instance, \
-                     not the requested {jobs}x{machines}",
-                    checkpoint.jobs, checkpoint.machines,
-                );
-                return ExitCode::FAILURE;
-            }
             eprintln!(
                 "resume: continuing from {path} — {} frontier nodes, {} batches done",
                 checkpoint.frontier.len(),

@@ -18,7 +18,7 @@ use crate::config::{GpuSolverConfig, PAPER_POOL_SIZES};
 use crate::offload::BoundingEngine;
 use crate::placement::MatrixId;
 use bb::{frozen_pool, FspProblem};
-use fsp::Instance;
+use fsp::{Instance, Time};
 use gpu_sim::{DeviceSpec, HostModel};
 
 /// Measurement for one candidate pool size.
@@ -216,7 +216,7 @@ pub fn autotune_pipeline_chunk(
 
     let mut measurements = Vec::with_capacity(candidates.len());
     for &chunk_size in &candidates {
-        let result = engine.bound_nodes_pipelined(nodes, chunk_size, Some(&lb));
+        let result = engine.bound_nodes_pipelined(nodes, chunk_size, Some((&lb, Time::MAX)));
         let overlapped = result.overlapped_time.as_secs_f64();
         let serialized = result.serialized_device_time().as_secs_f64();
         measurements.push(ChunkSizeMeasurement {

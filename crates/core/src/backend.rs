@@ -95,8 +95,16 @@ pub struct BackendBatch {
 ///
 /// * `bounds[i]` is the lower bound of `nodes[i]` — input order, one entry
 ///   per node;
-/// * bounds are **bit-identical across implementations** (they all evaluate
-///   the paper's Johnson bound; only the cost model differs);
+/// * [`BoundingBackend::bound_batch`] returns the exact Johnson bound, and
+///   exact bounds are **bit-identical across implementations** (they all
+///   evaluate the paper's bound; only the cost model differs);
+/// * [`BoundingBackend::bound_batch_below`] bounds against the incumbent
+///   `cutoff` with the contract of
+///   [`JohnsonLowerBound::bound_many`]: every bound is at most the exact
+///   one, equals it when the exact bound is below `cutoff`, and is at least
+///   `cutoff` otherwise. A node the cut-off prunes may get any such value,
+///   so two backends agree on exactly the bounds below `cutoff`;
+/// * the accounting never depends on `cutoff`;
 /// * an empty batch is a no-op returning empty bounds and zero accounting;
 /// * batches up to [`BoundingBackend::max_batch`] must be accepted in one
 ///   call (callers size batches against it).
@@ -105,8 +113,15 @@ pub trait BoundingBackend: Send {
     /// built-in implementations).
     fn name(&self) -> &'static str;
 
-    /// Bounds every node of `nodes`, in input order.
-    fn bound_batch(&mut self, nodes: &[FspNode]) -> BackendBatch;
+    /// Bounds every node of `nodes`, in input order, for a search whose
+    /// incumbent is `cutoff` ([`Time::MAX`] when there is none): nodes
+    /// whose bound reaches it may stop short of their exact bound.
+    fn bound_batch_below(&mut self, nodes: &[FspNode], cutoff: Time) -> BackendBatch;
+
+    /// Bounds every node of `nodes` exactly, in input order.
+    fn bound_batch(&mut self, nodes: &[FspNode]) -> BackendBatch {
+        self.bound_batch_below(nodes, Time::MAX)
+    }
 
     /// Largest batch this backend accepts in one call (`None` = unbounded).
     fn max_batch(&self) -> Option<usize> {
@@ -219,9 +234,10 @@ impl BoundingBackend for SequentialBackend {
         BackendKind::Sequential.name()
     }
 
-    fn bound_batch(&mut self, nodes: &[FspNode]) -> BackendBatch {
+    fn bound_batch_below(&mut self, nodes: &[FspNode], cutoff: Time) -> BackendBatch {
         let mut bounds = vec![0; nodes.len()];
-        self.lb.bound_many(&mut self.scratch, nodes, &mut bounds);
+        self.lb
+            .bound_many(&mut self.scratch, nodes, &mut bounds, cutoff);
         let accesses = serial_accesses(self.jobs, self.machines, nodes);
         let compute = self
             .host
@@ -293,7 +309,9 @@ impl BoundingBackend for MulticoreBackend {
         BackendKind::Multicore.name()
     }
 
-    fn bound_batch(&mut self, nodes: &[FspNode]) -> BackendBatch {
+    /// Exact bounds whatever the cut-off: the workers bound their chunks
+    /// through [`bb::problem::NodeBound::bound_nodes`], which has none.
+    fn bound_batch_below(&mut self, nodes: &[FspNode], _cutoff: Time) -> BackendBatch {
         let bounds = self.pool.bound_batch(nodes, self.lb.as_ref());
         let accesses = serial_accesses(self.jobs, self.machines, nodes);
         let serial = self
@@ -371,9 +389,11 @@ impl BoundingBackend for GpuBackend {
         BackendKind::Gpu.name()
     }
 
-    fn bound_batch(&mut self, nodes: &[FspNode]) -> BackendBatch {
+    /// Fast-forward mode bounds against `cutoff`; the functional kernel is
+    /// the paper's and returns exact bounds.
+    fn bound_batch_below(&mut self, nodes: &[FspNode], cutoff: Time) -> BackendBatch {
         let result = if self.fast_forward {
-            self.engine.bound_nodes_fast(nodes, &self.host_lb)
+            self.engine.bound_nodes_fast(nodes, &self.host_lb, cutoff)
         } else {
             self.engine.bound_nodes(nodes)
         };
@@ -481,7 +501,9 @@ impl BoundingBackend for PipelinedGpuBackend {
         BackendKind::GpuPipelined.name()
     }
 
-    fn bound_batch(&mut self, nodes: &[FspNode]) -> BackendBatch {
+    /// Fast-forward mode bounds against `cutoff`; the functional kernel is
+    /// the paper's and returns exact bounds.
+    fn bound_batch_below(&mut self, nodes: &[FspNode], cutoff: Time) -> BackendBatch {
         if nodes.is_empty() {
             return BackendBatch {
                 bounds: Vec::new(),
@@ -490,7 +512,7 @@ impl BoundingBackend for PipelinedGpuBackend {
             };
         }
         let chunk = self.chunk_for(nodes.len());
-        let host = self.fast_forward.then_some(self.host_lb.as_ref());
+        let host = self.fast_forward.then_some((self.host_lb.as_ref(), cutoff));
         // Cross-iteration mode threads the batch through the persistent
         // session (device_time is then the critical-path increment);
         // otherwise each batch gets a standalone fill-and-drain schedule.

@@ -36,8 +36,9 @@
 use crate::config::GpuSolverConfig;
 use crate::cost::{CostReport, COST_COUNTERS};
 use crate::fleet::{plan_shards_weighted, steal_pass, FleetShard, MemberModel};
-use bb::FspNode;
-use fsp::{Instance, Job, Time};
+use bb::problem::NodeBound;
+use bb::{FspNode, FspProblem};
+use fsp::{Job, JohnsonLowerBound, Time};
 
 /// Schema tag of the checkpoint JSON document.
 pub const CHECKPOINT_SCHEMA_VERSION: &str = "flowshop-bnb-checkpoint/v1";
@@ -255,27 +256,58 @@ pub struct SolveCheckpoint {
 }
 
 impl SolveCheckpoint {
-    /// Rebuilds the frontier as solver nodes against `inst`.
+    /// Rebuilds the frontier as solver nodes of `problem`, after checking
+    /// that the checkpoint could have been written by a solve of it.
     ///
-    /// # Panics
-    ///
-    /// Panics if `inst`'s shape disagrees with the checkpoint's.
-    pub fn to_nodes(&self, inst: &Instance) -> Vec<FspNode> {
-        assert_eq!(
-            (self.jobs, self.machines),
-            (inst.jobs(), inst.machines()),
-            "checkpoint shape {}x{} does not match the instance",
-            self.jobs,
-            self.machines
-        );
-        self.frontier
-            .iter()
-            .map(|(prefix, bound)| {
-                let mut node = FspNode::from_prefix(inst, prefix);
-                node.set_bound(*bound);
-                node
-            })
-            .collect()
+    /// Rejects, with a reason: a shape other than the instance's; a prefix
+    /// or a `best_schedule` that is not made of distinct jobs of the
+    /// instance; a `best_schedule` whose makespan is not `upper_bound`; and
+    /// a frontier bound other than the node's exact bound. Without a
+    /// schedule, `upper_bound` is taken as given. The check re-bounds the
+    /// frontier on the host and books no cost counter.
+    pub fn to_nodes(
+        &self,
+        problem: &FspProblem<JohnsonLowerBound>,
+    ) -> Result<Vec<FspNode>, String> {
+        let inst = problem.instance();
+        if (self.jobs, self.machines) != (inst.jobs(), inst.machines()) {
+            return Err(format!(
+                "checkpoint shape {}x{} does not match the instance's {}x{}",
+                self.jobs,
+                self.machines,
+                inst.jobs(),
+                inst.machines()
+            ));
+        }
+        if let Some(schedule) = &self.best_schedule {
+            check_permutation(schedule, self.jobs)?;
+            let makespan = fsp::makespan(inst, schedule);
+            if makespan != self.upper_bound {
+                return Err(format!(
+                    "best_schedule has makespan {makespan}, not the upper_bound {}",
+                    self.upper_bound
+                ));
+            }
+        }
+        let mut nodes = Vec::with_capacity(self.frontier.len());
+        for (i, (prefix, _)) in self.frontier.iter().enumerate() {
+            check_distinct_jobs(prefix, self.jobs)
+                .map_err(|e| format!("frontier entry {i}: prefix {e}"))?;
+            nodes.push(FspNode::from_prefix(inst, prefix));
+        }
+        let mut exact = vec![0; nodes.len()];
+        problem.bound_fn().bound_nodes(&nodes, &mut exact);
+        for (i, ((node, &exact), (_, stored))) in
+            nodes.iter_mut().zip(&exact).zip(&self.frontier).enumerate()
+        {
+            if *stored != exact {
+                return Err(format!(
+                    "frontier entry {i}: stored bound {stored} is not the node's bound {exact}"
+                ));
+            }
+            node.set_bound(exact);
+        }
+        Ok(nodes)
     }
 
     /// Serializes the checkpoint as a standalone JSON document (schema
@@ -336,13 +368,7 @@ impl SolveCheckpoint {
             value => Some(jobs_from_json(value, "best_schedule")?),
         };
         if let Some(schedule) = &best_schedule {
-            check_distinct_jobs(schedule, jobs).map_err(|e| format!("best_schedule {e}"))?;
-            if schedule.len() != jobs {
-                return Err(format!(
-                    "best_schedule has {} jobs, not a permutation of 0..{jobs}",
-                    schedule.len()
-                ));
-            }
+            check_permutation(schedule, jobs)?;
         }
         let proven_bound = get(obj, "proven_bound")?.as_time("proven_bound")?;
         let cost_entries = get(obj, "cost")?.as_object("cost")?;
@@ -415,6 +441,19 @@ fn check_distinct_jobs(list: &[Job], jobs: usize) -> Result<(), String> {
         if !seen.insert(job) {
             return Err(format!("repeats job {job}"));
         }
+    }
+    Ok(())
+}
+
+/// `Ok` when `schedule`, the checkpoint's `best_schedule`, is a
+/// permutation of `0..jobs`.
+fn check_permutation(schedule: &[Job], jobs: usize) -> Result<(), String> {
+    check_distinct_jobs(schedule, jobs).map_err(|e| format!("best_schedule {e}"))?;
+    if schedule.len() != jobs {
+        return Err(format!(
+            "best_schedule has {} jobs, not a permutation of 0..{jobs}",
+            schedule.len()
+        ));
     }
     Ok(())
 }
@@ -748,29 +787,94 @@ mod tests {
 
     #[test]
     fn checkpoint_json_round_trips_exactly() {
-        let inst = generate("t", 8, 4, 21);
+        let problem = FspProblem::new(generate("t", 8, 4, 21));
+        let inst = problem.instance();
         let mut cost = CostReport::default();
         cost.record_host_bound(3);
         cost.fleet_failures = 2;
         cost.fleet_redealt_nodes = 96;
         cost.fleet_recovery_nanos = 12_345;
+        let schedule = vec![2, 0, 1, 3, 4, 5, 6, 7];
+        let prefixes = [vec![2, 0], vec![1], vec![]];
         let checkpoint = SolveCheckpoint {
             jobs: inst.jobs(),
             machines: inst.machines(),
-            upper_bound: 431,
-            best_schedule: Some(vec![2, 0, 1, 3, 4, 5, 6, 7]),
+            upper_bound: fsp::makespan(inst, &schedule),
+            best_schedule: Some(schedule),
             proven_bound: 410,
             cost,
-            frontier: vec![(vec![2, 0], 410), (vec![1], 415), (vec![], 420)],
+            frontier: prefixes
+                .iter()
+                .map(|prefix| {
+                    let node = FspNode::from_prefix(inst, prefix);
+                    (prefix.clone(), problem.bound_fn().bound_node(&node))
+                })
+                .collect(),
         };
         let parsed = SolveCheckpoint::from_json(&checkpoint.to_json()).expect("round trip");
         assert_eq!(parsed, checkpoint);
         // The frontier rebuilds into solver nodes with the stored bounds.
-        let nodes = parsed.to_nodes(&inst);
+        let nodes = parsed.to_nodes(&problem).expect("a consistent checkpoint");
         assert_eq!(nodes.len(), 3);
         assert_eq!(nodes[0].prefix_vec(), vec![2, 0]);
-        assert_eq!(nodes[0].bound(), 410);
+        assert_eq!(nodes[0].bound(), checkpoint.frontier[0].1);
         assert_eq!(nodes[2].prefix_vec(), Vec::<Job>::new());
+    }
+
+    #[test]
+    fn to_nodes_rejects_a_checkpoint_the_instance_cannot_have_produced() {
+        let problem = FspProblem::new(generate("t", 8, 4, 21));
+        let inst = problem.instance();
+        let schedule: Vec<Job> = (0..8).collect();
+        let makespan = fsp::makespan(inst, &schedule);
+        let root_bound = problem.bound_fn().bound_node(&problem.root());
+        let valid = SolveCheckpoint {
+            jobs: 8,
+            machines: 4,
+            upper_bound: makespan,
+            best_schedule: Some(schedule),
+            proven_bound: root_bound,
+            cost: CostReport::default(),
+            frontier: vec![(vec![], root_bound)],
+        };
+        assert!(valid.to_nodes(&problem).is_ok());
+
+        let reject = |edit: &dyn Fn(&mut SolveCheckpoint)| {
+            let mut checkpoint = valid.clone();
+            edit(&mut checkpoint);
+            checkpoint.to_nodes(&problem).expect_err("must be rejected")
+        };
+        assert_eq!(
+            reject(&|c| c.machines = 5),
+            "checkpoint shape 8x5 does not match the instance's 8x4"
+        );
+        assert_eq!(
+            reject(&|c| c.upper_bound -= 1),
+            format!(
+                "best_schedule has makespan {makespan}, not the upper_bound {}",
+                makespan - 1
+            )
+        );
+        assert_eq!(
+            reject(&|c| c.frontier[0].1 += 1),
+            format!(
+                "frontier entry 0: stored bound {} is not the node's bound {root_bound}",
+                root_bound + 1
+            )
+        );
+        assert_eq!(
+            reject(&|c| c.frontier[0].0 = vec![3, 3]),
+            "frontier entry 0: prefix repeats job 3"
+        );
+        assert_eq!(
+            reject(&|c| c.best_schedule = Some(vec![0, 1])),
+            "best_schedule has 2 jobs, not a permutation of 0..8"
+        );
+        // Without a schedule the incumbent value is taken as given.
+        let mut unproven = valid.clone();
+        unproven.best_schedule = None;
+        unproven.upper_bound = makespan - 1;
+        assert!(unproven.to_nodes(&problem).is_ok());
     }
 
     #[test]

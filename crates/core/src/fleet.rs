@@ -778,7 +778,9 @@ impl BoundingBackend for FleetBackend {
         self.name
     }
 
-    fn bound_batch(&mut self, nodes: &[FspNode]) -> BackendBatch {
+    /// Fast-forward members bound against `cutoff`; functional-kernel and
+    /// CPU members return exact bounds.
+    fn bound_batch_below(&mut self, nodes: &[FspNode], cutoff: Time) -> BackendBatch {
         if nodes.is_empty() {
             return BackendBatch {
                 bounds: Vec::new(),
@@ -858,7 +860,7 @@ impl BoundingBackend for FleetBackend {
                     &member.gather
                 }
             };
-            let host = self.fast_forward.then_some(self.host_lb.as_ref());
+            let host = self.fast_forward.then_some((self.host_lb.as_ref(), cutoff));
             let (result, device_nodes): (PipelinedBatch, u64) = match &mut member.engine {
                 MemberEngine::Gpu { engine, session } => {
                     let result = if self.pipelined {
@@ -883,7 +885,7 @@ impl BoundingBackend for FleetBackend {
                         }
                     } else {
                         let r = match host {
-                            Some(lb) => engine.bound_nodes_fast(shard_nodes, lb),
+                            Some((lb, cutoff)) => engine.bound_nodes_fast(shard_nodes, lb, cutoff),
                             None => engine.bound_nodes(shard_nodes),
                         };
                         let shard_waves = engine.device().spec().waves(r.stats.grid_blocks) as u64;

@@ -440,7 +440,8 @@ impl BoundingEngine {
     }
 
     /// Bounds `nodes` in fast-forward mode: the lower bounds come from the
-    /// host batch bound ([`JohnsonLowerBound::bound_many`]) and the kernel
+    /// host batch bound ([`JohnsonLowerBound::bound_many`], against the
+    /// incumbent `cutoff`; [`Time::MAX`] for exact bounds) and the kernel
     /// timing is derived from the analytically known access counts — the
     /// two paths share the cost function, so the timing matches
     /// [`BoundingEngine::bound_nodes`] exactly (see the tests below).
@@ -448,6 +449,7 @@ impl BoundingEngine {
         &mut self,
         nodes: &[FspNode],
         host_bound: &JohnsonLowerBound,
+        cutoff: Time,
     ) -> BoundingResult {
         assert!(
             nodes.len() <= self.max_pool,
@@ -459,7 +461,7 @@ impl BoundingEngine {
             return self.empty_result();
         }
         let mut bounds = vec![0; nodes.len()];
-        host_bound.bound_many(&mut self.scratch, nodes, &mut bounds);
+        host_bound.bound_many(&mut self.scratch, nodes, &mut bounds, cutoff);
         let workload = AnalyticWorkload {
             tally: self.analytic_tally(nodes),
             total_threads: nodes.len(),
@@ -478,9 +480,11 @@ impl BoundingEngine {
     /// [`BoundingEngine::bound_nodes`]; the modelled wall time is the
     /// timeline makespan instead of the serialized sum.
     ///
-    /// With `host_bound` supplied the bounds come from the host batch bound
-    /// and the kernel timing is analytic (fast-forward mode) — results and
-    /// modelled times match the functional path exactly.
+    /// With `host_bound` supplied — the host batch bound and the incumbent
+    /// it bounds against ([`JohnsonLowerBound::bound_many`]; [`Time::MAX`]
+    /// for exact bounds) — the bounds come from the host and the kernel
+    /// timing is analytic (fast-forward mode): modelled times match the
+    /// functional path exactly, and so do the bounds below the cut-off.
     ///
     /// This entry point models a **standalone** batch: the pipeline fills
     /// and drains within the call. To overlap batches of consecutive solver
@@ -494,7 +498,7 @@ impl BoundingEngine {
         &mut self,
         nodes: &[FspNode],
         chunk_size: usize,
-        host_bound: Option<&JohnsonLowerBound>,
+        host_bound: Option<(&JohnsonLowerBound, Time)>,
     ) -> PipelinedBoundingResult {
         let mut session = self.pipeline_session();
         let batch = self.bound_nodes_pipelined_in(nodes, chunk_size, host_bound, &mut session);
@@ -545,7 +549,9 @@ impl BoundingEngine {
     /// * chunk-level H2D → kernel → D2H dependencies and per-stream FIFO
     ///   order, as in the standalone pipeline.
     ///
-    /// Bounds are bit-identical to [`BoundingEngine::bound_nodes`].
+    /// Bounds are bit-identical to [`BoundingEngine::bound_nodes`], below
+    /// the cut-off of `host_bound` in fast-forward mode (see
+    /// [`BoundingEngine::bound_nodes_pipelined`]).
     ///
     /// # Panics
     ///
@@ -554,7 +560,7 @@ impl BoundingEngine {
         &mut self,
         nodes: &[FspNode],
         chunk_size: usize,
-        host_bound: Option<&JohnsonLowerBound>,
+        host_bound: Option<(&JohnsonLowerBound, Time)>,
         session: &mut PipelineSession,
     ) -> PipelinedBatch {
         assert!(chunk_size > 0, "the pipeline needs a positive chunk size");
@@ -568,9 +574,9 @@ impl BoundingEngine {
         // Fast-forward bounds the whole batch in one host pass; the chunk
         // loop below then only drives the modelled timeline.
         let mut bounds: Vec<Time> = match host_bound {
-            Some(lb) => {
+            Some((lb, cutoff)) => {
                 let mut bounds = vec![0; nodes.len()];
-                lb.bound_many(&mut self.scratch, nodes, &mut bounds);
+                lb.bound_many(&mut self.scratch, nodes, &mut bounds, cutoff);
                 bounds
             }
             None => Vec::with_capacity(nodes.len()),
@@ -891,7 +897,7 @@ mod tests {
         let (mut engine, lb) = engine_for(&inst, DataPlacement::SharedJmPtm, 64);
         let nodes = some_nodes(&inst, 50);
         let functional = engine.bound_nodes(&nodes);
-        let fast = engine.bound_nodes_fast(&nodes, &lb);
+        let fast = engine.bound_nodes_fast(&nodes, &lb, Time::MAX);
         assert_eq!(functional.bounds, fast.bounds);
         assert_eq!(functional.kernel.duration, fast.kernel.duration);
         assert_eq!(functional.transfer_time, fast.transfer_time);
@@ -969,7 +975,7 @@ mod tests {
         let (mut engine, lb) = engine_for(&inst, DataPlacement::SharedJmPtm, 64);
         let nodes = some_nodes(&inst, 48);
         let functional = engine.bound_nodes_pipelined(&nodes, 12, None);
-        let fast = engine.bound_nodes_pipelined(&nodes, 12, Some(&lb));
+        let fast = engine.bound_nodes_pipelined(&nodes, 12, Some((&lb, Time::MAX)));
         assert_eq!(functional.bounds, fast.bounds);
         assert_eq!(functional.kernel_time, fast.kernel_time);
         assert_eq!(functional.transfer_time, fast.transfer_time);
@@ -1094,7 +1100,7 @@ mod tests {
         let mut session = engine.pipeline_session();
         let mut last_len = 0;
         for chunk in nodes.chunks(20) {
-            engine.bound_nodes_pipelined_in(chunk, 7, Some(&lb), &mut session);
+            engine.bound_nodes_pipelined_in(chunk, 7, Some((&lb, Time::MAX)), &mut session);
             let retained = session.timeline().events().count();
             assert!(
                 retained <= 4 * 3 + 1,
@@ -1133,7 +1139,7 @@ mod tests {
         for chunk in nodes.chunks(16) {
             fast_bounds.extend(
                 engine
-                    .bound_nodes_pipelined_in(chunk, 6, Some(&lb), &mut fast)
+                    .bound_nodes_pipelined_in(chunk, 6, Some((&lb, Time::MAX)), &mut fast)
                     .bounds,
             );
         }

@@ -162,18 +162,22 @@ impl JobSpec {
     /// [`CostReport`]) is bit-identical to a job that ran uninterrupted,
     /// however many other jobs share the fleet.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the checkpoint's instance shape disagrees with the job's.
-    pub fn resume_from(mut self, checkpoint: &crate::fault::SolveCheckpoint) -> Self {
-        let nodes = checkpoint.to_nodes(&self.instance);
+    /// Returns the reason when [`crate::fault::SolveCheckpoint::to_nodes`]
+    /// rejects the checkpoint for the job's instance.
+    pub fn resume_from(
+        mut self,
+        checkpoint: &crate::fault::SolveCheckpoint,
+    ) -> Result<Self, String> {
+        let nodes = checkpoint.to_nodes(&FspProblem::new(self.instance.clone()))?;
         self.initial_nodes = Some(nodes);
         if checkpoint.upper_bound != Time::MAX {
             self.initial_upper_bound = Some(checkpoint.upper_bound);
             self.initial_schedule = checkpoint.best_schedule.clone();
         }
         self.resume_cost = Some(checkpoint.cost);
-        self
+        Ok(self)
     }
 
     /// Asks for the final pending frontier in the outcome
@@ -411,7 +415,7 @@ impl JobRun {
                 None
             };
         }
-        let result = backend.bound_batch(&batch);
+        let result = backend.bound_batch_below(&batch, self.search.upper_bound());
         let updates = &self.shared.updates;
         self.search.consume(batch, result, |makespan, after_nodes| {
             updates.lock().unwrap().push(IncumbentUpdate {

@@ -126,19 +126,20 @@ impl GpuBnbSolver {
     /// batches of *this* run, so a resumed solve under the same config
     /// checkpoints again after the same number of additional batches.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the checkpoint's instance shape disagrees with the
-    /// solver's.
-    pub fn resume(&self, checkpoint: &SolveCheckpoint) -> GpuSolveOutcome {
-        let nodes = checkpoint.to_nodes(self.problem.instance());
+    /// Returns the reason when [`SolveCheckpoint::to_nodes`] rejects the
+    /// checkpoint for this solver's problem: a certificate resumed from
+    /// it could be wrong.
+    pub fn resume(&self, checkpoint: &SolveCheckpoint) -> Result<GpuSolveOutcome, String> {
+        let nodes = checkpoint.to_nodes(&self.problem)?;
         let initial_ub = (checkpoint.upper_bound != Time::MAX).then_some(checkpoint.upper_bound);
-        self.solve_inner(
+        Ok(self.solve_inner(
             Some(nodes),
             initial_ub,
             checkpoint.best_schedule.clone(),
             Some(checkpoint.cost),
-        )
+        ))
     }
 
     /// The solve loop: the limits and the lookahead speculation around one
@@ -235,7 +236,7 @@ impl GpuBnbSolver {
                         }
                         continue;
                     }
-                    let result = backend.bound_batch(&batch);
+                    let result = backend.bound_batch_below(&batch, search.upper_bound());
                     (batch, result)
                 }
             };
@@ -258,7 +259,7 @@ impl GpuBnbSolver {
             {
                 let next = search.select_batch();
                 if !next.is_empty() {
-                    let result = backend.bound_batch(&next);
+                    let result = backend.bound_batch_below(&next, search.upper_bound());
                     in_flight = Some((next, result));
                 }
             }
@@ -323,13 +324,25 @@ mod tests {
 
     #[test]
     fn fast_forward_gives_identical_results() {
-        let inst = generate("t", 8, 4, 77);
-        let slow =
-            GpuBnbSolver::new(inst.clone(), config(48, DataPlacement::SharedJmPtm, false)).solve();
-        let fast = GpuBnbSolver::new(inst, config(48, DataPlacement::SharedJmPtm, true)).solve();
-        assert_eq!(slow.best_makespan, fast.best_makespan);
-        assert_eq!(slow.stats.bounded, fast.stats.bounded);
-        assert_eq!(slow.gpu.nodes_bounded, fast.gpu.nodes_bounded);
+        // The functional kernel bounds exactly; fast-forward bounds against
+        // the incumbent, in two passes from 9 machines (36 pairs) on.
+        for (machines, seed) in [(4, 77), (10, 78)] {
+            let inst = generate("t", 8, machines, seed);
+            let slow =
+                GpuBnbSolver::new(inst.clone(), config(48, DataPlacement::SharedJmPtm, false))
+                    .solve();
+            let fast =
+                GpuBnbSolver::new(inst, config(48, DataPlacement::SharedJmPtm, true)).solve();
+            assert!(slow.is_optimal() && fast.is_optimal(), "8x{machines}");
+            assert_eq!(slow.best_makespan, fast.best_makespan, "8x{machines}");
+            assert_eq!(slow.best_schedule, fast.best_schedule, "8x{machines}");
+            assert_eq!(slow.stats, fast.stats, "8x{machines}");
+            assert_eq!(slow.cost, fast.cost, "8x{machines}");
+            assert_eq!(
+                slow.gpu.nodes_bounded, fast.gpu.nodes_bounded,
+                "8x{machines}"
+            );
+        }
     }
 
     #[test]
@@ -632,7 +645,9 @@ mod tests {
             // Cross the wire: serialize, parse, resume from the parse.
             let checkpoint = crate::fault::SolveCheckpoint::from_json(&checkpoint.to_json())
                 .expect("round trip");
-            let resumed = GpuBnbSolver::new(inst.clone(), base.clone()).resume(&checkpoint);
+            let resumed = GpuBnbSolver::new(inst.clone(), base.clone())
+                .resume(&checkpoint)
+                .expect("the solver's own checkpoint");
             assert_eq!(resumed.stop, StopReason::Exhausted);
             assert!(resumed.checkpoint.is_none());
             // The certificate — makespan, schedule, summed cost — is

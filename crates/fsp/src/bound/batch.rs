@@ -16,6 +16,17 @@
 //! The gathered row is per-call scratch of `n` entries, not a second
 //! resident matrix layout.
 //!
+//! A node whose bound reaches the incumbent is pruned whatever its exact
+//! value (`lb ≥ ub`, Figure 1 of the paper), so the batch bound takes a
+//! cut-off: once a node's running maximum over the machine pairs reaches
+//! it, the node's remaining pairs can be skipped. With a finite cut-off
+//! and more than 32 pairs (9 or more machines), each block of 64 nodes runs
+//! in two passes. The first replays the 16 pairs that have most often
+//! raised a lane's running maximum; the second packs the lanes still below
+//! the cut-off into full lane groups and replays the other pairs over them
+//! only. The per-pair counts live in the scratch and the order is re-sorted
+//! once per call, so it follows the calls, never the clock.
+//!
 //! The single-node reference shares no code with this path on purpose: it
 //! is the oracle the equivalence suites, the serial solver and the Table I
 //! access counts rely on.
@@ -33,6 +44,14 @@ pub const LANES: usize = 8;
 /// pair's Johnson row is replayed over them: a row's scalar reads are paid
 /// once per block, not once per group.
 const BLOCK_GROUPS: usize = 8;
+
+/// Machine pairs up to which a cut-off bound still runs in one pass (eight
+/// machines). With few pairs the second pass's compaction costs more than
+/// the pairs it skips.
+const ONE_PASS_MAX_PAIRS: usize = 32;
+
+/// Pairs the first of two passes replays over every lane.
+const FIRST_PASS_PAIRS: usize = 16;
 
 /// A sub-problem as the batch bound reads it: the front of its scheduled
 /// prefix and its scheduled-set membership.
@@ -69,15 +88,62 @@ pub(crate) struct LaneScratch {
     lb: Vec<[Time; LANES]>,
     /// The current pair's Johnson row: `(job, p1, lag, p2)` per position.
     row: Vec<[u32; 4]>,
+    /// Per machine pair: live lanes whose running maximum it raised, summed
+    /// over the two-pass calls since the pair count last changed.
+    hits: Vec<u64>,
+    /// Every machine pair, most hits first: the two-pass replay order.
+    order: Vec<usize>,
+    /// Block positions of the lanes the second pass replays, in packed
+    /// order.
+    survivors: Vec<usize>,
+}
+
+impl LaneScratch {
+    /// Re-sorts the two-pass pair order by hits, keeping the previous order
+    /// among ties; a new pair count starts from index order and no hits.
+    fn sort_pairs(&mut self, pairs: usize) {
+        if self.order.len() != pairs {
+            reset(&mut self.hits, pairs, 0);
+            self.order.clear();
+            self.order.extend(0..pairs);
+        }
+        let hits = &self.hits;
+        self.order
+            .sort_by_key(|&pair| std::cmp::Reverse(hits[pair]));
+    }
+
+    /// Copies lane `from`'s working rows into lane `to` of the same block.
+    fn move_lane(&mut self, from: usize, to: usize, n: usize, m: usize) {
+        let (g, l) = (from / LANES, from % LANES);
+        let (h, k) = (to / LANES, to % LANES);
+        for job in 0..n {
+            self.keep[h * n + job][k] = self.keep[g * n + job][l];
+        }
+        for machine in 0..m {
+            self.start[h * m + machine][k] = self.start[g * m + machine][l];
+            self.tail[h * m + machine][k] = self.tail[g * m + machine][l];
+        }
+        self.live[h][k] = self.live[g][l];
+        self.lb[h][k] = self.lb[g][l];
+    }
 }
 
 impl JohnsonLowerBound {
     /// Lower bounds of `nodes` into `out`, in input order, [`LANES`] nodes
     /// per pass — the batch entry point every bounding backend uses.
     ///
-    /// Bit-identical, node for node, to [`Self::bound_prefix`]; a complete
-    /// schedule's bound is its makespan. `scratch` is reset for every block,
-    /// so one scratch serves instances of any shape.
+    /// `cutoff` is the incumbent the bounds will be pruned against. Node for
+    /// node, with `exact` the bound of [`Self::bound_prefix`]:
+    ///
+    /// * `out ≤ exact`;
+    /// * `out == exact` when `exact < cutoff`;
+    /// * `out ≥ cutoff` otherwise.
+    ///
+    /// So `out < cutoff` exactly when `exact < cutoff`, and every node the
+    /// cut-off does not prune gets its exact bound. [`Time::MAX`] gives
+    /// exact bounds throughout; a complete schedule's bound is always its
+    /// makespan. `scratch` is reset for every block, so one scratch serves
+    /// instances of any shape.
     ///
     /// # Panics
     ///
@@ -88,16 +154,77 @@ impl JohnsonLowerBound {
         scratch: &mut BoundScratch,
         nodes: &[N],
         out: &mut [Time],
+        cutoff: Time,
     ) {
         assert_eq!(nodes.len(), out.len(), "one output slot per node");
+        let s = &mut scratch.lanes;
+        let pairs = self.data().num_pairs();
+        let two_pass = cutoff != Time::MAX && pairs > ONE_PASS_MAX_PAIRS;
+        if two_pass {
+            s.sort_pairs(pairs);
+        }
         let block = LANES * BLOCK_GROUPS;
         for (nodes, out) in nodes.chunks(block).zip(out.chunks_mut(block)) {
-            self.bound_block(&mut scratch.lanes, nodes, out);
+            let groups = self.load_block(s, nodes);
+            if two_pass {
+                self.bound_block_below(s, groups, out, cutoff);
+            } else {
+                self.replay_pairs::<false>(s, 0..pairs, groups);
+                self.write_out(s, out);
+            }
         }
     }
 
-    /// Bounds up to [`BLOCK_GROUPS`] groups of [`LANES`] nodes.
-    fn bound_block<N: SubProblem>(&self, s: &mut LaneScratch, nodes: &[N], out: &mut [Time]) {
+    /// The two passes over one loaded block: the first pairs of the hit
+    /// order over every lane, then the rest over the live lanes still below
+    /// `cutoff`, packed into full groups.
+    fn bound_block_below(
+        &self,
+        s: &mut LaneScratch,
+        groups: usize,
+        out: &mut [Time],
+        cutoff: Time,
+    ) {
+        let data = self.data();
+        let (n, m) = (data.jobs(), data.machines());
+        // Held outside the scratch while the passes write to it.
+        let order = std::mem::take(&mut s.order);
+        let (first, rest) = order.split_at(FIRST_PASS_PAIRS);
+        self.replay_pairs::<true>(s, first.iter().copied(), groups);
+        self.write_out(s, out);
+
+        // Pack the survivors forward in block order: a lane only ever moves
+        // to a slot whose own lane was already packed or dropped.
+        s.survivors.clear();
+        for (i, &partial) in out.iter().enumerate() {
+            if s.live[i / LANES][i % LANES] != 0 && partial < cutoff {
+                let slot = s.survivors.len();
+                if slot != i {
+                    s.move_lane(i, slot, n, m);
+                }
+                s.survivors.push(i);
+            }
+        }
+        if !s.survivors.is_empty() {
+            let packed = s.survivors.len().div_ceil(LANES);
+            // The last packed group's spare lanes keep valid rows of their
+            // own; clearing their live mask only keeps them out of the hit
+            // counts.
+            for slot in s.survivors.len()..packed * LANES {
+                s.live[slot / LANES][slot % LANES] = 0;
+            }
+            self.replay_pairs::<true>(s, rest.iter().copied(), packed);
+            for (slot, &i) in s.survivors.iter().enumerate() {
+                out[i] = s.lb[slot / LANES][slot % LANES];
+            }
+        }
+        s.order = order;
+    }
+
+    /// Loads up to [`BLOCK_GROUPS`] groups of [`LANES`] nodes into the
+    /// working rows, with the per-machine start times and tails the pair
+    /// loop reads; returns the number of groups.
+    fn load_block<N: SubProblem>(&self, s: &mut LaneScratch, nodes: &[N]) -> usize {
         let data = self.data();
         let n = data.jobs();
         let m = data.machines();
@@ -157,8 +284,22 @@ impl JohnsonLowerBound {
                 }
             }
         }
+        groups
+    }
 
-        for pair in 0..data.num_pairs() {
+    /// Replays the Johnson rows of `pairs` over the first `groups` lane
+    /// groups, raising each lane's running maximum. With `COUNT`, each
+    /// pair is also credited with the live lanes whose maximum it raised.
+    fn replay_pairs<const COUNT: bool>(
+        &self,
+        s: &mut LaneScratch,
+        pairs: impl Iterator<Item = usize>,
+        groups: usize,
+    ) {
+        let data = self.data();
+        let n = data.jobs();
+        let m = data.machines();
+        for pair in pairs {
             let (m1, m2) = data.pair(pair);
             s.row.clear();
             s.row.extend((0..n).map(|pos| {
@@ -170,6 +311,7 @@ impl JohnsonLowerBound {
                     data.ptm(job, m2),
                 ]
             }));
+            let mut raised = 0;
             for group in 0..groups {
                 let keep = &s.keep[group * n..(group + 1) * n];
                 let mut on_m1 = s.start[group * m + m1];
@@ -186,12 +328,29 @@ impl JohnsonLowerBound {
                 }
                 let tail = &s.tail[group * m + m2];
                 let lb = &mut s.lb[group];
-                for lane in 0..LANES {
-                    lb[lane] = lb[lane].max(on_m2[lane] + tail[lane]);
+                if COUNT {
+                    let live = &s.live[group];
+                    for lane in 0..LANES {
+                        let value = on_m2[lane] + tail[lane];
+                        raised += u32::from(value > lb[lane]) & live[lane];
+                        lb[lane] = lb[lane].max(value);
+                    }
+                } else {
+                    for lane in 0..LANES {
+                        lb[lane] = lb[lane].max(on_m2[lane] + tail[lane]);
+                    }
                 }
             }
+            if COUNT {
+                s.hits[pair] += u64::from(raised);
+            }
         }
+    }
 
+    /// Each loaded node's running maximum into `out`, or its prefix
+    /// makespan when it is a complete schedule.
+    fn write_out(&self, s: &LaneScratch, out: &mut [Time]) {
+        let m = self.data().machines();
         for (i, slot) in out.iter_mut().enumerate() {
             let (group, lane) = (i / LANES, i % LANES);
             *slot = if s.live[group][lane] == 0 {
@@ -246,7 +405,7 @@ mod tests {
             let lb = JohnsonLowerBound::new(&inst);
             let nodes = vec![Prefix::new(&inst, &[]), Prefix::new(&inst, &[n - 1, 0])];
             let mut out = vec![0; 2];
-            lb.bound_many(&mut scratch, &nodes, &mut out);
+            lb.bound_many(&mut scratch, &nodes, &mut out, Time::MAX);
             for (node, &got) in nodes.iter().zip(&out) {
                 assert_eq!(
                     got,
@@ -266,6 +425,7 @@ mod tests {
             &mut BoundScratch::new(),
             &[Prefix::new(&inst, &[])],
             &mut [],
+            Time::MAX,
         );
     }
 }

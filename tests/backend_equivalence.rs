@@ -276,7 +276,7 @@ fn ta001_pipelined_schedule_beats_the_serialized_sum() {
         frozen.nodes.len(),
     );
     let chunk = frozen.nodes.len().div_ceil(4);
-    let piped = engine.bound_nodes_pipelined(&frozen.nodes, chunk, Some(&lb));
+    let piped = engine.bound_nodes_pipelined(&frozen.nodes, chunk, Some((&lb, Time::MAX)));
     assert!(piped.chunks >= 2);
     assert!(
         piped.overlapped_time < piped.serialized_device_time(),
@@ -294,7 +294,7 @@ fn overlapped_streams_never_reorder_dependent_ops() {
     let lb = problem.bound_fn().clone();
     let mut engine =
         BoundingEngine::new(lb.data(), DataPlacement::SharedJmPtm, 256, 26, nodes.len());
-    let result = engine.bound_nodes_pipelined(&nodes, 24, Some(&lb));
+    let result = engine.bound_nodes_pipelined(&nodes, 24, Some((&lb, Time::MAX)));
     let timeline = &result.timeline;
 
     // Streams are created in Device::timeline() order: host encode, H2D,

@@ -21,7 +21,10 @@
 //!    certificate as the uninterrupted run: makespan, schedule, and the
 //!    summed `CostReport`. The two legs' `GpuRunStats` also add up to the
 //!    uninterrupted run's (that test runs its three fixed backends
-//!    whatever the filter).
+//!    whatever the filter). A checkpoint whose incumbent its schedule does
+//!    not achieve, or whose frontier bounds are not the nodes' bounds, is
+//!    refused instead of resumed (on the pipelined backend whatever the
+//!    filter).
 //!
 //! Everything is modelled/deterministic — no timing flake.
 //!
@@ -34,6 +37,7 @@
 //! rows set it.
 
 use flowshop_gpu_bnb::bb::{frozen_pool, FrozenPool, FspProblem};
+use flowshop_gpu_bnb::fsp::brute::brute_force_optimal;
 use flowshop_gpu_bnb::fsp::{taillard, Instance, Time};
 use flowshop_gpu_bnb::gpu_bnb::fleet::effective_chunk;
 use flowshop_gpu_bnb::gpu_bnb::{
@@ -350,7 +354,9 @@ fn resume_at_any_batch_boundary_reproduces_the_certificate() {
                 SolveCheckpoint::from_json(&checkpoint.to_json()).expect("checkpoint parses");
             assert_eq!(restored, checkpoint, "{kind}: JSON round trip drifted");
 
-            let resumed = GpuBnbSolver::new(inst.clone(), config.clone()).resume(&restored);
+            let resumed = GpuBnbSolver::new(inst.clone(), config.clone())
+                .resume(&restored)
+                .expect("the solve's own checkpoint resumes");
             assert!(resumed.is_optimal(), "{kind} after {after}");
             assert_eq!(
                 resumed.best_makespan, uninterrupted.best_makespan,
@@ -391,7 +397,9 @@ fn chained_checkpoints_still_reach_the_uninterrupted_certificate() {
         while let Some(checkpoint) = leg.checkpoint.clone() {
             let restored =
                 SolveCheckpoint::from_json(&checkpoint.to_json()).expect("checkpoint parses");
-            leg = GpuBnbSolver::new(inst.clone(), paused_config.clone()).resume(&restored);
+            leg = GpuBnbSolver::new(inst.clone(), paused_config.clone())
+                .resume(&restored)
+                .expect("the solve's own checkpoint resumes");
             legs += 1;
             assert!(legs < 1_000, "{kind}: the chain must terminate");
         }
@@ -403,6 +411,59 @@ fn chained_checkpoints_still_reach_the_uninterrupted_certificate() {
             "{kind}: {legs} chained legs must sum to the uninterrupted cost"
         );
     }
+}
+
+#[test]
+fn a_tampered_checkpoint_is_refused_not_resumed() {
+    // A checkpoint file is outside input: an incumbent its schedule does
+    // not achieve, or frontier bounds raised to the incumbent, would resume
+    // into a wrong makespan or a wrong optimality certificate. Both the
+    // standalone solver and a service job must refuse them.
+    let config = GpuSolverConfig {
+        pool_size: 32,
+        ..config_for(BackendKind::GpuPipelined)
+    };
+    let paused_config = GpuSolverConfig {
+        checkpoint_after: Some(2),
+        ..config.clone()
+    };
+    let mut checked = 0;
+    for s in 1..=8i64 {
+        let inst = taillard::generate(format!("tamper-s{s}"), 9, 5, s * 31 + 7);
+        let paused = GpuBnbSolver::new(inst.clone(), paused_config.clone()).solve();
+        let Some(checkpoint) = paused.checkpoint else {
+            continue;
+        };
+        let optimum = brute_force_optimal(&inst).1;
+        let solver = GpuBnbSolver::new(inst.clone(), config.clone());
+        let resumed = solver
+            .resume(&checkpoint)
+            .expect("the untouched checkpoint");
+        assert_eq!(resumed.best_makespan, optimum, "s = {s}");
+
+        // Below the optimum, so a resumed solve could never correct it.
+        let mut low_incumbent = checkpoint.clone();
+        low_incumbent.upper_bound = optimum - 5;
+        let mut raised_frontier = checkpoint.clone();
+        for (_, bound) in &mut raised_frontier.frontier {
+            *bound = checkpoint.upper_bound;
+        }
+        let mut tampered = vec![("a lowered incumbent", low_incumbent)];
+        if raised_frontier != checkpoint {
+            tampered.push(("a raised frontier", raised_frontier));
+        }
+        for (what, bad) in tampered {
+            assert!(solver.resume(&bad).is_err(), "s = {s}: {what} resumed");
+            assert!(
+                JobSpec::new(inst.clone(), config.clone())
+                    .resume_from(&bad)
+                    .is_err(),
+                "s = {s}: {what} became a job"
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked >= 8, "only {checked} tampered checkpoints checked");
 }
 
 #[test]
@@ -429,8 +490,11 @@ fn a_job_resumed_through_the_service_matches_the_uninterrupted_solve() {
         };
 
         let service = SolveService::new(ServiceConfig { max_concurrent: 2 });
-        let resumed_job =
-            service.submit(JobSpec::new(inst.clone(), config.clone()).resume_from(&checkpoint));
+        let resumed_job = service.submit(
+            JobSpec::new(inst.clone(), config.clone())
+                .resume_from(&checkpoint)
+                .expect("the solve's own checkpoint resumes"),
+        );
         let fresh_job = {
             let mut spec =
                 JobSpec::new(inst.clone(), config.clone()).with_initial_nodes(frozen.nodes.clone());
@@ -553,7 +617,9 @@ fn gpu_run_stats_match_across_service_jobs_and_checkpoint_legs() {
             .solve();
             let checkpoint = paused.checkpoint.as_ref().expect("the solve paused");
 
-            let resumed = GpuBnbSolver::new(inst.clone(), config.clone()).resume(checkpoint);
+            let resumed = GpuBnbSolver::new(inst.clone(), config.clone())
+                .resume(checkpoint)
+                .expect("the solve's own checkpoint resumes");
             assert_eq!(
                 two_legs(&paused.gpu, &resumed.gpu),
                 fields,
@@ -561,8 +627,11 @@ fn gpu_run_stats_match_across_service_jobs_and_checkpoint_legs() {
             );
 
             let service = SolveService::with_defaults();
-            let job =
-                service.submit(JobSpec::new(inst.clone(), config.clone()).resume_from(checkpoint));
+            let job = service.submit(
+                JobSpec::new(inst.clone(), config.clone())
+                    .resume_from(checkpoint)
+                    .expect("the solve's own checkpoint resumes"),
+            );
             service.run_until_idle();
             let job = job.outcome().expect("job finished");
             assert_eq!(

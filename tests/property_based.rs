@@ -5,7 +5,7 @@ use flowshop_gpu_bnb::bb::problem::NodeBound;
 use flowshop_gpu_bnb::bb::{BestFirstPool, FspNode, FspProblem, Pool};
 use flowshop_gpu_bnb::fsp::bound::LowerBound;
 use flowshop_gpu_bnb::fsp::{
-    makespan, makespan_prefix, taillard, BoundScratch, JohnsonLowerBound, OneMachineBound,
+    makespan, makespan_prefix, taillard, BoundScratch, JohnsonLowerBound, OneMachineBound, Time,
 };
 use flowshop_gpu_bnb::gpu_bnb::{
     perturbed, BoundingEngine, CacheDisposition, DataPlacement, GpuSolverConfig, ServiceConfig,
@@ -27,13 +27,18 @@ fn prefix(n: usize, len: usize) -> impl Strategy<Value = Vec<usize>> {
 }
 
 /// Job counts on both sides of 32- and 64-job set-word boundaries, and
-/// machine counts from one machine (no pair) to the paper's twenty.
+/// machine counts from one machine (no pair) to the paper's twenty: 5
+/// machines (10 pairs) bound a cut-off batch in one pass, 9 (36 pairs) and
+/// 20 (190) in two.
 const BATCH_JOBS: [usize; 6] = [1, 31, 32, 33, 64, 65];
-const BATCH_MACHINES: [usize; 4] = [1, 2, 5, 20];
-/// Batch lengths around the eight-lane pass: empty, one lane, a short pass,
-/// one full pass, one past it, and two passes plus one.
-const BATCH_LENGTHS: [usize; 6] = [0, 1, 7, 8, 9, LONGEST_BATCH];
-const LONGEST_BATCH: usize = 17;
+const BATCH_MACHINES: [usize; 5] = [1, 2, 5, 9, 20];
+/// Batch lengths around the eight-lane pass (empty, one lane, a short pass,
+/// one full pass, one past it, two passes plus one) and around the 64-node
+/// block (one short, one full, one past it, two full plus two).
+const BATCH_LENGTHS: [usize; 10] = [0, 1, 7, 8, 9, 17, 63, 64, 65, LONGEST_BATCH];
+const LONGEST_BATCH: usize = 130;
+/// Machine counts of the functional kernel's launches.
+const LAUNCH_MACHINES: [usize; 4] = [1, 2, 5, 20];
 /// Launch lengths around the 32-lane warp and two 256-thread blocks.
 const LAUNCH_LENGTHS: [usize; 7] = [1, 31, 32, 33, 64, 65, LONGEST_LAUNCH];
 const LONGEST_LAUNCH: usize = 257;
@@ -236,13 +241,14 @@ proptest! {
 }
 
 proptest! {
-    // Every case walks the whole shape × batch-length grid (24 instances, up
-    // to 65×20, in a debug build), so a few cases suffice.
+    // Every case walks the whole shape × batch-length × cut-off grid (30
+    // instances, up to 65×20, in a debug build), so a few cases suffice.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
     fn batch_bound_equals_the_single_node_reference(seed in 1i64..1_000_000, salt in any::<u64>()) {
-        // One scratch for every shape: the batch entry point must resize it.
+        // One scratch for every shape and cut-off: the batch entry point
+        // must resize it, and the pair order it keeps must never matter.
         let mut scratch = BoundScratch::new();
         let mut state = salt;
         for n in BATCH_JOBS {
@@ -259,9 +265,25 @@ proptest! {
                     })
                     .collect();
                 for len in BATCH_LENGTHS {
-                    let mut out = vec![0; len];
-                    lb.bound_many(&mut scratch, &nodes[..len], &mut out);
-                    prop_assert_eq!(&out[..], &reference[..len], "{}x{}, {} nodes", n, m, len);
+                    let exact = &reference[..len];
+                    // The batch's median exact bound splits it into nodes the
+                    // cut-off keeps and nodes it prunes.
+                    let mut sorted = exact.to_vec();
+                    sorted.sort_unstable();
+                    let median = sorted.get(len / 2).copied().unwrap_or(0);
+                    for cutoff in [0, median, median + 1, Time::MAX] {
+                        let mut out = vec![0; len];
+                        lb.bound_many(&mut scratch, &nodes[..len], &mut out, cutoff);
+                        for (i, (&got, &exact)) in out.iter().zip(exact).enumerate() {
+                            let at = format!("{n}x{m}, {len} nodes, cut-off {cutoff}, node {i}");
+                            prop_assert!(got <= exact, "{}: {} above the exact {}", at, got, exact);
+                            if exact < cutoff {
+                                prop_assert_eq!(got, exact, "{}", at);
+                            } else {
+                                prop_assert!(got >= cutoff, "{}: {} below the cut-off", at, got);
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -277,7 +299,7 @@ proptest! {
     fn functional_kernel_equals_the_single_node_reference(seed in 1i64..1_000_000, salt in any::<u64>()) {
         let mut state = salt;
         for n in LAUNCH_JOBS {
-            for m in BATCH_MACHINES {
+            for m in LAUNCH_MACHINES {
                 let inst = taillard::generate("prop", n, m, seed);
                 let lb = JohnsonLowerBound::new(&inst);
                 let nodes = mixed_depth_nodes(&inst, LONGEST_LAUNCH, &mut state);
