@@ -226,12 +226,14 @@ impl fmt::Debug for FspNode {
 
 /// The node as the `fsp` batch bound reads it.
 impl fsp::SubProblem for FspNode {
+    #[inline]
     fn front(&self) -> &[Time] {
         FspNode::front(self)
     }
 
-    fn is_scheduled(&self, job: Job) -> bool {
-        FspNode::is_scheduled(self, job)
+    #[inline]
+    fn scheduled_words(&self) -> &[u32] {
+        self.words()
     }
 }
 

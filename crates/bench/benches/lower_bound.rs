@@ -14,9 +14,13 @@
 //! prints that share per class. 9×5 has 10 machine pairs and is bounded in
 //! one pass either way; 8×20 and 20×20 take the two-pass path, which can
 //! read slower than the exact row where few children prune.
+//!
+//! Each class's header names the lane kernel the batch rows ran on: `avx2`,
+//! or `portable` on a CPU without AVX2.
 
 use bb::{frozen_pool, FspNode, FspProblem};
 use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion, Throughput};
+use fsp::bound::batch::lane_kernel;
 use fsp::taillard::generate;
 use fsp::{BoundScratch, Time};
 
@@ -36,6 +40,11 @@ fn bench_lower_bounds(c: &mut Criterion) {
             .expect("some seed freezes a full pool");
         let (nodes, incumbent) = (&frozen.nodes, frozen.upper_bound);
         let lb = problem.bound_fn();
+        println!(
+            "lower_bound/{class}: {} frozen nodes, {} lane kernel",
+            nodes.len(),
+            lane_kernel()
+        );
         group.throughput(Throughput::Elements(nodes.len() as u64));
 
         group.bench_with_input(

@@ -36,8 +36,9 @@ use bb::{frozen_pool, FrozenPool, FspProblem, SerialSolver, SolverConfig};
 use fsp::taillard;
 use gpu_bnb::cost::{CostTable, COST_COUNTERS};
 use gpu_bnb::{
-    BackendKind, CacheDisposition, CostReport, DataPlacement, FleetTopology, GpuBnbSolver,
-    GpuSolverConfig, JobSpec, ServiceConfig, SolveLatencies, SolveRequest, SolveService,
+    BackendKind, CacheDisposition, CostReport, DataPlacement, FailureEvent, FailurePlan,
+    FleetTopology, GpuBnbSolver, GpuSolverConfig, JobSpec, ServiceConfig, SolveLatencies,
+    SolveRequest, SolveService,
 };
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -629,6 +630,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if opts.reps == 0 {
         return Err("--reps must be at least 1".into());
     }
+    if opts.pool_size == 0 {
+        return Err("--pool-size must be at least 1".into());
+    }
     // `--devices N` selects (or resizes) the fleet backend.
     if let Some(devices) = opts.devices {
         if devices == 0 {
@@ -700,14 +704,29 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                         --service or --cache (the gate's baselines are recorded failure-free)"
                 .into());
         }
-        match opts.mode {
-            Mode::Backend(BackendKind::Fleet { .. })
-            | Mode::BackendFast(BackendKind::Fleet { .. }) => {}
+        let members = match opts.mode {
+            Mode::Backend(kind @ BackendKind::Fleet { .. })
+            | Mode::BackendFast(kind @ BackendKind::Fleet { .. }) => kind.devices(),
             _ => {
                 return Err("--fail-seed/--fail-at require a fleet backend \
                             (--backend fleet[:N] or --devices N)"
                     .into())
             }
+        };
+        if !opts.fail_at.is_empty() {
+            if opts.autotune {
+                return Err("--fail-at cannot be combined with --autotune (the tuned \
+                            fleet may have fewer members than the events name)"
+                    .into());
+            }
+            let events = opts
+                .fail_at
+                .iter()
+                .map(|&(batch, member)| FailureEvent { batch, member })
+                .collect();
+            FailurePlan::from_events(events)
+                .check_fits(members)
+                .map_err(|msg| format!("--fail-at: {msg}"))?;
         }
     }
     if opts.checkpoint.is_some() || opts.resume.is_some() {
@@ -1330,7 +1349,7 @@ fn cost_rows(text: &str) -> Result<Vec<CostRow>, String> {
             .ok_or_else(|| format!("unterminated cost object in row `{backend}`"))?;
         let body = &after[open + 1..open + close];
         let mut cost = CostReport::default();
-        let mut seen = 0usize;
+        let mut seen: Vec<&str> = Vec::with_capacity(COST_COUNTERS);
         for pair in body.split(',') {
             let pair = pair.trim();
             if pair.is_empty() {
@@ -1347,11 +1366,15 @@ fn cost_rows(text: &str) -> Result<Vec<CostRow>, String> {
             if !cost.set_counter(name, value) {
                 return Err(format!("unknown cost counter `{name}` in row `{backend}`"));
             }
-            seen += 1;
+            if seen.contains(&name) {
+                return Err(format!("row `{backend}` names cost counter `{name}` twice"));
+            }
+            seen.push(name);
         }
-        if seen != COST_COUNTERS {
+        if seen.len() != COST_COUNTERS {
             return Err(format!(
-                "row `{backend}` has {seen} cost counters, expected {COST_COUNTERS}"
+                "row `{backend}` has {} cost counters, expected {COST_COUNTERS}",
+                seen.len()
             ));
         }
         rows.push(CostRow {
@@ -1964,5 +1987,53 @@ mod tests {
             let err = cost_rows(&text).err().expect("rejected");
             assert!(err.contains(&format!("has {count} cost counters")), "{err}");
         }
+        // 22 names, one of them twice and one missing.
+        let mut body: Vec<String> = counters
+            .iter()
+            .map(|(name, value)| format!("\"{name}\": {value}"))
+            .collect();
+        let repeated = counters[0].0;
+        *body.last_mut().expect("counters") = format!("\"{repeated}\": 0");
+        let text = format!(
+            "{{\"backend\": \"gpu\", \"cost\": {{ {} }}}}",
+            body.join(", ")
+        );
+        let err = cost_rows(&text).err().expect("rejected");
+        assert!(
+            err.contains(&format!("row `gpu` names cost counter `{repeated}` twice")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_zero_pool_size_is_rejected() {
+        let err = parse("--jobs 8 --machines 5 --seed 1 --pool-size 0")
+            .err()
+            .expect("rejected");
+        assert!(err.contains("--pool-size must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn fail_at_naming_a_member_outside_the_fleet_is_rejected() {
+        let err = parse("--fail-at 0:5 --backend fleet:2")
+            .err()
+            .expect("rejected");
+        assert!(err.contains("kills member 5 of a 2-member fleet"), "{err}");
+        // The tuned fleet can be smaller than the one the events were named in.
+        let err = parse("--fail-at 0:1 --backend fleet:4 --autotune")
+            .err()
+            .expect("rejected");
+        assert!(err.contains("--autotune"), "{err}");
+        assert!(parse("--fail-at 0:1 --backend fleet:2").is_ok());
+    }
+
+    #[test]
+    fn fail_at_killing_every_member_is_rejected() {
+        let err = parse("--fail-at 0:0,0:1 --backend fleet:2")
+            .err()
+            .expect("rejected");
+        assert!(err.contains("at least one fleet member alive"), "{err}");
+        // Two deaths of one member are one death.
+        assert!(parse("--fail-at 0:1,3:1 --backend fleet:2").is_ok());
     }
 }

@@ -144,24 +144,31 @@ impl FailurePlan {
         plan
     }
 
+    /// Checks the plan against a fleet of `members`: an error names an
+    /// event's member ordinal `>= members`, or a plan that kills every
+    /// member (recovery needs at least one survivor).
+    pub fn check_fits(&self, members: usize) -> Result<(), String> {
+        if let Some(event) = self.events.iter().find(|e| e.member >= members) {
+            return Err(format!(
+                "failure plan kills member {} of a {members}-member fleet",
+                event.member
+            ));
+        }
+        if !self.events.is_empty() && self.events.len() >= members {
+            return Err("failure plan must leave at least one fleet member alive".into());
+        }
+        Ok(())
+    }
+
     /// Validates the plan against a fleet of `members`.
     ///
     /// # Panics
     ///
-    /// Panics if an event names a member ordinal `>= members`, or if the
-    /// plan kills every member (recovery needs at least one survivor).
+    /// Panics where [`Self::check_fits`] returns an error.
     pub fn assert_fits(&self, members: usize) {
-        for event in &self.events {
-            assert!(
-                event.member < members,
-                "failure plan kills member {} of a {members}-member fleet",
-                event.member
-            );
+        if let Err(msg) = self.check_fits(members) {
+            panic!("{msg}");
         }
-        assert!(
-            self.events.len() < members || self.events.is_empty(),
-            "failure plan must leave at least one fleet member alive"
-        );
     }
 
     /// The scheduled deaths, sorted by `(batch, member)`, one per member.

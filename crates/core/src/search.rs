@@ -113,11 +113,13 @@ impl SearchState {
 
     /// Selection + branching: pops nodes best first and accumulates their
     /// children until the pool size is reached or the pending pool runs
-    /// dry. Nodes the incumbent prunes are dropped on the way.
+    /// dry. Nodes the incumbent prunes are dropped on the way. The first
+    /// parent it keeps is always branched, so a pool size of zero still
+    /// makes progress.
     pub(crate) fn select_batch(&mut self) -> Vec<FspNode> {
         let n = self.problem.instance().jobs();
         let mut batch: Vec<FspNode> = Vec::with_capacity(self.pool_size + n);
-        while batch.len() < self.pool_size {
+        while batch.len() < self.pool_size.max(1) {
             let Some(node) = self.pool.pop() else { break };
             self.stats.selected += 1;
             if self.ub.prunes(node.bound()) {

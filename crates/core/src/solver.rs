@@ -315,6 +315,17 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_pool_size_still_reaches_the_optimum() {
+        // Only the builder rejects a zero pool size; a struct literal must
+        // still branch one parent per batch rather than spin on an empty one.
+        let inst = generate("t", 7, 4, 37);
+        let (_, expected) = brute_force_optimal(&inst);
+        let outcome = GpuBnbSolver::new(inst, config(0, DataPlacement::SharedJmPtm, true)).solve();
+        assert!(outcome.is_optimal());
+        assert_eq!(outcome.best_makespan, expected);
+    }
+
+    #[test]
     fn gpu_and_serial_solvers_agree() {
         let inst = generate("t", 8, 5, 4242);
         let serial = SerialSolver::with_defaults(FspProblem::new(inst.clone())).solve();

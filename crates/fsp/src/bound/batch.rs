@@ -27,13 +27,27 @@
 //! only. The per-pair counts live in the scratch and the order is re-sorted
 //! once per call, so it follows the calls, never the clock.
 //!
+//! The lane loops are written once and compiled twice. On x86-64 with
+//! AVX2, [`JohnsonLowerBound::bound_many`] runs them inside an AVX2
+//! wrapper, where a lane group is one 256-bit register with native
+//! unsigned `u32` min and max; any other CPU or target runs the same source
+//! compiled for the baseline (on x86-64, SSE2, which has no unsigned `u32`
+//! min or max and emulates them). [`lane_kernel`] names the compilation
+//! this CPU runs. Both perform the same integer operations, so their bounds
+//! are bit-identical.
+//!
+//! Loading a block reads each node's front and scheduled-set words once.
+//! Each job's keep row is then one shift of its set word for all lanes, and
+//! each machine's head and tail minima are taken in registers before being
+//! written once.
+//!
 //! The single-node reference shares no code with this path on purpose: it
 //! is the oracle the equivalence suites, the serial solver and the Table I
 //! access counts rely on.
 
 use super::johnson_lb::JohnsonLowerBound;
 use super::{reset, BoundScratch};
-use crate::{Job, Time};
+use crate::Time;
 
 /// Sub-problems bounded together in one pass of
 /// [`JohnsonLowerBound::bound_many`] — the host's stand-in for the threads
@@ -53,8 +67,11 @@ const ONE_PASS_MAX_PAIRS: usize = 32;
 /// Pairs the first of two passes replays over every lane.
 const FIRST_PASS_PAIRS: usize = 16;
 
+/// Jobs per scheduled-set word.
+const WORD_BITS: usize = u32::BITS as usize;
+
 /// A sub-problem as the batch bound reads it: the front of its scheduled
-/// prefix and its scheduled-set membership.
+/// prefix and its scheduled set.
 ///
 /// Implemented by the B&B node type of the `bb` crate, which this crate
 /// cannot name.
@@ -62,8 +79,32 @@ pub trait SubProblem {
     /// Completion time of the scheduled prefix on every machine.
     fn front(&self) -> &[Time];
 
-    /// `true` when `job` belongs to the scheduled prefix.
-    fn is_scheduled(&self, job: Job) -> bool;
+    /// The scheduled set as `⌈n / 32⌉` words: bit `j % 32` of word `j / 32`
+    /// is one when job `j` belongs to the scheduled prefix. Bits past job
+    /// `n − 1` are never read.
+    fn scheduled_words(&self) -> &[u32];
+}
+
+/// `true` when this CPU runs the AVX2 compilation of the lane loops.
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The compilation of the lane loops that [`JohnsonLowerBound::bound_many`]
+/// runs on this CPU: `"avx2"`, or `"portable"` for the baseline target's.
+pub fn lane_kernel() -> &'static str {
+    if has_avx2() {
+        "avx2"
+    } else {
+        "portable"
+    }
 }
 
 /// The per-lane working rows of the batch bound, one row per `(group,
@@ -71,13 +112,15 @@ pub trait SubProblem {
 /// lane loops below compile to packed vector operations.
 #[derive(Debug, Default)]
 pub(crate) struct LaneScratch {
+    /// `⌈n / 32⌉` rows per group: the lanes' scheduled-set words.
+    words: Vec<[u32; LANES]>,
     /// `n` rows per group: all ones where job `j` remains to be scheduled,
     /// zero where it is scheduled.
     keep: Vec<[u32; LANES]>,
     /// `m` rows per group: prefix completion time on machine `k`.
     front: Vec<[Time; LANES]>,
-    /// `m` rows per group: smallest head of a remaining job before machine
-    /// `k`, then the machine's start time `max(front, head)`.
+    /// `m` rows per group: machine `k`'s start time, `max(front, smallest
+    /// head of a remaining job)`.
     start: Vec<[Time; LANES]>,
     /// `m` rows per group: smallest tail of a remaining job after machine
     /// `k`.
@@ -101,6 +144,7 @@ pub(crate) struct LaneScratch {
 impl LaneScratch {
     /// Re-sorts the two-pass pair order by hits, keeping the previous order
     /// among ties; a new pair count starts from index order and no hits.
+    #[inline(always)]
     fn sort_pairs(&mut self, pairs: usize) {
         if self.order.len() != pairs {
             reset(&mut self.hits, pairs, 0);
@@ -113,6 +157,7 @@ impl LaneScratch {
     }
 
     /// Copies lane `from`'s working rows into lane `to` of the same block.
+    #[inline(always)]
     fn move_lane(&mut self, from: usize, to: usize, n: usize, m: usize) {
         let (g, l) = (from / LANES, from % LANES);
         let (h, k) = (to / LANES, to % LANES);
@@ -143,13 +188,50 @@ impl JohnsonLowerBound {
     /// cut-off does not prune gets its exact bound. [`Time::MAX`] gives
     /// exact bounds throughout; a complete schedule's bound is always its
     /// makespan. `scratch` is reset for every block, so one scratch serves
-    /// instances of any shape.
+    /// instances of any shape. The lane loops run at the width of this CPU
+    /// (see [`lane_kernel`]); every compilation gives the same bounds.
     ///
     /// # Panics
     ///
-    /// Panics if `out` and `nodes` differ in length or a node's front does
-    /// not hold one entry per machine.
+    /// Panics if `out` and `nodes` differ in length, or a node's front does
+    /// not hold one entry per machine or its scheduled set one word per 32
+    /// jobs.
     pub fn bound_many<N: SubProblem>(
+        &self,
+        scratch: &mut BoundScratch,
+        nodes: &[N],
+        out: &mut [Time],
+        cutoff: Time,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            // SAFETY: AVX2, the one feature the wrapper enables, was just
+            // detected on this CPU.
+            unsafe { self.bound_many_avx2(scratch, nodes, out, cutoff) };
+            return;
+        }
+        self.bound_many_portable(scratch, nodes, out, cutoff);
+    }
+
+    /// [`Self::bound_many_portable`] compiled for AVX2: every lane loop it
+    /// inlines runs on 256-bit registers.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn bound_many_avx2<N: SubProblem>(
+        &self,
+        scratch: &mut BoundScratch,
+        nodes: &[N],
+        out: &mut [Time],
+        cutoff: Time,
+    ) {
+        self.bound_many_portable(scratch, nodes, out, cutoff);
+    }
+
+    /// The body of [`Self::bound_many`]. It and every step below it are
+    /// inlined into their caller, so they compile for the caller's target
+    /// features: the baseline's when called directly.
+    #[inline(always)]
+    pub(crate) fn bound_many_portable<N: SubProblem>(
         &self,
         scratch: &mut BoundScratch,
         nodes: &[N],
@@ -178,6 +260,7 @@ impl JohnsonLowerBound {
     /// The two passes over one loaded block: the first pairs of the hit
     /// order over every lane, then the rest over the live lanes still below
     /// `cutoff`, packed into full groups.
+    #[inline(always)]
     fn bound_block_below(
         &self,
         s: &mut LaneScratch,
@@ -224,64 +307,72 @@ impl JohnsonLowerBound {
     /// Loads up to [`BLOCK_GROUPS`] groups of [`LANES`] nodes into the
     /// working rows, with the per-machine start times and tails the pair
     /// loop reads; returns the number of groups.
+    #[inline(always)]
     fn load_block<N: SubProblem>(&self, s: &mut LaneScratch, nodes: &[N]) -> usize {
         let data = self.data();
-        let n = data.jobs();
-        let m = data.machines();
+        let (n, m) = (data.jobs(), data.machines());
+        let w = n.div_ceil(WORD_BITS);
         let groups = nodes.len().div_ceil(LANES);
-        reset(&mut s.keep, groups * n, [0; LANES]);
+        // Lanes past the end of a short group stay complete schedules (every
+        // job scheduled) with a zero front, which no later step can overflow.
         reset(&mut s.front, groups * m, [0; LANES]);
-        reset(&mut s.start, groups * m, [Time::MAX; LANES]);
-        reset(&mut s.tail, groups * m, [Time::MAX; LANES]);
-        reset(&mut s.live, groups, [0; LANES]);
+        reset(&mut s.words, groups * w, [u32::MAX; LANES]);
         reset(&mut s.lb, groups, [0; LANES]);
-
-        // Load the lanes. Lanes past the end of a short group stay complete
-        // schedules with a zero front, which no later step can overflow.
         for (i, node) in nodes.iter().enumerate() {
             let (group, lane) = (i / LANES, i % LANES);
-            let front = node.front();
+            let (front, words) = (node.front(), node.scheduled_words());
             assert_eq!(front.len(), m, "a front holds one entry per machine");
+            assert_eq!(words.len(), w, "a scheduled set holds one word per 32 jobs");
             for (row, &c) in s.front[group * m..].iter_mut().zip(front) {
                 row[lane] = c;
             }
-            for (job, row) in s.keep[group * n..(group + 1) * n].iter_mut().enumerate() {
-                row[lane] = u32::from(!node.is_scheduled(job)).wrapping_neg();
+            for (row, &word) in s.words[group * w..].iter_mut().zip(words) {
+                row[lane] = word;
             }
         }
 
+        s.keep.clear();
+        s.start.clear();
+        s.tail.clear();
+        s.live.clear();
         for group in 0..groups {
-            let keep = &s.keep[group * n..(group + 1) * n];
-            let start = &mut s.start[group * m..(group + 1) * m];
-            let tail = &mut s.tail[group * m..(group + 1) * m];
-            // Per-machine head and tail minima over the remaining jobs; a
-            // scheduled job's value is OR-ed up to `Time::MAX`, which no
-            // minimum keeps.
-            for (job, keep) in keep.iter().enumerate() {
-                for k in 0..m {
+            // A lane is live while any of its jobs remains.
+            let mut live = [0; LANES];
+            for job in 0..n {
+                let (word, bit) = (&s.words[group * w + job / WORD_BITS], job % WORD_BITS);
+                let mut keep = [0; LANES];
+                for lane in 0..LANES {
+                    keep[lane] = (word[lane] >> bit & 1).wrapping_sub(1);
+                    live[lane] |= keep[lane];
+                }
+                s.keep.push(keep);
+            }
+            s.live.push(live);
+
+            let keep = &s.keep[group * n..];
+            for k in 0..m {
+                // The machine's head and tail minima over the remaining jobs;
+                // a scheduled job's value is OR-ed up to `Time::MAX`, which no
+                // minimum keeps.
+                let (mut head, mut tail) = ([Time::MAX; LANES], [Time::MAX; LANES]);
+                for (job, keep) in keep.iter().enumerate() {
                     let (h, t) = (data.rm(job, k), data.qm(job, k));
                     for lane in 0..LANES {
-                        start[k][lane] = start[k][lane].min(h | !keep[lane]);
-                        tail[k][lane] = tail[k][lane].min(t | !keep[lane]);
+                        head[lane] = head[lane].min(h | !keep[lane]);
+                        tail[lane] = tail[lane].min(t | !keep[lane]);
                     }
                 }
-            }
-            // A complete lane has no remaining job, so its minima are still
-            // `Time::MAX`: zero them before the shared pair loop (which would
-            // otherwise overflow adding a tail); its bound is its prefix
-            // makespan, as in the reference.
-            let live = &mut s.live[group];
-            for row in keep {
+                // A complete lane has no remaining job, so its minima are
+                // still `Time::MAX`: zero them before the shared pair loop
+                // (which would otherwise overflow adding a tail); its bound
+                // is its prefix makespan, as in the reference.
+                let front = &s.front[group * m + k];
                 for lane in 0..LANES {
-                    live[lane] |= row[lane];
+                    head[lane] = front[lane].max(head[lane] & live[lane]);
+                    tail[lane] &= live[lane];
                 }
-            }
-            let front = &s.front[group * m..(group + 1) * m];
-            for k in 0..m {
-                for lane in 0..LANES {
-                    start[k][lane] = front[k][lane].max(start[k][lane] & live[lane]);
-                    tail[k][lane] &= live[lane];
-                }
+                s.start.push(head);
+                s.tail.push(tail);
             }
         }
         groups
@@ -290,6 +381,7 @@ impl JohnsonLowerBound {
     /// Replays the Johnson rows of `pairs` over the first `groups` lane
     /// groups, raising each lane's running maximum. With `COUNT`, each
     /// pair is also credited with the live lanes whose maximum it raised.
+    #[inline(always)]
     fn replay_pairs<const COUNT: bool>(
         &self,
         s: &mut LaneScratch,
@@ -349,6 +441,7 @@ impl JohnsonLowerBound {
 
     /// Each loaded node's running maximum into `out`, or its prefix
     /// makespan when it is a complete schedule.
+    #[inline(always)]
     fn write_out(&self, s: &LaneScratch, out: &mut [Time]) {
         let m = self.data().machines();
         for (i, slot) in out.iter_mut().enumerate() {
@@ -367,23 +460,28 @@ mod tests {
     use super::*;
     use crate::schedule::PartialSchedule;
     use crate::taillard::generate;
+    use crate::Job;
 
-    /// A sub-problem held as the reference's inputs: front plus a
-    /// membership array.
+    /// A sub-problem held as the reference's inputs, a front plus a
+    /// membership array, and as the batch bound's set words.
     struct Prefix {
         front: Vec<Time>,
         scheduled: Vec<bool>,
+        words: Vec<u32>,
     }
 
     impl Prefix {
         fn new(inst: &crate::Instance, prefix: &[Job]) -> Self {
             let mut scheduled = vec![false; inst.jobs()];
+            let mut words = vec![0; inst.jobs().div_ceil(WORD_BITS)];
             for &j in prefix {
                 scheduled[j] = true;
+                words[j / WORD_BITS] |= 1 << (j % WORD_BITS);
             }
             Self {
                 front: PartialSchedule::from_prefix(inst, prefix).front().to_vec(),
                 scheduled,
+                words,
             }
         }
     }
@@ -392,26 +490,68 @@ mod tests {
         fn front(&self) -> &[Time] {
             &self.front
         }
-        fn is_scheduled(&self, job: Job) -> bool {
-            self.scheduled[job]
+        fn scheduled_words(&self) -> &[u32] {
+            &self.words
         }
+    }
+
+    /// `count` sub-problems of depths `0, 1, …, n, 0, …`, each a prefix of
+    /// its own xorshift shuffle of the jobs.
+    fn mixed_depth_prefixes(inst: &crate::Instance, count: usize) -> Vec<Prefix> {
+        let n = inst.jobs();
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        (0..count)
+            .map(|i| {
+                let mut jobs: Vec<Job> = (0..n).collect();
+                for j in (1..n).rev() {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    jobs.swap(j, (state % (j as u64 + 1)) as usize);
+                }
+                Prefix::new(inst, &jobs[..i % (n + 1)])
+            })
+            .collect()
     }
 
     #[test]
     fn one_scratch_serves_instances_of_any_shape() {
-        let mut scratch = BoundScratch::new();
-        for (n, m) in [(40, 3), (5, 12), (33, 1)] {
-            let inst = generate("t", n, m, 9);
-            let lb = JohnsonLowerBound::new(&inst);
-            let nodes = vec![Prefix::new(&inst, &[]), Prefix::new(&inst, &[n - 1, 0])];
-            let mut out = vec![0; 2];
-            lb.bound_many(&mut scratch, &nodes, &mut out, Time::MAX);
-            for (node, &got) in nodes.iter().zip(&out) {
-                assert_eq!(
-                    got,
-                    lb.bound_prefix(&node.front, &node.scheduled),
-                    "{n}x{m}"
-                );
+        // The dispatched entry point and the portable compilation, the only
+        // one a CPU without AVX2 runs, each keep one scratch for every
+        // shape, batch length and cut-off. Both scratches see the same calls,
+        // so their pair orders, and hence even the pruned nodes' partial
+        // bounds, agree. 1 to 3 set words; 0 to 190 machine pairs, on both
+        // sides of the two-pass threshold.
+        let (mut dispatched, mut portable) = (BoundScratch::new(), BoundScratch::new());
+        for n in [5, 33, 65] {
+            for m in [1, 5, 9, 20] {
+                let inst = generate("t", n, m, 9);
+                let lb = JohnsonLowerBound::new(&inst);
+                let nodes = mixed_depth_prefixes(&inst, 130);
+                let reference: Vec<Time> = nodes
+                    .iter()
+                    .map(|node| lb.bound_prefix(&node.front, &node.scheduled))
+                    .collect();
+                for len in [1, 9, 65, 130] {
+                    let exact = &reference[..len];
+                    let mut sorted = exact.to_vec();
+                    sorted.sort_unstable();
+                    for cutoff in [0, sorted[len / 2], Time::MAX] {
+                        let at = format!("{n}x{m}, {len} nodes, cut-off {cutoff}");
+                        let (mut got, mut want) = (vec![0; len], vec![0; len]);
+                        lb.bound_many(&mut dispatched, &nodes[..len], &mut got, cutoff);
+                        lb.bound_many_portable(&mut portable, &nodes[..len], &mut want, cutoff);
+                        assert_eq!(got, want, "{at}: dispatched vs portable");
+                        for (i, (&got, &exact)) in got.iter().zip(exact).enumerate() {
+                            assert!(got <= exact, "{at}, node {i}: {got} above {exact}");
+                            if exact < cutoff {
+                                assert_eq!(got, exact, "{at}, node {i}");
+                            } else {
+                                assert!(got >= cutoff, "{at}, node {i}: {got} below the cut-off");
+                            }
+                        }
+                    }
+                }
             }
         }
     }
