@@ -14,6 +14,7 @@
 
 #![warn(missing_docs)]
 
+pub mod batch;
 pub mod node;
 pub mod pool;
 pub mod problem;
@@ -22,6 +23,8 @@ pub mod solver;
 pub mod stats;
 pub mod upper_bound;
 
+pub use batch::{Batch, BatchView};
+pub use fsp::Child;
 pub use node::FspNode;
 pub use pool::{BestFirstPool, DepthFirstPool, FifoPool, Pool, PoolStrategy};
 pub use problem::FspProblem;

@@ -2,12 +2,12 @@
 //!
 //! The **selection** operator of a B&B algorithm is a policy over this pool:
 //! best-first picks the node with the smallest lower bound (what the paper
-//! uses to build the pools off-loaded to the GPU), depth-first dives along a
-//! branch (memory-frugal, used to build the frozen pool), FIFO explores in
-//! generation order.
+//! uses to build the pools off-loaded to the GPU; a bucket queue keyed by
+//! bound), depth-first dives along a branch (memory-frugal, used to build
+//! the frozen pool), FIFO explores in generation order.
 
 use crate::node::FspNode;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Selection strategy, used to construct a pool generically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,55 +61,93 @@ pub trait Pool: Send {
     }
 }
 
-/// Best-first pool: a min-heap on the node's lower bound; ties are broken by
-/// preferring deeper nodes (closer to a leaf), then insertion order.
+/// No slot: the end of a list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// Best-first pool: the node with the smallest lower bound first; ties go
+/// to the deeper node (closer to a leaf), then to the older insertion.
+///
+/// A bucket queue over small integer keys (Dial, CACM 1969): bucket `b`
+/// holds the nodes of bound `base + b`, as one FIFO list per depth. The
+/// lists are threaded through one slab of node slots, so a push or pop
+/// allocates nothing once the slab and buckets have grown. A pop takes the
+/// head of the deepest non-empty list of the lowest non-empty bucket, which
+/// is the total order above, so the pop sequence is that of a binary heap
+/// keyed by `(bound, Reverse(depth), insertion)`, in O(1) amortised per
+/// operation instead of O(log n).
+///
+/// The buckets span the pending bounds, so memory grows with their range,
+/// not their count: in a search that range lies between the root bound and
+/// the incumbent, and every bound is at most the instance's total
+/// processing time.
 pub struct BestFirstPool {
-    heap: BinaryHeap<BestFirstEntry>,
-    counter: u64,
+    /// Node slots; a vacant slot is on the free list.
+    slots: Vec<Slot>,
+    /// Head of the free list of vacant slots.
+    free: u32,
+    /// Bucket `b` holds the nodes of bound `base + b`.
+    buckets: Vec<Bucket>,
+    /// The bound of bucket 0.
+    base: fsp::Time,
+    /// The lowest non-empty bucket while the pool is non-empty.
+    min: usize,
+    /// Pending nodes.
+    len: usize,
 }
 
-struct BestFirstEntry {
-    node: FspNode,
-    seq: u64,
+/// A node slot: the node and the next slot of its list.
+struct Slot {
+    node: Option<FspNode>,
+    next: u32,
 }
 
-impl PartialEq for BestFirstEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for BestFirstEntry {}
-impl PartialOrd for BestFirstEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for BestFirstEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap: invert the bound so the smallest bound is
-        // popped first; among equal bounds prefer the deeper node; among
-        // equal depths, the oldest insertion.
-        other
-            .node
-            .bound()
-            .cmp(&self.node.bound())
-            .then(self.node.depth().cmp(&other.node.depth()))
-            .then(other.seq.cmp(&self.seq))
-    }
+/// The nodes of one bound: one FIFO list per depth.
+#[derive(Default)]
+struct Bucket {
+    /// `(head, tail)` slot of the list of each depth.
+    lists: Vec<(u32, u32)>,
+    /// At least the deepest non-empty list.
+    top: usize,
+    /// Nodes in the bucket.
+    len: usize,
 }
 
 impl BestFirstPool {
     /// Creates an empty best-first pool.
     pub fn new() -> Self {
         Self {
-            heap: BinaryHeap::new(),
-            counter: 0,
+            slots: Vec::new(),
+            free: NIL,
+            buckets: Vec::new(),
+            base: 0,
+            min: 0,
+            len: 0,
         }
     }
 
     /// Smallest pending lower bound, if any (the global "frontier" bound).
     pub fn best_bound(&self) -> Option<fsp::Time> {
-        self.heap.peek().map(|e| e.node.bound())
+        (self.len > 0).then(|| self.base + self.min as fsp::Time)
+    }
+
+    /// The bucket of `bound`, made to exist: a refill after the pool ran
+    /// empty starts from it, and a bound below the lowest bucket prepends
+    /// empty ones.
+    fn bucket_of(&mut self, bound: fsp::Time) -> usize {
+        if self.len == 0 {
+            self.base = bound;
+        } else if bound < self.base {
+            let grow = (self.base - bound) as usize;
+            self.buckets
+                .splice(0..0, std::iter::repeat_with(Bucket::default).take(grow));
+            self.base = bound;
+            self.min += grow;
+        }
+        let b = (bound - self.base) as usize;
+        if b >= self.buckets.len() {
+            self.buckets.resize_with(b + 1, Bucket::default);
+        }
+        b
     }
 }
 
@@ -121,17 +159,72 @@ impl Default for BestFirstPool {
 
 impl Pool for BestFirstPool {
     fn push(&mut self, node: FspNode) {
-        let seq = self.counter;
-        self.counter += 1;
-        self.heap.push(BestFirstEntry { node, seq });
+        let b = self.bucket_of(node.bound());
+        let depth = node.depth();
+        let slot = match self.free {
+            NIL => {
+                self.slots.push(Slot {
+                    node: Some(node),
+                    next: NIL,
+                });
+                u32::try_from(self.slots.len() - 1).expect("fewer than u32::MAX pending nodes")
+            }
+            free => {
+                let vacant = &mut self.slots[free as usize];
+                self.free = vacant.next;
+                *vacant = Slot {
+                    node: Some(node),
+                    next: NIL,
+                };
+                free
+            }
+        };
+        let bucket = &mut self.buckets[b];
+        if depth >= bucket.lists.len() {
+            bucket.lists.resize(depth + 1, (NIL, NIL));
+        }
+        match &mut bucket.lists[depth] {
+            (NIL, _) => bucket.lists[depth] = (slot, slot),
+            (_, tail) => {
+                self.slots[*tail as usize].next = slot;
+                *tail = slot;
+            }
+        }
+        bucket.top = bucket.top.max(depth);
+        bucket.len += 1;
+        if self.len == 0 || b < self.min {
+            self.min = b;
+        }
+        self.len += 1;
     }
 
     fn pop(&mut self) -> Option<FspNode> {
-        self.heap.pop().map(|e| e.node)
+        if self.len == 0 {
+            return None;
+        }
+        let bucket = &mut self.buckets[self.min];
+        while bucket.lists[bucket.top].0 == NIL {
+            bucket.top -= 1;
+        }
+        let list = &mut bucket.lists[bucket.top];
+        let slot = &mut self.slots[list.0 as usize];
+        let node = slot.node.take();
+        let head = list.0;
+        list.0 = std::mem::replace(&mut slot.next, self.free);
+        self.free = head;
+        bucket.len -= 1;
+        self.len -= 1;
+        if bucket.len == 0 && self.len > 0 {
+            self.min += self.buckets[self.min..]
+                .iter()
+                .position(|bucket| bucket.len > 0)
+                .expect("a non-empty pool has a non-empty bucket");
+        }
+        node
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 }
 

@@ -2,6 +2,7 @@
 //! after experimentation): modelled kernel time and occupancy of one
 //! off-loaded pool for blocks of 64…512 threads.
 
+use bb::Batch;
 use bench::workloads::PreparedInstance;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fsp::taillard::InstanceClass;
@@ -17,14 +18,14 @@ fn bench_block_sizes(c: &mut Criterion) {
         2012,
         2048,
     );
-    let chunk: Vec<_> = prep.frozen.nodes.iter().take(2048).cloned().collect();
+    let chunk = Batch::from_nodes(prep.frozen.nodes.iter().take(2048).cloned().collect());
     let host_lb = prep.problem.bound_fn().clone();
 
     eprintln!("modelled kernel time for one 2048-node pool (50x20), per block size:");
     for block in [64usize, 128, 256, 512] {
         let mut engine =
             BoundingEngine::new(host_lb.data(), DataPlacement::SharedJmPtm, block, 26, 2048);
-        let result = engine.bound_nodes_fast(&chunk, &host_lb, Time::MAX);
+        let result = engine.bound_nodes_fast(chunk.view(), &host_lb, Time::MAX);
         eprintln!(
             "  block {block:>4}: kernel {:>10.3?}  occupancy {:>2} warps/SM",
             result.kernel.duration, result.stats.occupancy.active_warps_per_sm
@@ -40,7 +41,7 @@ fn bench_block_sizes(c: &mut Criterion) {
             b.iter(|| {
                 std::hint::black_box(
                     engine
-                        .bound_nodes_fast(chunk, &host_lb, Time::MAX)
+                        .bound_nodes_fast(chunk.view(), &host_lb, Time::MAX)
                         .bounds
                         .len(),
                 )

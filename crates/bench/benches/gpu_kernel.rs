@@ -9,6 +9,7 @@
 //!   one chunk of 20 nodes (that workload averages about 20 nodes a launch),
 //!   one partial warp and seven empty ones in a 256-thread block.
 
+use bb::Batch;
 use bench::workloads::PreparedInstance;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fsp::taillard::InstanceClass;
@@ -25,7 +26,7 @@ fn bench_kernel(c: &mut Criterion) {
     let shapes = [("20x20_256", 20, 20, 256), ("8x8_20", 8, 8, STREAM_CHUNK)];
     for (label, jobs, machines, nodes) in shapes {
         let prep = PreparedInstance::prepare(InstanceClass { jobs, machines }, 2012, nodes);
-        let chunk: Vec<_> = prep.frozen.nodes.iter().take(nodes).cloned().collect();
+        let chunk = Batch::from_nodes(prep.frozen.nodes.iter().take(nodes).cloned().collect());
         assert_eq!(chunk.len(), nodes, "the freeze fills one {label} chunk");
         let host_lb = prep.problem.bound_fn().clone();
         group.throughput(Throughput::Elements(nodes as u64));
@@ -37,7 +38,7 @@ fn bench_kernel(c: &mut Criterion) {
                 |b, chunk| {
                     let mut engine =
                         BoundingEngine::new(host_lb.data(), placement.clone(), 256, 26, 512);
-                    b.iter(|| std::hint::black_box(engine.bound_nodes(chunk).bounds.len()))
+                    b.iter(|| std::hint::black_box(engine.bound_nodes(chunk.view()).bounds.len()))
                 },
             );
             group.bench_with_input(
@@ -49,7 +50,7 @@ fn bench_kernel(c: &mut Criterion) {
                     b.iter(|| {
                         std::hint::black_box(
                             engine
-                                .bound_nodes_fast(chunk, &host_lb, Time::MAX)
+                                .bound_nodes_fast(chunk.view(), &host_lb, Time::MAX)
                                 .bounds
                                 .len(),
                         )

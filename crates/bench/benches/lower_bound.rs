@@ -13,12 +13,16 @@
 //! only saves pairs of the children the incumbent prunes, so the bench
 //! prints that share per class. 9×5 has 10 machine pairs and is bounded in
 //! one pass either way; 8×20 and 20×20 take the two-pass path, which can
-//! read slower than the exact row where few children prune.
+//! read slower than the exact row where few children prune. Those rows
+//! bound children built beforehand (branch, then bound, with the branching
+//! untimed); the `children_from_parents` row bounds the same children
+//! exactly as `(parent, job)` entries of a batch, each lane advancing its
+//! parent's front by the job, which is how a solve bounds them.
 //!
 //! Each class's header names the lane kernel the batch rows ran on: `avx2`,
 //! or `portable` on a CPU without AVX2.
 
-use bb::{frozen_pool, FspNode, FspProblem};
+use bb::{frozen_pool, Batch, FspNode, FspProblem};
 use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion, Throughput};
 use fsp::bound::batch::lane_kernel;
 use fsp::taillard::generate;
@@ -95,6 +99,33 @@ fn bench_lower_bounds(c: &mut Criterion) {
                 |b, children| batch(b, children, cutoff),
             );
         }
+        let mut family = Batch::with_capacity(nodes.len(), children.len());
+        for node in nodes {
+            family.branch(node.clone());
+        }
+        group.bench_with_input(
+            BenchmarkId::new(
+                "children_from_parents",
+                format!("{class} ({} nodes)", children.len()),
+            ),
+            &family,
+            |b, family| {
+                let view = family.view();
+                let mut scratch = BoundScratch::new();
+                let mut out = vec![0; view.len()];
+                b.iter(|| {
+                    lb.bound_children(
+                        &mut scratch,
+                        view.parents(),
+                        std::hint::black_box(view.children()),
+                        &mut out,
+                        Time::MAX,
+                    );
+                    std::hint::black_box(&out);
+                });
+                assert_eq!(out, exact, "the view bounds the built children's bounds");
+            },
+        );
     }
     group.finish();
 }

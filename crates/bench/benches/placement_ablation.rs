@@ -6,6 +6,7 @@
 //! scientific output); the Criterion numbers measure the cost of running the
 //! placement through the engine's analytic path.
 
+use bb::Batch;
 use bench::workloads::PreparedInstance;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fsp::taillard::InstanceClass;
@@ -32,13 +33,13 @@ fn bench_placements(c: &mut Criterion) {
         2012,
         1024,
     );
-    let chunk: Vec<_> = prep.frozen.nodes.iter().take(1024).cloned().collect();
+    let chunk = Batch::from_nodes(prep.frozen.nodes.iter().take(1024).cloned().collect());
     let host_lb = prep.problem.bound_fn().clone();
 
     eprintln!("modelled kernel time for one 1024-node pool (100x20), per placement:");
     for placement in placements() {
         let mut engine = BoundingEngine::new(host_lb.data(), placement.clone(), 256, 26, 1024);
-        let result = engine.bound_nodes_fast(&chunk, &host_lb, Time::MAX);
+        let result = engine.bound_nodes_fast(chunk.view(), &host_lb, Time::MAX);
         eprintln!(
             "  {:>16}: kernel {:>10.3?}  occupancy {:>2} warps/SM  shared {:>6} B/block",
             placement.name(),
@@ -60,7 +61,7 @@ fn bench_placements(c: &mut Criterion) {
                 b.iter(|| {
                     std::hint::black_box(
                         engine
-                            .bound_nodes_fast(chunk, &host_lb, Time::MAX)
+                            .bound_nodes_fast(chunk.view(), &host_lb, Time::MAX)
                             .bounds
                             .len(),
                     )

@@ -1,5 +1,6 @@
 //! Micro-benchmark of the pending-pool implementations (the selection
-//! operator's data structure): best-first heap vs depth-first stack vs FIFO —
+//! operator's data structure): best-first bucket queue vs depth-first stack
+//! vs FIFO —
 //! the node layer of a solve (branch, push, pop) per child — plus the
 //! `PartialSchedule` push/pop pair, whose pop must stay `O(m)` at every depth
 //! (per-depth front snapshots, not a prefix replay).
@@ -57,7 +58,7 @@ fn bench_pools(c: &mut Criterion) {
 /// parents sit at half depth along seeded random orders of the benchmark's
 /// 9×5 and 8×20 classes, so the children carry the prefix, scheduled set
 /// and front a real solve moves; their bounds spread over a few values so
-/// the heap's depth and insertion tie-breaks fire.
+/// the pool's depth and insertion tie-breaks fire.
 fn bench_branch_push_pop(c: &mut Criterion) {
     let mut group = c.benchmark_group("pool_ops");
     group.sample_size(1_000);

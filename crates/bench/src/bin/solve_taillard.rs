@@ -633,6 +633,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if opts.pool_size == 0 {
         return Err("--pool-size must be at least 1".into());
     }
+    if opts.pipeline_chunk == Some(0) {
+        return Err("--pipeline-chunk must be at least 1".into());
+    }
     // `--devices N` selects (or resizes) the fleet backend.
     if let Some(devices) = opts.devices {
         if devices == 0 {
@@ -2011,6 +2014,16 @@ mod tests {
             .err()
             .expect("rejected");
         assert!(err.contains("--pool-size must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn a_zero_pipeline_chunk_is_rejected() {
+        let flags = "--jobs 10 --machines 5 --seed 2 --mode gpu-fast --backend gpu-pipelined";
+        let err = parse(&format!("{flags} --pipeline-chunk 0"))
+            .err()
+            .expect("rejected");
+        assert!(err.contains("--pipeline-chunk must be at least 1"), "{err}");
+        assert!(parse(&format!("{flags} --pipeline-chunk 1")).is_ok());
     }
 
     #[test]

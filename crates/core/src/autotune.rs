@@ -17,7 +17,7 @@ use crate::backend::make_backend;
 use crate::config::{GpuSolverConfig, PAPER_POOL_SIZES};
 use crate::offload::BoundingEngine;
 use crate::placement::MatrixId;
-use bb::{frozen_pool, FspProblem};
+use bb::{frozen_pool, Batch, FspProblem};
 use fsp::{Instance, Time};
 use gpu_sim::{DeviceSpec, HostModel};
 
@@ -83,14 +83,14 @@ pub fn autotune_pool_size(
     let mut measurements = Vec::with_capacity(candidates.len());
     for &pool_size in &candidates {
         let take = pool_size.min(frozen.nodes.len()).max(1);
-        let chunk: Vec<_> = frozen.nodes.iter().take(take).cloned().collect();
+        let chunk = Batch::from_nodes(frozen.nodes.iter().take(take).cloned().collect());
         let mut backend = make_backend(&problem, &probe_config, take);
-        let batch = backend.bound_batch(&chunk);
+        let batch = backend.bound_view(chunk.view(), Time::MAX);
         let device_time = batch.accounting.device_time.as_secs_f64();
         let seconds_per_node = device_time / take as f64;
 
         // Modelled serial time of the same chunk, for the speedup estimate.
-        let accesses = crate::backend::serial_accesses(inst.jobs(), inst.machines(), &chunk);
+        let accesses = crate::backend::serial_accesses(inst.jobs(), inst.machines(), chunk.view());
         let serial = host_model
             .bounding_time(accesses, take as u64, footprint)
             .as_secs_f64();
@@ -202,8 +202,7 @@ pub fn autotune_pipeline_chunk(
         .copied()
         .max()
         .expect("at least one candidate");
-    let frozen = frozen_pool(&problem, target);
-    let nodes = &frozen.nodes;
+    let nodes = Batch::from_nodes(frozen_pool(&problem, target).nodes);
     let capacity = largest.max(nodes.len()).max(1);
 
     let mut engine = BoundingEngine::new(
@@ -216,7 +215,7 @@ pub fn autotune_pipeline_chunk(
 
     let mut measurements = Vec::with_capacity(candidates.len());
     for &chunk_size in &candidates {
-        let result = engine.bound_nodes_pipelined(nodes, chunk_size, Some((&lb, Time::MAX)));
+        let result = engine.bound_nodes_pipelined(nodes.view(), chunk_size, Some((&lb, Time::MAX)));
         let overlapped = result.overlapped_time.as_secs_f64();
         let serialized = result.serialized_device_time().as_secs_f64();
         measurements.push(ChunkSizeMeasurement {

@@ -19,9 +19,10 @@
 use crate::config::{BackendKind, GpuSolverConfig};
 use crate::offload::BoundingEngine;
 use crate::placement::MatrixId;
-use bb::{FspNode, FspProblem};
+use bb::batch::parent_entries;
+use bb::{BatchView, FspNode, FspProblem};
 use fsp::bound::counts::AccessCounts;
-use fsp::{BoundScratch, JohnsonLowerBound, Time};
+use fsp::{BoundScratch, Instance, JohnsonLowerBound, Time};
 use gpu_sim::HostModel;
 use multicore_bnb::{MulticoreModel, ParallelBoundingPool};
 use std::sync::Arc;
@@ -91,32 +92,47 @@ pub struct BackendBatch {
 
 /// A bounding operator over batches of sub-problems.
 ///
+/// A batch is a [`BatchView`]: decomposed parents plus one `(parent, job)`
+/// entry per sub-problem to bound, an entry whose job is
+/// [`bb::Child::PARENT`] being the parent itself. The search hands a
+/// backend the children of the parents it selected without building them;
+/// [`BoundingBackend::bound_batch`] and
+/// [`BoundingBackend::bound_batch_below`] bound plain nodes through the
+/// same method.
+///
 /// Contract (relied on by the solvers and the equivalence suite):
 ///
-/// * `bounds[i]` is the lower bound of `nodes[i]` — input order, one entry
-///   per node;
-/// * [`BoundingBackend::bound_batch`] returns the exact Johnson bound, and
-///   exact bounds are **bit-identical across implementations** (they all
-///   evaluate the paper's bound; only the cost model differs);
-/// * [`BoundingBackend::bound_batch_below`] bounds against the incumbent
-///   `cutoff` with the contract of
-///   [`JohnsonLowerBound::bound_many`]: every bound is at most the exact
-///   one, equals it when the exact bound is below `cutoff`, and is at least
-///   `cutoff` otherwise. A node the cut-off prunes may get any such value,
-///   so two backends agree on exactly the bounds below `cutoff`;
-/// * the accounting never depends on `cutoff`;
+/// * `bounds[i]` is the lower bound of entry `i` — input order, one value
+///   per entry;
+/// * with `cutoff` [`Time::MAX`] the bounds are the exact Johnson bounds,
+///   and exact bounds are **bit-identical across implementations** (they
+///   all evaluate the paper's bound; only the cost model differs);
+/// * a finite `cutoff` (the incumbent) gives the contract of
+///   [`JohnsonLowerBound::bound_children`]: every bound is at most the
+///   exact one, equals it when the exact bound is below `cutoff`, and is at
+///   least `cutoff` otherwise. An entry the cut-off prunes may get any such
+///   value, so two backends agree on exactly the bounds below `cutoff`;
+/// * the accounting reads only the entries' depths and never depends on
+///   `cutoff`;
 /// * an empty batch is a no-op returning empty bounds and zero accounting;
-/// * batches up to [`BoundingBackend::max_batch`] must be accepted in one
-///   call (callers size batches against it).
+/// * batches up to [`BoundingBackend::max_batch`] entries must be accepted
+///   in one call (callers size batches against it).
 pub trait BoundingBackend: Send {
     /// Stable name used in reports (matches [`BackendKind::name`] for the
     /// built-in implementations).
     fn name(&self) -> &'static str;
 
-    /// Bounds every node of `nodes`, in input order, for a search whose
-    /// incumbent is `cutoff` ([`Time::MAX`] when there is none): nodes
+    /// Bounds every entry of `batch`, in order, for a search whose
+    /// incumbent is `cutoff` ([`Time::MAX`] when there is none): entries
     /// whose bound reaches it may stop short of their exact bound.
-    fn bound_batch_below(&mut self, nodes: &[FspNode], cutoff: Time) -> BackendBatch;
+    fn bound_view(&mut self, batch: BatchView<'_>, cutoff: Time) -> BackendBatch;
+
+    /// Bounds every node of `nodes`, in input order, against `cutoff`: the
+    /// batch whose every entry is its parent.
+    fn bound_batch_below(&mut self, nodes: &[FspNode], cutoff: Time) -> BackendBatch {
+        let entries = parent_entries(nodes.len());
+        self.bound_view(BatchView::new(nodes, &entries), cutoff)
+    }
 
     /// Bounds every node of `nodes` exactly, in input order.
     fn bound_batch(&mut self, nodes: &[FspNode]) -> BackendBatch {
@@ -129,14 +145,14 @@ pub trait BoundingBackend: Send {
     }
 }
 
-/// Modelled serial access count of bounding `nodes` on the host (the Table I
-/// figure shared by every CPU-side cost estimate; the solvers charge it for
-/// their speedup baselines too).
-pub(crate) fn serial_accesses(jobs: usize, machines: usize, nodes: &[FspNode]) -> u64 {
-    nodes
-        .iter()
-        .map(|node| {
-            let np = jobs - node.depth();
+/// Modelled serial access count of bounding `batch` on the host (the Table
+/// I figure shared by every CPU-side cost estimate; the solvers charge it
+/// for their speedup baselines too).
+pub(crate) fn serial_accesses(jobs: usize, machines: usize, batch: BatchView<'_>) -> u64 {
+    batch
+        .depths()
+        .map(|depth| {
+            let np = jobs - depth;
             if np == 0 {
                 0
             } else {
@@ -234,14 +250,19 @@ impl BoundingBackend for SequentialBackend {
         BackendKind::Sequential.name()
     }
 
-    fn bound_batch_below(&mut self, nodes: &[FspNode], cutoff: Time) -> BackendBatch {
-        let mut bounds = vec![0; nodes.len()];
-        self.lb
-            .bound_many(&mut self.scratch, nodes, &mut bounds, cutoff);
-        let accesses = serial_accesses(self.jobs, self.machines, nodes);
+    fn bound_view(&mut self, batch: BatchView<'_>, cutoff: Time) -> BackendBatch {
+        let mut bounds = vec![0; batch.len()];
+        self.lb.bound_children(
+            &mut self.scratch,
+            batch.parents(),
+            batch.children(),
+            &mut bounds,
+            cutoff,
+        );
+        let accesses = serial_accesses(self.jobs, self.machines, batch);
         let compute = self
             .host
-            .bounding_time(accesses, nodes.len() as u64, self.footprint_bytes);
+            .bounding_time(accesses, batch.len() as u64, self.footprint_bytes);
         BackendBatch {
             bounds,
             accounting: BackendAccounting {
@@ -250,7 +271,7 @@ impl BoundingBackend for SequentialBackend {
                 device_time: compute,
                 upload_bytes: 0,
                 download_bytes: 0,
-                launches: u64::from(!nodes.is_empty()),
+                launches: u64::from(!batch.is_empty()),
                 waves: 0,
                 device_nodes: 0,
                 merge_cycles: 0,
@@ -261,7 +282,7 @@ impl BoundingBackend for SequentialBackend {
                 redealt_nodes: 0,
                 recovery_time: Duration::ZERO,
             },
-            launch_times: if nodes.is_empty() {
+            launch_times: if batch.is_empty() {
                 Vec::new()
             } else {
                 vec![compute]
@@ -275,6 +296,7 @@ impl BoundingBackend for SequentialBackend {
 /// the serial figure by the calibrated [`MulticoreModel`] speedup.
 pub struct MulticoreBackend {
     pool: ParallelBoundingPool,
+    inst: Arc<Instance>,
     lb: Arc<JohnsonLowerBound>,
     host: HostModel,
     model: MulticoreModel,
@@ -289,6 +311,7 @@ impl MulticoreBackend {
         let inst = problem.instance();
         Self {
             pool: ParallelBoundingPool::new(threads),
+            inst: inst.clone(),
             lb: problem.bound_fn().clone(),
             host: HostModel::default(),
             model: MulticoreModel::default(),
@@ -310,10 +333,14 @@ impl BoundingBackend for MulticoreBackend {
     }
 
     /// Exact bounds whatever the cut-off: the workers bound their chunks
-    /// through [`bb::problem::NodeBound::bound_nodes`], which has none.
-    fn bound_batch_below(&mut self, nodes: &[FspNode], _cutoff: Time) -> BackendBatch {
-        let bounds = self.pool.bound_batch(nodes, self.lb.as_ref());
-        let accesses = serial_accesses(self.jobs, self.machines, nodes);
+    /// through [`bb::problem::NodeBound::bound_nodes`], which has none. The
+    /// workers take whole nodes, so the batch's entries are built first.
+    fn bound_view(&mut self, batch: BatchView<'_>, _cutoff: Time) -> BackendBatch {
+        let nodes: Vec<FspNode> = (0..batch.len())
+            .map(|i| batch.node(i, &self.inst))
+            .collect();
+        let bounds = self.pool.bound_batch(&nodes, self.lb.as_ref());
+        let accesses = serial_accesses(self.jobs, self.machines, batch);
         let serial = self
             .host
             .bounding_time(accesses, nodes.len() as u64, self.footprint_bytes);
@@ -330,7 +357,7 @@ impl BoundingBackend for MulticoreBackend {
                 device_time: compute,
                 upload_bytes: 0,
                 download_bytes: 0,
-                launches: u64::from(!nodes.is_empty()),
+                launches: u64::from(!batch.is_empty()),
                 waves: 0,
                 device_nodes: 0,
                 merge_cycles: 0,
@@ -341,7 +368,7 @@ impl BoundingBackend for MulticoreBackend {
                 redealt_nodes: 0,
                 recovery_time: Duration::ZERO,
             },
-            launch_times: if nodes.is_empty() {
+            launch_times: if batch.is_empty() {
                 Vec::new()
             } else {
                 vec![compute]
@@ -391,11 +418,11 @@ impl BoundingBackend for GpuBackend {
 
     /// Fast-forward mode bounds against `cutoff`; the functional kernel is
     /// the paper's and returns exact bounds.
-    fn bound_batch_below(&mut self, nodes: &[FspNode], cutoff: Time) -> BackendBatch {
+    fn bound_view(&mut self, batch: BatchView<'_>, cutoff: Time) -> BackendBatch {
         let result = if self.fast_forward {
-            self.engine.bound_nodes_fast(nodes, &self.host_lb, cutoff)
+            self.engine.bound_nodes_fast(batch, &self.host_lb, cutoff)
         } else {
-            self.engine.bound_nodes(nodes)
+            self.engine.bound_nodes(batch)
         };
         let waves = self.engine.device().spec().waves(result.stats.grid_blocks) as u64;
         BackendBatch {
@@ -406,9 +433,9 @@ impl BoundingBackend for GpuBackend {
                 device_time: result.kernel.duration + result.transfer_time,
                 upload_bytes: result.upload_bytes as u64,
                 download_bytes: result.download_bytes as u64,
-                launches: u64::from(!nodes.is_empty()),
-                waves: if nodes.is_empty() { 0 } else { waves },
-                device_nodes: nodes.len() as u64,
+                launches: u64::from(!batch.is_empty()),
+                waves: if batch.is_empty() { 0 } else { waves },
+                device_nodes: batch.len() as u64,
                 merge_cycles: 0,
                 steals: 0,
                 stolen_nodes: 0,
@@ -417,7 +444,7 @@ impl BoundingBackend for GpuBackend {
                 redealt_nodes: 0,
                 recovery_time: Duration::ZERO,
             },
-            launch_times: if nodes.is_empty() {
+            launch_times: if batch.is_empty() {
                 Vec::new()
             } else {
                 vec![result.kernel.duration]
@@ -503,15 +530,15 @@ impl BoundingBackend for PipelinedGpuBackend {
 
     /// Fast-forward mode bounds against `cutoff`; the functional kernel is
     /// the paper's and returns exact bounds.
-    fn bound_batch_below(&mut self, nodes: &[FspNode], cutoff: Time) -> BackendBatch {
-        if nodes.is_empty() {
+    fn bound_view(&mut self, batch: BatchView<'_>, cutoff: Time) -> BackendBatch {
+        if batch.is_empty() {
             return BackendBatch {
                 bounds: Vec::new(),
                 accounting: BackendAccounting::default(),
                 launch_times: Vec::new(),
             };
         }
-        let chunk = self.chunk_for(nodes.len());
+        let chunk = self.chunk_for(batch.len());
         let host = self.fast_forward.then_some((self.host_lb.as_ref(), cutoff));
         // Cross-iteration mode threads the batch through the persistent
         // session (device_time is then the critical-path increment);
@@ -519,9 +546,9 @@ impl BoundingBackend for PipelinedGpuBackend {
         let result = match &mut self.session {
             Some(session) => self
                 .engine
-                .bound_nodes_pipelined_in(nodes, chunk, host, session),
+                .bound_nodes_pipelined_in(batch, chunk, host, session),
             None => {
-                let result = self.engine.bound_nodes_pipelined(nodes, chunk, host);
+                let result = self.engine.bound_nodes_pipelined(batch, chunk, host);
                 crate::offload::PipelinedBatch {
                     bounds: result.bounds,
                     kernel_time: result.kernel_time,
@@ -545,7 +572,7 @@ impl BoundingBackend for PipelinedGpuBackend {
                 download_bytes: result.download_bytes as u64,
                 launches: result.chunks as u64,
                 waves: result.waves,
-                device_nodes: nodes.len() as u64,
+                device_nodes: batch.len() as u64,
                 merge_cycles: 0,
                 steals: 0,
                 stolen_nodes: 0,

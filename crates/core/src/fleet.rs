@@ -58,7 +58,7 @@ use crate::backend::{BackendAccounting, BackendBatch, BoundingBackend, Multicore
 use crate::config::{BackendKind, FleetTopology, GpuSolverConfig, DEFAULT_FLEET_DEVICES};
 use crate::fault::{recovery_critical_seconds, redeal_plan, FailurePlan};
 use crate::offload::{BoundingEngine, PipelineSession, PipelinedBatch};
-use bb::{FspNode, FspProblem};
+use bb::{BatchView, Child, FspProblem};
 use fsp::bound::counts::AccessCounts;
 use fsp::{JohnsonLowerBound, Time};
 use gpu_sim::{CostModel, Device, DeviceSpec, HostModel};
@@ -519,12 +519,13 @@ enum MemberEngine {
 }
 
 /// One fleet member: its bounding implementation and a reusable gather
-/// buffer for a shard of the current batch that spans several ranges. The
-/// buffer is emptied once the shard is bounded, so an idle fleet (the
-/// service keeps one per workload key) pins no node copies.
+/// buffer for a shard of the current batch that spans several ranges. A
+/// shard is a range of the batch's `(parent, job)` entries, so gathering
+/// copies 8-byte entries, never nodes; the buffer is emptied once the shard
+/// is bounded.
 struct FleetMember {
     engine: MemberEngine,
-    gather: Vec<FspNode>,
+    gather: Vec<Child>,
 }
 
 /// A fleet of simulated devices (and optional CPU members) behind the
@@ -780,16 +781,16 @@ impl BoundingBackend for FleetBackend {
 
     /// Fast-forward members bound against `cutoff`; functional-kernel and
     /// CPU members return exact bounds.
-    fn bound_batch_below(&mut self, nodes: &[FspNode], cutoff: Time) -> BackendBatch {
-        if nodes.is_empty() {
+    fn bound_view(&mut self, batch: BatchView<'_>, cutoff: Time) -> BackendBatch {
+        if batch.is_empty() {
             return BackendBatch {
                 bounds: Vec::new(),
                 accounting: BackendAccounting::default(),
                 launch_times: Vec::new(),
             };
         }
-        let chunk = self.chunk_for(nodes.len());
-        let eff = effective_chunk(nodes.len(), self.members.len(), chunk);
+        let chunk = self.chunk_for(batch.len());
+        let eff = effective_chunk(batch.len(), self.members.len(), chunk);
         // Plan against the models re-quantized to this batch's launch
         // granularity; explicit weight overrides stay authoritative.
         let mut planning = launch_models(&self.models, eff);
@@ -799,7 +800,7 @@ impl BoundingBackend for FleetBackend {
             }
         }
         let weights: Vec<f64> = planning.iter().map(|m| m.weight).collect();
-        let mut shards = plan_shards_weighted(nodes.len(), &weights, chunk);
+        let mut shards = plan_shards_weighted(batch.len(), &weights, chunk);
         let steal = if self.stealing {
             steal_pass(&mut shards, &planning)
         } else {
@@ -841,23 +842,25 @@ impl BoundingBackend for FleetBackend {
             recovery_time = Duration::from_secs_f64(recovery_critical_seconds(&redeal, &planning));
         }
 
-        let mut bounds = vec![Time::default(); nodes.len()];
+        let mut bounds = vec![Time::default(); batch.len()];
         let mut acc = BackendAccounting::default();
         let mut launch_times = Vec::new();
         let mut critical_paths: Vec<(usize, Duration)> = Vec::with_capacity(shards.len());
         for shard in &shards {
             let member = &mut self.members[shard.device];
-            // A shard of one range is bounded in place; a split or stolen
-            // shard is gathered contiguously first (chunking the gathered
-            // shard at `eff` keeps the launch granularity the plan was cut
-            // at).
-            let shard_nodes: &[FspNode] = match shard.ranges[..] {
-                [(start, len)] => &nodes[start..start + len],
+            // A shard of one range is a slice of the batch; a split or
+            // stolen shard's entries are gathered contiguously first
+            // (chunking the gathered shard at `eff` keeps the launch
+            // granularity the plan was cut at).
+            let shard_view = match shard.ranges[..] {
+                [(start, len)] => batch.slice(start..start + len),
                 _ => {
                     for &(start, len) in &shard.ranges {
-                        member.gather.extend_from_slice(&nodes[start..start + len]);
+                        member
+                            .gather
+                            .extend_from_slice(&batch.children()[start..start + len]);
                     }
-                    &member.gather
+                    BatchView::new(batch.parents(), &member.gather)
                 }
             };
             let host = self.fast_forward.then_some((self.host_lb.as_ref(), cutoff));
@@ -866,10 +869,10 @@ impl BoundingBackend for FleetBackend {
                     let result = if self.pipelined {
                         match session {
                             Some(session) => {
-                                engine.bound_nodes_pipelined_in(shard_nodes, eff, host, session)
+                                engine.bound_nodes_pipelined_in(shard_view, eff, host, session)
                             }
                             None => {
-                                let r = engine.bound_nodes_pipelined(shard_nodes, eff, host);
+                                let r = engine.bound_nodes_pipelined(shard_view, eff, host);
                                 PipelinedBatch {
                                     bounds: r.bounds,
                                     kernel_time: r.kernel_time,
@@ -885,8 +888,8 @@ impl BoundingBackend for FleetBackend {
                         }
                     } else {
                         let r = match host {
-                            Some((lb, cutoff)) => engine.bound_nodes_fast(shard_nodes, lb, cutoff),
-                            None => engine.bound_nodes(shard_nodes),
+                            Some((lb, cutoff)) => engine.bound_nodes_fast(shard_view, lb, cutoff),
+                            None => engine.bound_nodes(shard_view),
                         };
                         let shard_waves = engine.device().spec().waves(r.stats.grid_blocks) as u64;
                         PipelinedBatch {
@@ -904,17 +907,17 @@ impl BoundingBackend for FleetBackend {
                     (result, shard.nodes() as u64)
                 }
                 MemberEngine::Cpu(backend) => {
-                    let batch = backend.bound_batch(shard_nodes);
+                    let cpu = backend.bound_view(shard_view, cutoff);
                     let result = PipelinedBatch {
-                        bounds: batch.bounds,
-                        kernel_time: batch.accounting.kernel_time,
+                        bounds: cpu.bounds,
+                        kernel_time: cpu.accounting.kernel_time,
                         transfer_time: Duration::ZERO,
-                        critical_path: batch.accounting.device_time,
+                        critical_path: cpu.accounting.device_time,
                         upload_bytes: 0,
                         download_bytes: 0,
-                        chunks: batch.accounting.launches as usize,
+                        chunks: cpu.accounting.launches as usize,
                         waves: 0,
-                        launch_times: batch.launch_times,
+                        launch_times: cpu.launch_times,
                     };
                     (result, 0)
                 }
@@ -965,9 +968,9 @@ impl BoundingBackend for FleetBackend {
         acc.failures = failures;
         acc.redealt_nodes = redealt_nodes;
         acc.recovery_time = recovery_time;
-        acc.device_time = slowest + self.merge_time(nodes.len());
+        acc.device_time = slowest + self.merge_time(batch.len());
         acc.merge_cycles =
-            crate::cost::CostTable::cycles(crate::cost::CostTable::FLEET_MERGE, nodes.len() as u64);
+            crate::cost::CostTable::cycles(crate::cost::CostTable::FLEET_MERGE, batch.len() as u64);
         BackendBatch {
             bounds,
             accounting: acc,
@@ -1029,7 +1032,7 @@ mod tests {
     use super::*;
     use crate::backend::{make_backend, PipelinedGpuBackend};
     use crate::placement::DataPlacement;
-    use bb::frozen_pool;
+    use bb::{frozen_pool, FspNode};
     use fsp::taillard::generate;
 
     fn fixture(pool: usize) -> (FspProblem<JohnsonLowerBound>, Vec<FspNode>, GpuSolverConfig) {

@@ -4,7 +4,7 @@
 
 use crate::kernel_lb::LowerBoundKernel;
 use crate::placement::{DataPlacement, MatrixId};
-use bb::FspNode;
+use bb::BatchView;
 use fsp::bound::counts::AccessCounts;
 use fsp::{BoundData, BoundScratch, JohnsonLowerBound, Time};
 use gpu_sim::host::BufferKind;
@@ -373,23 +373,23 @@ impl BoundingEngine {
         self.placement.shared_bytes(self.jobs, self.machines)
     }
 
-    /// Packed host→device payload size of `nodes` (two bytes per depth field
-    /// and per prefix entry, as a CUDA implementation would ship them).
-    pub fn upload_bytes(&self, nodes: &[FspNode]) -> usize {
-        nodes.iter().map(|n| (1 + n.depth()) * 2).sum()
+    /// Packed host→device payload size of `batch` (two bytes per depth
+    /// field and per prefix entry, as a CUDA implementation would ship
+    /// them).
+    pub fn upload_bytes(&self, batch: BatchView<'_>) -> usize {
+        batch.depths().map(|depth| (1 + depth) * 2).sum()
     }
 
-    /// Encodes `nodes` into the flat pool layout read by the kernel, staged
-    /// in the engine's reusable buffer `slot`.
-    fn encode(&mut self, nodes: &[FspNode], slot: usize) {
+    /// Encodes `batch` into the flat pool layout read by the kernel — per
+    /// entry its depth, then its parent's prefix followed by its job —
+    /// staged in the engine's reusable buffer `slot`.
+    fn encode(&mut self, batch: BatchView<'_>, slot: usize) {
+        let stride = self.node_stride;
         let flat = &mut self.encode_bufs[slot];
         flat.clear();
-        flat.resize(nodes.len() * self.node_stride, 0);
-        for (i, node) in nodes.iter().enumerate() {
-            let base = i * self.node_stride;
-            let prefix = node.prefix_raw();
-            flat[base] = prefix.len() as u32;
-            flat[base + 1..base + 1 + prefix.len()].copy_from_slice(prefix);
+        flat.resize(batch.len() * stride, 0);
+        for (i, entry) in flat.chunks_exact_mut(stride).enumerate() {
+            entry[0] = batch.write_prefix(i, &mut entry[1..]) as u32;
         }
     }
 
@@ -411,67 +411,74 @@ impl BoundingEngine {
         }
     }
 
-    /// Bounds `nodes` by functionally simulating the kernel (every warp is
-    /// executed; results are exact, timing is estimated).
+    /// Bounds the entries of `batch` by functionally simulating the kernel
+    /// (every warp is executed; results are exact, timing is estimated).
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` exceeds the engine's pool capacity.
-    pub fn bound_nodes(&mut self, nodes: &[FspNode]) -> BoundingResult {
+    /// Panics if `batch` exceeds the engine's pool capacity.
+    pub fn bound_nodes(&mut self, batch: BatchView<'_>) -> BoundingResult {
         assert!(
-            nodes.len() <= self.max_pool,
+            batch.len() <= self.max_pool,
             "pool of {} exceeds engine capacity {}",
-            nodes.len(),
+            batch.len(),
             self.max_pool
         );
-        if nodes.is_empty() {
+        if batch.is_empty() {
             return self.empty_result();
         }
-        self.encode(nodes, 0);
+        self.encode(batch, 0);
         self.device.upload(self.pool_bufs[0], &self.encode_bufs[0]);
-        self.launch.fit_threads(nodes.len());
-        let kernel = self.kernel_on(nodes.len(), 0);
+        self.launch.fit_threads(batch.len());
+        let kernel = self.kernel_on(batch.len(), 0);
         let result = self.device.launch(&kernel, &self.launch);
         let bounds = self
             .device
-            .download_prefix(self.out_bufs[0], nodes.len())
+            .download_prefix(self.out_bufs[0], batch.len())
             .to_vec();
-        self.finish(nodes, bounds, result.timing, result.stats)
+        self.finish(batch, bounds, result.timing, result.stats)
     }
 
-    /// Bounds `nodes` in fast-forward mode: the lower bounds come from the
-    /// host batch bound ([`JohnsonLowerBound::bound_many`], against the
-    /// incumbent `cutoff`; [`Time::MAX`] for exact bounds) and the kernel
-    /// timing is derived from the analytically known access counts — the
-    /// two paths share the cost function, so the timing matches
+    /// Bounds the entries of `batch` in fast-forward mode: the lower bounds
+    /// come from the host batch bound
+    /// ([`JohnsonLowerBound::bound_children`], against the incumbent
+    /// `cutoff`; [`Time::MAX`] for exact bounds) and the kernel timing is
+    /// derived from the analytically known access counts — the two paths
+    /// share the cost function, so the timing matches
     /// [`BoundingEngine::bound_nodes`] exactly (see the tests below).
     pub fn bound_nodes_fast(
         &mut self,
-        nodes: &[FspNode],
+        batch: BatchView<'_>,
         host_bound: &JohnsonLowerBound,
         cutoff: Time,
     ) -> BoundingResult {
         assert!(
-            nodes.len() <= self.max_pool,
+            batch.len() <= self.max_pool,
             "pool of {} exceeds engine capacity {}",
-            nodes.len(),
+            batch.len(),
             self.max_pool
         );
-        if nodes.is_empty() {
+        if batch.is_empty() {
             return self.empty_result();
         }
-        let mut bounds = vec![0; nodes.len()];
-        host_bound.bound_many(&mut self.scratch, nodes, &mut bounds, cutoff);
+        let mut bounds = vec![0; batch.len()];
+        host_bound.bound_children(
+            &mut self.scratch,
+            batch.parents(),
+            batch.children(),
+            &mut bounds,
+            cutoff,
+        );
         let workload = AnalyticWorkload {
-            tally: self.analytic_tally(nodes),
-            total_threads: nodes.len(),
+            tally: self.analytic_tally(batch),
+            total_threads: batch.len(),
         };
-        self.launch.fit_threads(nodes.len());
+        self.launch.fit_threads(batch.len());
         let result = self.device.launch_analytic(&workload, &self.launch);
-        self.finish(nodes, bounds, result.timing, result.stats)
+        self.finish(batch, bounds, result.timing, result.stats)
     }
 
-    /// Bounds `nodes` through the double-buffered, stream-overlapped
+    /// Bounds the entries of `batch` through the double-buffered, stream-overlapped
     /// pipeline: the batch is split into chunks of `chunk_size`, and each
     /// chunk's encode → upload → kernel → download is enqueued on the four
     /// standard streams ([`Device::timeline`]) with event dependencies, so
@@ -481,8 +488,9 @@ impl BoundingEngine {
     /// timeline makespan instead of the serialized sum.
     ///
     /// With `host_bound` supplied — the host batch bound and the incumbent
-    /// it bounds against ([`JohnsonLowerBound::bound_many`]; [`Time::MAX`]
-    /// for exact bounds) — the bounds come from the host and the kernel
+    /// it bounds against ([`JohnsonLowerBound::bound_children`];
+    /// [`Time::MAX`] for exact bounds) — the bounds come from the host and
+    /// the kernel
     /// timing is analytic (fast-forward mode): modelled times match the
     /// functional path exactly, and so do the bounds below the cut-off.
     ///
@@ -496,22 +504,22 @@ impl BoundingEngine {
     /// Panics if `chunk_size` is zero or exceeds the engine's pool capacity.
     pub fn bound_nodes_pipelined(
         &mut self,
-        nodes: &[FspNode],
+        batch: BatchView<'_>,
         chunk_size: usize,
         host_bound: Option<(&JohnsonLowerBound, Time)>,
     ) -> PipelinedBoundingResult {
         let mut session = self.pipeline_session();
-        let batch = self.bound_nodes_pipelined_in(nodes, chunk_size, host_bound, &mut session);
+        let piped = self.bound_nodes_pipelined_in(batch, chunk_size, host_bound, &mut session);
         PipelinedBoundingResult {
-            bounds: batch.bounds,
-            kernel_time: batch.kernel_time,
-            transfer_time: batch.transfer_time,
-            overlapped_time: batch.critical_path,
-            upload_bytes: batch.upload_bytes,
-            download_bytes: batch.download_bytes,
-            chunks: batch.chunks,
-            waves: batch.waves,
-            launch_times: batch.launch_times,
+            bounds: piped.bounds,
+            kernel_time: piped.kernel_time,
+            transfer_time: piped.transfer_time,
+            overlapped_time: piped.critical_path,
+            upload_bytes: piped.upload_bytes,
+            download_bytes: piped.download_bytes,
+            chunks: piped.chunks,
+            waves: piped.waves,
+            launch_times: piped.launch_times,
             timeline: session.timeline,
         }
     }
@@ -532,7 +540,7 @@ impl BoundingEngine {
         }
     }
 
-    /// Bounds `nodes` as one batch of a long-lived [`PipelineSession`],
+    /// Bounds `batch` as one batch of a long-lived [`PipelineSession`],
     /// continuing the session's timeline, stream heads and slot parity so
     /// that this batch's H2D fill overlaps the previous batch's kernel and
     /// D2H tail on the modelled schedule (cross-iteration overlap).
@@ -558,7 +566,7 @@ impl BoundingEngine {
     /// Panics if `chunk_size` is zero or exceeds the engine's pool capacity.
     pub fn bound_nodes_pipelined_in(
         &mut self,
-        nodes: &[FspNode],
+        batch: BatchView<'_>,
         chunk_size: usize,
         host_bound: Option<(&JohnsonLowerBound, Time)>,
         session: &mut PipelineSession,
@@ -575,11 +583,17 @@ impl BoundingEngine {
         // loop below then only drives the modelled timeline.
         let mut bounds: Vec<Time> = match host_bound {
             Some((lb, cutoff)) => {
-                let mut bounds = vec![0; nodes.len()];
-                lb.bound_many(&mut self.scratch, nodes, &mut bounds, cutoff);
+                let mut bounds = vec![0; batch.len()];
+                lb.bound_children(
+                    &mut self.scratch,
+                    batch.parents(),
+                    batch.children(),
+                    &mut bounds,
+                    cutoff,
+                );
                 bounds
             }
-            None => Vec::with_capacity(nodes.len()),
+            None => Vec::with_capacity(batch.len()),
         };
         let mut kernel_time = Duration::ZERO;
         let mut transfer_time = Duration::ZERO;
@@ -588,7 +602,7 @@ impl BoundingEngine {
         let mut waves = 0u64;
         let mut launch_times = Vec::new();
 
-        let chunks: Vec<&[FspNode]> = nodes.chunks(chunk_size).collect();
+        let chunks: Vec<BatchView<'_>> = batch.chunks(chunk_size).collect();
         let functional = host_bound.is_none();
         // Compact the previous batches' events before recording this one:
         // every cross-batch dependency is carried as a completion-time
@@ -611,7 +625,7 @@ impl BoundingEngine {
         let mut encode_events = Vec::with_capacity(chunks.len());
         if let Some(first) = chunks.first() {
             if functional {
-                self.encode(first, session.parity);
+                self.encode(*first, session.parity);
             }
             // The ring holds the tails of the two most recent batches; when
             // full, its front is batch b − 2, whose bounds the host consumed
@@ -626,7 +640,7 @@ impl BoundingEngine {
         }
 
         let mut last_d2h_end = None;
-        for (k, chunk) in chunks.iter().enumerate() {
+        for (k, &chunk) in chunks.iter().enumerate() {
             let slot = session.parity;
             session.parity ^= 1;
 
@@ -678,7 +692,7 @@ impl BoundingEngine {
             // chunk k is modelled in flight (no dependency on the device).
             if let Some(next) = chunks.get(k + 1) {
                 if functional {
-                    self.encode(next, session.parity);
+                    self.encode(*next, session.parity);
                 }
                 encode_events.push(timeline.record(streams.host, Duration::ZERO, &[]));
             }
@@ -723,22 +737,19 @@ impl BoundingEngine {
         }
     }
 
-    /// The exact per-space access tally the kernel produces for `nodes`,
+    /// The exact per-space access tally the kernel produces for `batch`,
     /// computed without executing it (used by fast-forward mode and checked
     /// against the functional tally in tests).
     ///
     /// Every per-node term is affine in the node's depth, so the chunk is
     /// reduced to three sums first — nodes, depths, and unfinished nodes —
     /// and the placement is looked up once per matrix, not once per node.
-    pub fn analytic_tally(&self, nodes: &[FspNode]) -> AccessTally {
+    pub fn analytic_tally(&self, batch: BatchView<'_>) -> AccessTally {
         let (n, m) = (self.jobs, self.machines);
-        let count = nodes.len() as u64;
-        let (depths, unfinished) = nodes
-            .iter()
-            .map(FspNode::depth)
-            .fold((0u64, 0u64), |(d, u), depth| {
-                (d + depth as u64, u + u64::from(depth < n))
-            });
+        let count = batch.len() as u64;
+        let (depths, unfinished) = batch.depths().fold((0u64, 0u64), |(d, u), depth| {
+            (d + depth as u64, u + u64::from(depth < n))
+        });
         // Remaining jobs summed over the chunk (a finished node has none).
         let remaining = count * n as u64 - depths;
 
@@ -779,13 +790,13 @@ impl BoundingEngine {
 
     fn finish(
         &self,
-        nodes: &[FspNode],
+        batch: BatchView<'_>,
         bounds: Vec<Time>,
         kernel: KernelTiming,
         stats: LaunchStats,
     ) -> BoundingResult {
-        let upload_bytes = self.upload_bytes(nodes);
-        let download_bytes = nodes.len() * 4;
+        let upload_bytes = self.upload_bytes(batch);
+        let download_bytes = batch.len() * 4;
         let transfer_time = self.device.round_trip_time(upload_bytes, download_bytes);
         BoundingResult {
             bounds,
@@ -830,7 +841,7 @@ impl BoundingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bb::{frozen_pool, FspProblem};
+    use bb::{frozen_pool, Batch, FspNode, FspProblem};
     use fsp::taillard::generate;
     use fsp::LowerBound;
 
@@ -844,20 +855,21 @@ mod tests {
         (engine, lb)
     }
 
-    fn some_nodes(inst: &fsp::Instance, how_many: usize) -> Vec<FspNode> {
+    fn some_nodes(inst: &fsp::Instance, how_many: usize) -> Batch {
         let problem = FspProblem::new(inst.clone());
         let frozen = frozen_pool(&problem, how_many);
-        frozen.nodes.into_iter().take(how_many).collect()
+        Batch::from_nodes(frozen.nodes.into_iter().take(how_many).collect())
     }
 
     #[test]
     fn gpu_bounds_match_the_host_reference_exactly() {
         let inst = generate("t", 12, 6, 421);
         let (mut engine, lb) = engine_for(&inst, DataPlacement::SharedJmPtm, 64);
-        let nodes = some_nodes(&inst, 48);
-        let result = engine.bound_nodes(&nodes);
+        let batch = some_nodes(&inst, 48);
+        let nodes = batch.view();
+        let result = engine.bound_nodes(nodes);
         assert_eq!(result.bounds.len(), nodes.len());
-        for (node, &gpu_bound) in nodes.iter().zip(&result.bounds) {
+        for (node, &gpu_bound) in batch.parents().iter().zip(&result.bounds) {
             let host = lb.bound_prefix_fn(node.front(), |j| node.is_scheduled(j));
             assert_eq!(
                 gpu_bound,
@@ -871,11 +883,12 @@ mod tests {
     #[test]
     fn bounds_are_identical_across_placements() {
         let inst = generate("t", 10, 5, 7);
-        let nodes = some_nodes(&inst, 32);
+        let batch = some_nodes(&inst, 32);
+        let nodes = batch.view();
         let (mut all_global, _) = engine_for(&inst, DataPlacement::AllGlobal, 32);
         let (mut shared, _) = engine_for(&inst, DataPlacement::SharedJmPtm, 32);
-        let a = all_global.bound_nodes(&nodes);
-        let b = shared.bound_nodes(&nodes);
+        let a = all_global.bound_nodes(nodes);
+        let b = shared.bound_nodes(nodes);
         assert_eq!(a.bounds, b.bounds);
     }
 
@@ -884,9 +897,10 @@ mod tests {
         let inst = generate("t", 11, 5, 99);
         for placement in [DataPlacement::AllGlobal, DataPlacement::SharedJmPtm] {
             let (mut engine, _) = engine_for(&inst, placement, 40);
-            let nodes = some_nodes(&inst, 40);
-            let analytic = engine.analytic_tally(&nodes);
-            let functional = engine.bound_nodes(&nodes).stats.tally;
+            let batch = some_nodes(&inst, 40);
+            let nodes = batch.view();
+            let analytic = engine.analytic_tally(nodes);
+            let functional = engine.bound_nodes(nodes).stats.tally;
             assert_eq!(functional, analytic, "placement {:?}", engine.placement());
         }
     }
@@ -895,9 +909,10 @@ mod tests {
     fn fast_forward_gives_the_same_bounds_and_timing() {
         let inst = generate("t", 10, 6, 5);
         let (mut engine, lb) = engine_for(&inst, DataPlacement::SharedJmPtm, 64);
-        let nodes = some_nodes(&inst, 50);
-        let functional = engine.bound_nodes(&nodes);
-        let fast = engine.bound_nodes_fast(&nodes, &lb, Time::MAX);
+        let batch = some_nodes(&inst, 50);
+        let nodes = batch.view();
+        let functional = engine.bound_nodes(nodes);
+        let fast = engine.bound_nodes_fast(nodes, &lb, Time::MAX);
         assert_eq!(functional.bounds, fast.bounds);
         assert_eq!(functional.kernel.duration, fast.kernel.duration);
         assert_eq!(functional.transfer_time, fast.transfer_time);
@@ -909,18 +924,19 @@ mod tests {
         let (mut engine, _) = engine_for(&inst, DataPlacement::AllGlobal, 4);
         let perm: Vec<usize> = (0..6).collect();
         let leaf = FspNode::from_prefix(&inst, &perm);
-        let result = engine.bound_nodes(&[leaf]);
+        let result = engine.bound_nodes(Batch::from_nodes(vec![leaf]).view());
         assert_eq!(result.bounds, vec![fsp::makespan(&inst, &perm)]);
     }
 
     #[test]
     fn shared_placement_moves_traffic_off_global_memory() {
         let inst = generate("t", 12, 6, 3);
-        let nodes = some_nodes(&inst, 32);
+        let batch = some_nodes(&inst, 32);
+        let nodes = batch.view();
         let (mut g, _) = engine_for(&inst, DataPlacement::AllGlobal, 32);
         let (mut s, _) = engine_for(&inst, DataPlacement::SharedJmPtm, 32);
-        let tg = g.bound_nodes(&nodes).stats.tally;
-        let ts = s.bound_nodes(&nodes).stats.tally;
+        let tg = g.bound_nodes(nodes).stats.tally;
+        let ts = s.bound_nodes(nodes).stats.tally;
         assert_eq!(tg.shared, 0);
         assert!(ts.shared > 0);
         assert!(ts.global < tg.global);
@@ -933,16 +949,20 @@ mod tests {
         let (engine, _) = engine_for(&inst, DataPlacement::AllGlobal, 8);
         let shallow = FspNode::from_prefix(&inst, &[1]);
         let deep = FspNode::from_prefix(&inst, &[1, 2, 3, 4, 5]);
-        assert_eq!(engine.upload_bytes(std::slice::from_ref(&shallow)), 4);
-        assert_eq!(engine.upload_bytes(std::slice::from_ref(&deep)), 12);
-        assert_eq!(engine.upload_bytes(&[shallow, deep]), 16);
+        let mut batch = Batch::from_nodes(vec![shallow, deep]);
+        assert_eq!(engine.upload_bytes(batch.view().slice(0..1)), 4);
+        assert_eq!(engine.upload_bytes(batch.view().slice(1..2)), 12);
+        assert_eq!(engine.upload_bytes(batch.view()), 16);
+        // A child is one entry deeper than its parent: 9 children of depth 2.
+        batch.branch(FspNode::from_prefix(&inst, &[0]));
+        assert_eq!(engine.upload_bytes(batch.view().slice(2..11)), 9 * 6);
     }
 
     #[test]
     fn empty_pool_is_a_no_op() {
         let inst = generate("t", 8, 4, 2);
         let (mut engine, _) = engine_for(&inst, DataPlacement::AllGlobal, 8);
-        let result = engine.bound_nodes(&[]);
+        let result = engine.bound_nodes(Batch::default().view());
         assert!(result.bounds.is_empty());
         assert_eq!(result.kernel.duration, Duration::ZERO);
         assert_eq!(result.transfer_time, Duration::ZERO);
@@ -954,17 +974,18 @@ mod tests {
         let inst = generate("t", 8, 4, 2);
         let (mut engine, _) = engine_for(&inst, DataPlacement::AllGlobal, 4);
         let nodes: Vec<FspNode> = (0..8).map(|j| FspNode::from_prefix(&inst, &[j])).collect();
-        engine.bound_nodes(&nodes);
+        engine.bound_nodes(Batch::from_nodes(nodes).view());
     }
 
     #[test]
     fn pipelined_bounds_match_the_unpipelined_path() {
         let inst = generate("t", 12, 6, 421);
-        let nodes = some_nodes(&inst, 60);
+        let batch = some_nodes(&inst, 60);
+        let nodes = batch.view();
         let (mut engine, _) = engine_for(&inst, DataPlacement::SharedJmPtm, 64);
-        let reference = engine.bound_nodes(&nodes).bounds;
+        let reference = engine.bound_nodes(nodes).bounds;
         for chunk in [1, 7, 16, 60, 64] {
-            let piped = engine.bound_nodes_pipelined(&nodes, chunk, None);
+            let piped = engine.bound_nodes_pipelined(nodes, chunk, None);
             assert_eq!(piped.bounds, reference, "chunk size {chunk}");
         }
     }
@@ -973,9 +994,10 @@ mod tests {
     fn pipelined_fast_forward_matches_functional_bounds_and_timing() {
         let inst = generate("t", 10, 6, 5);
         let (mut engine, lb) = engine_for(&inst, DataPlacement::SharedJmPtm, 64);
-        let nodes = some_nodes(&inst, 48);
-        let functional = engine.bound_nodes_pipelined(&nodes, 12, None);
-        let fast = engine.bound_nodes_pipelined(&nodes, 12, Some((&lb, Time::MAX)));
+        let batch = some_nodes(&inst, 48);
+        let nodes = batch.view();
+        let functional = engine.bound_nodes_pipelined(nodes, 12, None);
+        let fast = engine.bound_nodes_pipelined(nodes, 12, Some((&lb, Time::MAX)));
         assert_eq!(functional.bounds, fast.bounds);
         assert_eq!(functional.kernel_time, fast.kernel_time);
         assert_eq!(functional.transfer_time, fast.transfer_time);
@@ -987,8 +1009,9 @@ mod tests {
     fn pipelining_beats_the_serialized_schedule() {
         let inst = generate("t", 14, 8, 29);
         let (mut engine, _) = engine_for(&inst, DataPlacement::SharedJmPtm, 128);
-        let nodes = some_nodes(&inst, 128);
-        let piped = engine.bound_nodes_pipelined(&nodes, 32, None);
+        let batch = some_nodes(&inst, 128);
+        let nodes = batch.view();
+        let piped = engine.bound_nodes_pipelined(nodes, 32, None);
         assert_eq!(piped.chunks, 4);
         assert!(
             piped.overlapped_time < piped.serialized_device_time(),
@@ -998,7 +1021,7 @@ mod tests {
         );
         // A single chunk cannot overlap anything: the makespan is the full
         // dependency chain.
-        let single = engine.bound_nodes_pipelined(&nodes, 128, None);
+        let single = engine.bound_nodes_pipelined(nodes, 128, None);
         assert_eq!(single.chunks, 1);
         assert!(single.overlapped_time >= single.serialized_device_time());
     }
@@ -1012,9 +1035,10 @@ mod tests {
         // figures).
         let inst = generate("t", 11, 5, 77);
         let (mut engine, _) = engine_for(&inst, DataPlacement::AllGlobal, 96);
-        let nodes = some_nodes(&inst, 96);
-        let one = engine.bound_nodes(&nodes);
-        let piped = engine.bound_nodes_pipelined(&nodes, 24, None);
+        let batch = some_nodes(&inst, 96);
+        let nodes = batch.view();
+        let one = engine.bound_nodes(nodes);
+        let piped = engine.bound_nodes_pipelined(nodes, 24, None);
         assert_eq!(piped.upload_bytes, one.upload_bytes);
         assert_eq!(piped.download_bytes, one.download_bytes);
         assert!(piped.kernel_time >= one.kernel.duration);
@@ -1025,7 +1049,7 @@ mod tests {
     fn pipelined_empty_pool_is_a_no_op() {
         let inst = generate("t", 8, 4, 2);
         let (mut engine, _) = engine_for(&inst, DataPlacement::AllGlobal, 8);
-        let result = engine.bound_nodes_pipelined(&[], 4, None);
+        let result = engine.bound_nodes_pipelined(Batch::default().view(), 4, None);
         assert!(result.bounds.is_empty());
         assert_eq!(result.chunks, 0);
         assert_eq!(result.overlapped_time, Duration::ZERO);
@@ -1036,16 +1060,18 @@ mod tests {
     fn pipelined_oversized_chunk_panics() {
         let inst = generate("t", 8, 4, 2);
         let (mut engine, _) = engine_for(&inst, DataPlacement::AllGlobal, 4);
-        let nodes = some_nodes(&inst, 4);
-        engine.bound_nodes_pipelined(&nodes, 8, None);
+        let batch = some_nodes(&inst, 4);
+        let nodes = batch.view();
+        engine.bound_nodes_pipelined(nodes, 8, None);
     }
 
     #[test]
     fn session_bounds_match_and_critical_paths_telescope() {
         let inst = generate("t", 12, 6, 421);
         let (mut engine, _) = engine_for(&inst, DataPlacement::SharedJmPtm, 64);
-        let nodes = some_nodes(&inst, 60);
-        let reference = engine.bound_nodes(&nodes).bounds;
+        let batch = some_nodes(&inst, 60);
+        let nodes = batch.view();
+        let reference = engine.bound_nodes(nodes).bounds;
         let mut session = engine.pipeline_session();
         let mut summed = Duration::ZERO;
         let mut all_bounds = Vec::new();
@@ -1067,7 +1093,8 @@ mod tests {
     fn cross_iteration_session_beats_per_batch_pipelines() {
         let inst = generate("t", 14, 8, 29);
         let (mut engine, _) = engine_for(&inst, DataPlacement::SharedJmPtm, 128);
-        let nodes = some_nodes(&inst, 128);
+        let batch = some_nodes(&inst, 128);
+        let nodes = batch.view();
         // Per-batch pipelines: every 32-node batch fills and drains its own
         // schedule.
         let mut standalone = Duration::ZERO;
@@ -1096,7 +1123,8 @@ mod tests {
         // makespan keep growing.
         let inst = generate("t", 12, 6, 421);
         let (mut engine, lb) = engine_for(&inst, DataPlacement::SharedJmPtm, 64);
-        let nodes = some_nodes(&inst, 60);
+        let batch = some_nodes(&inst, 60);
+        let nodes = batch.view();
         let mut session = engine.pipeline_session();
         let mut last_len = 0;
         for chunk in nodes.chunks(20) {
@@ -1117,7 +1145,8 @@ mod tests {
         let inst = generate("t", 8, 4, 2);
         let (mut engine, _) = engine_for(&inst, DataPlacement::AllGlobal, 8);
         let mut session = engine.pipeline_session();
-        let batch = engine.bound_nodes_pipelined_in(&[], 4, None, &mut session);
+        let empty = Batch::default();
+        let batch = engine.bound_nodes_pipelined_in(empty.view(), 4, None, &mut session);
         assert!(batch.bounds.is_empty());
         assert_eq!(batch.chunks, 0);
         assert_eq!(batch.critical_path, Duration::ZERO);
@@ -1129,7 +1158,8 @@ mod tests {
     fn session_fast_forward_matches_functional_timing() {
         let inst = generate("t", 10, 6, 5);
         let (mut engine, lb) = engine_for(&inst, DataPlacement::SharedJmPtm, 64);
-        let nodes = some_nodes(&inst, 48);
+        let batch = some_nodes(&inst, 48);
+        let nodes = batch.view();
         let mut functional = engine.pipeline_session();
         let mut fast = engine.pipeline_session();
         for chunk in nodes.chunks(16) {
@@ -1143,7 +1173,7 @@ mod tests {
                     .bounds,
             );
         }
-        assert_eq!(fast_bounds, engine.bound_nodes(&nodes).bounds);
+        assert_eq!(fast_bounds, engine.bound_nodes(nodes).bounds);
         assert_eq!(functional.makespan(), fast.makespan());
     }
 
@@ -1154,7 +1184,9 @@ mod tests {
         let inst = generate("t", 9, 5, 71);
         let (mut engine, lb) = engine_for(&inst, DataPlacement::SharedJmPtm, 16);
         let node = FspNode::from_prefix(&inst, &[2, 4]);
-        let via_engine = engine.bound_nodes(std::slice::from_ref(&node)).bounds[0];
+        let via_engine = engine
+            .bound_nodes(Batch::from_nodes(vec![node]).view())
+            .bounds[0];
         let sched = fsp::PartialSchedule::from_prefix(&inst, &[2, 4]);
         assert_eq!(via_engine, lb.bound(&sched));
     }

@@ -4,6 +4,11 @@
 //! [`crate::BoundingBackend`] the caller drives, then the cost books and
 //! **elimination** on the CPU ([`SearchState::consume`]).
 //!
+//! Branching lists each child as a `(parent, job)` entry of a [`Batch`]
+//! rather than building it: the backend bounds the entries from their
+//! parents, and elimination builds a node only for a child it keeps or a
+//! leaf it prices.
+//!
 //! The callers keep only what differs between them: the standalone solver
 //! its limits, checkpoint trigger and lookahead speculation; a service job
 //! its budget, deadline, cancellation and incumbent stream.
@@ -15,7 +20,7 @@ use crate::fault::SolveCheckpoint;
 use crate::stats::GpuRunStats;
 use bb::pool::Pool;
 use bb::stats::SolveStats;
-use bb::{BestFirstPool, FspNode, FspProblem, SharedUpperBound};
+use bb::{Batch, BestFirstPool, FspNode, FspProblem, SharedUpperBound};
 use fsp::{Job, JohnsonLowerBound, Time};
 use std::time::Duration;
 
@@ -111,14 +116,14 @@ impl SearchState {
         self.cost.batches - self.carried.batches
     }
 
-    /// Selection + branching: pops nodes best first and accumulates their
-    /// children until the pool size is reached or the pending pool runs
-    /// dry. Nodes the incumbent prunes are dropped on the way. The first
-    /// parent it keeps is always branched, so a pool size of zero still
-    /// makes progress.
-    pub(crate) fn select_batch(&mut self) -> Vec<FspNode> {
+    /// Selection + branching: pops nodes best first and lists their
+    /// children as `(parent, job)` entries until the pool size is reached
+    /// or the pending pool runs dry. Nodes the incumbent prunes are dropped
+    /// on the way. The first parent it keeps is always branched, so a pool
+    /// size of zero still makes progress.
+    pub(crate) fn select_batch(&mut self) -> Batch {
         let n = self.problem.instance().jobs();
-        let mut batch: Vec<FspNode> = Vec::with_capacity(self.pool_size + n);
+        let mut batch = Batch::with_capacity(self.pool_size.max(1), self.pool_size + n);
         while batch.len() < self.pool_size.max(1) {
             let Some(node) = self.pool.pop() else { break };
             self.stats.selected += 1;
@@ -127,45 +132,49 @@ impl SearchState {
                 continue;
             }
             self.stats.decomposed += 1;
-            self.problem.branch_into(&node, &mut batch);
+            batch.branch(node);
         }
         batch
     }
 
     /// Books one bounded batch (cost counters and latency histograms), then
     /// eliminates it: leaves may improve the incumbent, and children the
-    /// incumbent does not prune join the pool. `on_incumbent` sees every
+    /// incumbent does not prune join the pool. Only those two are built as
+    /// nodes; a pruned child never is. `on_incumbent` sees every
     /// improvement as `(makespan, nodes bounded so far)`.
     pub(crate) fn consume(
         &mut self,
-        batch: Vec<FspNode>,
+        batch: Batch,
         result: BackendBatch,
         mut on_incumbent: impl FnMut(Time, u64),
     ) {
         let inst = self.problem.instance();
+        let view = batch.view();
         let acc = result.accounting;
-        let accesses = serial_accesses(inst.jobs(), inst.machines(), &batch);
+        let accesses = serial_accesses(inst.jobs(), inst.machines(), view);
         self.cost
-            .record_backend_batch(&acc, batch.len() as u64, accesses);
+            .record_backend_batch(&acc, view.len() as u64, accesses);
         for launch in &result.launch_times {
             self.latencies.launch.record(*launch);
         }
         self.latencies.batch.record(acc.device_time);
 
-        for (mut child, bound) in batch.into_iter().zip(result.bounds) {
-            child.set_bound(bound);
+        for ((i, depth), bound) in view.depths().enumerate().zip(result.bounds) {
             self.stats.bounded += 1;
-            if self.problem.is_leaf(&child) {
+            if depth == inst.jobs() {
                 self.stats.leaves += 1;
-                let cost = self.problem.leaf_cost(&child);
+                let leaf = view.node(i, inst);
+                let cost = self.problem.leaf_cost(&leaf);
                 if self.ub.try_improve(cost) {
                     self.stats.improvements += 1;
-                    self.best_schedule = Some(child.prefix_vec());
+                    self.best_schedule = Some(leaf.prefix_vec());
                     on_incumbent(cost, self.stats.bounded);
                 }
             } else if self.ub.prunes(bound) {
                 self.stats.pruned += 1;
             } else {
+                let mut child = view.node(i, inst);
+                child.set_bound(bound);
                 self.pool.push(child);
             }
         }

@@ -415,7 +415,7 @@ impl JobRun {
                 None
             };
         }
-        let result = backend.bound_batch_below(&batch, self.search.upper_bound());
+        let result = backend.bound_view(batch.view(), self.search.upper_bound());
         let updates = &self.shared.updates;
         self.search.consume(batch, result, |makespan, after_nodes| {
             updates.lock().unwrap().push(IncumbentUpdate {

@@ -15,7 +15,7 @@ use crate::search::SearchState;
 use crate::stats::GpuRunStats;
 use bb::solver::StopReason;
 use bb::stats::SolveStats;
-use bb::{FspNode, FspProblem};
+use bb::{Batch, FspNode, FspProblem};
 use fsp::{Instance, Job, JohnsonLowerBound, Time};
 use gpu_sim::HostModel;
 use std::time::Instant;
@@ -198,7 +198,7 @@ impl GpuBnbSolver {
         // still pending. `None` in the strict (non-lookahead) loop. Every
         // batch the backend bounds is consumed, on the break paths too, so
         // no bounded node goes unaccounted.
-        let mut in_flight: Option<(Vec<FspNode>, BackendBatch)> = None;
+        let mut in_flight: Option<(Batch, BackendBatch)> = None;
         loop {
             if config
                 .checkpoint_after
@@ -236,7 +236,7 @@ impl GpuBnbSolver {
                         }
                         continue;
                     }
-                    let result = backend.bound_batch_below(&batch, search.upper_bound());
+                    let result = backend.bound_view(batch.view(), search.upper_bound());
                     (batch, result)
                 }
             };
@@ -259,7 +259,7 @@ impl GpuBnbSolver {
             {
                 let next = search.select_batch();
                 if !next.is_empty() {
-                    let result = backend.bound_batch_below(&next, search.upper_bound());
+                    let result = backend.bound_view(next.view(), search.upper_bound());
                     in_flight = Some((next, result));
                 }
             }

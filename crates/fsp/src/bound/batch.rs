@@ -3,7 +3,7 @@
 //!
 //! The paper bounds a pool by giving every sub-problem its own GPU thread,
 //! all threads reading the same read-only Table I matrices.
-//! [`JohnsonLowerBound::bound_many`] does the same on the host with
+//! [`JohnsonLowerBound::bound_children`] does the same on the host with
 //! [`LANES`] sub-problems per pass: each machine pair's Johnson row — the
 //! `(job, p1, lag, p2)` read from `JM`, `PTM` and `LM` at every position —
 //! is gathered once and replayed over a block of lane groups, and a lane
@@ -28,7 +28,7 @@
 //! once per call, so it follows the calls, never the clock.
 //!
 //! The lane loops are written once and compiled twice. On x86-64 with
-//! AVX2, [`JohnsonLowerBound::bound_many`] runs them inside an AVX2
+//! AVX2, the batch bound runs them inside an AVX2
 //! wrapper, where a lane group is one 256-bit register with native
 //! unsigned `u32` min and max; any other CPU or target runs the same source
 //! compiled for the baseline (on x86-64, SSE2, which has no unsigned `u32`
@@ -36,7 +36,14 @@
 //! this CPU runs. Both perform the same integer operations, so their bounds
 //! are bit-identical.
 //!
-//! Loading a block reads each node's front and scheduled-set words once.
+//! A batch is a list of [`Child`] entries over a slice of parents: each
+//! entry is one job scheduled after its parent's prefix, or the parent
+//! itself ([`JohnsonLowerBound::bound_children`]; [`JohnsonLowerBound::bound_many`]
+//! is the batch whose every entry is its parent). One lane loader serves
+//! both. A lane copies its parent's front and scheduled-set words once;
+//! for a child it then advances the front by the job's processing times
+//! (`c_k = max(c_k, c_{k−1}) + p[job][k]`, the schedule recurrence) and
+//! sets the job's bit, so a child is bounded without ever being built.
 //! Each job's keep row is then one shift of its set word for all lanes, and
 //! each machine's head and tail minima are taken in registers before being
 //! written once.
@@ -71,7 +78,11 @@ const FIRST_PASS_PAIRS: usize = 16;
 const WORD_BITS: usize = u32::BITS as usize;
 
 /// A sub-problem as the batch bound reads it: the front of its scheduled
-/// prefix and its scheduled set.
+/// prefix and its scheduled set. It is bounded itself
+/// ([`JohnsonLowerBound::bound_many`], or a [`Child::PARENT`] entry) or
+/// stands as the parent of child entries
+/// ([`JohnsonLowerBound::bound_children`]), whose lanes copy both and
+/// advance them by one job.
 ///
 /// Implemented by the B&B node type of the `bb` crate, which this crate
 /// cannot name.
@@ -83,6 +94,41 @@ pub trait SubProblem {
     /// is one when job `j` belongs to the scheduled prefix. Bits past job
     /// `n − 1` are never read.
     fn scheduled_words(&self) -> &[u32];
+}
+
+/// One entry of a batch bounded by [`JohnsonLowerBound::bound_children`]:
+/// job `job` scheduled after the prefix of parent `parent`, or, when `job`
+/// is [`Child::PARENT`], the parent itself. Eight bytes, so a batch lists
+/// its children without building them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Child {
+    /// Index of the parent in the batch's parent slice.
+    pub parent: u32,
+    /// The job scheduled next, or [`Child::PARENT`].
+    pub job: u32,
+}
+
+impl Child {
+    /// The sentinel job: the entry is its parent itself.
+    pub const PARENT: u32 = u32::MAX;
+
+    /// The child of parent `parent` that schedules `job` next.
+    pub const fn new(parent: u32, job: u32) -> Self {
+        Self { parent, job }
+    }
+
+    /// The entry that is parent `parent` itself.
+    pub const fn parent_itself(parent: u32) -> Self {
+        Self {
+            parent,
+            job: Self::PARENT,
+        }
+    }
+
+    /// `true` when the entry is its parent itself, not a child of it.
+    pub const fn is_parent_itself(self) -> bool {
+        self.job == Self::PARENT
+    }
 }
 
 /// `true` when this CPU runs the AVX2 compilation of the lane loops.
@@ -97,8 +143,8 @@ fn has_avx2() -> bool {
     }
 }
 
-/// The compilation of the lane loops that [`JohnsonLowerBound::bound_many`]
-/// runs on this CPU: `"avx2"`, or `"portable"` for the baseline target's.
+/// The compilation of the lane loops that the batch bound runs on this
+/// CPU: `"avx2"`, or `"portable"` for the baseline target's.
 pub fn lane_kernel() -> &'static str {
     if has_avx2() {
         "avx2"
@@ -175,21 +221,8 @@ impl LaneScratch {
 
 impl JohnsonLowerBound {
     /// Lower bounds of `nodes` into `out`, in input order, [`LANES`] nodes
-    /// per pass — the batch entry point every bounding backend uses.
-    ///
-    /// `cutoff` is the incumbent the bounds will be pruned against. Node for
-    /// node, with `exact` the bound of [`Self::bound_prefix`]:
-    ///
-    /// * `out ≤ exact`;
-    /// * `out == exact` when `exact < cutoff`;
-    /// * `out ≥ cutoff` otherwise.
-    ///
-    /// So `out < cutoff` exactly when `exact < cutoff`, and every node the
-    /// cut-off does not prune gets its exact bound. [`Time::MAX`] gives
-    /// exact bounds throughout; a complete schedule's bound is always its
-    /// makespan. `scratch` is reset for every block, so one scratch serves
-    /// instances of any shape. The lane loops run at the width of this CPU
-    /// (see [`lane_kernel`]); every compilation gives the same bounds.
+    /// per pass — [`Self::bound_children`] over a batch whose every entry
+    /// is its parent itself.
     ///
     /// # Panics
     ///
@@ -203,42 +236,102 @@ impl JohnsonLowerBound {
         out: &mut [Time],
         cutoff: Time,
     ) {
+        assert_eq!(nodes.len(), out.len(), "one output slot per node");
+        self.bound_lanes(scratch, |i| (&nodes[i], Child::PARENT), out, cutoff);
+    }
+
+    /// Lower bounds of `children` into `out`, in input order, [`LANES`]
+    /// sub-problems per pass — the batch entry point every bounding backend
+    /// uses. Entry `i` is `children[i].job` scheduled after the prefix of
+    /// `parents[children[i].parent]`, or that parent itself for
+    /// [`Child::PARENT`].
+    ///
+    /// `cutoff` is the incumbent the bounds will be pruned against. Entry
+    /// for entry, with `exact` the bound of [`Self::bound_prefix`] on the
+    /// sub-problem the entry names:
+    ///
+    /// * `out ≤ exact`;
+    /// * `out == exact` when `exact < cutoff`;
+    /// * `out ≥ cutoff` otherwise.
+    ///
+    /// So `out < cutoff` exactly when `exact < cutoff`, and every entry the
+    /// cut-off does not prune gets its exact bound. [`Time::MAX`] gives
+    /// exact bounds throughout; a complete schedule's bound is always its
+    /// makespan. `scratch` is reset for every block, so one scratch serves
+    /// instances of any shape. The lane loops run at the width of this CPU
+    /// (see [`lane_kernel`]); every compilation gives the same bounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` and `children` differ in length; if an entry names
+    /// a parent out of range, a job out of range or a job its parent has
+    /// already scheduled; or if a parent's front does not hold one entry
+    /// per machine or its scheduled set one word per 32 jobs.
+    pub fn bound_children<N: SubProblem>(
+        &self,
+        scratch: &mut BoundScratch,
+        parents: &[N],
+        children: &[Child],
+        out: &mut [Time],
+        cutoff: Time,
+    ) {
+        assert_eq!(children.len(), out.len(), "one output slot per child");
+        self.bound_lanes(
+            scratch,
+            |i| {
+                let child = children[i];
+                (&parents[child.parent as usize], child.job)
+            },
+            out,
+            cutoff,
+        );
+    }
+
+    /// Dispatches the lane loops to the compilation this CPU runs; `lane(i)`
+    /// is entry `i`'s parent and job, for `i` below `out.len()`.
+    #[inline(always)]
+    fn bound_lanes<'a, N: SubProblem + 'a>(
+        &self,
+        scratch: &mut BoundScratch,
+        lane: impl Fn(usize) -> (&'a N, u32),
+        out: &mut [Time],
+        cutoff: Time,
+    ) {
         #[cfg(target_arch = "x86_64")]
         if has_avx2() {
             // SAFETY: AVX2, the one feature the wrapper enables, was just
             // detected on this CPU.
-            unsafe { self.bound_many_avx2(scratch, nodes, out, cutoff) };
+            unsafe { self.bound_lanes_avx2(scratch, lane, out, cutoff) };
             return;
         }
-        self.bound_many_portable(scratch, nodes, out, cutoff);
+        self.bound_lanes_portable(scratch, lane, out, cutoff);
     }
 
-    /// [`Self::bound_many_portable`] compiled for AVX2: every lane loop it
+    /// [`Self::bound_lanes_portable`] compiled for AVX2: every lane loop it
     /// inlines runs on 256-bit registers.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn bound_many_avx2<N: SubProblem>(
+    fn bound_lanes_avx2<'a, N: SubProblem + 'a>(
         &self,
         scratch: &mut BoundScratch,
-        nodes: &[N],
+        lane: impl Fn(usize) -> (&'a N, u32),
         out: &mut [Time],
         cutoff: Time,
     ) {
-        self.bound_many_portable(scratch, nodes, out, cutoff);
+        self.bound_lanes_portable(scratch, lane, out, cutoff);
     }
 
-    /// The body of [`Self::bound_many`]. It and every step below it are
+    /// The body of [`Self::bound_children`]. It and every step below it are
     /// inlined into their caller, so they compile for the caller's target
     /// features: the baseline's when called directly.
     #[inline(always)]
-    pub(crate) fn bound_many_portable<N: SubProblem>(
+    pub(crate) fn bound_lanes_portable<'a, N: SubProblem + 'a>(
         &self,
         scratch: &mut BoundScratch,
-        nodes: &[N],
+        lane: impl Fn(usize) -> (&'a N, u32),
         out: &mut [Time],
         cutoff: Time,
     ) {
-        assert_eq!(nodes.len(), out.len(), "one output slot per node");
         let s = &mut scratch.lanes;
         let pairs = self.data().num_pairs();
         let two_pass = cutoff != Time::MAX && pairs > ONE_PASS_MAX_PAIRS;
@@ -246,8 +339,8 @@ impl JohnsonLowerBound {
             s.sort_pairs(pairs);
         }
         let block = LANES * BLOCK_GROUPS;
-        for (nodes, out) in nodes.chunks(block).zip(out.chunks_mut(block)) {
-            let groups = self.load_block(s, nodes);
+        for (b, out) in out.chunks_mut(block).enumerate() {
+            let groups = self.load_block(s, out.len(), |i| lane(b * block + i));
             if two_pass {
                 self.bound_block_below(s, groups, out, cutoff);
             } else {
@@ -304,30 +397,58 @@ impl JohnsonLowerBound {
         s.order = order;
     }
 
-    /// Loads up to [`BLOCK_GROUPS`] groups of [`LANES`] nodes into the
-    /// working rows, with the per-machine start times and tails the pair
-    /// loop reads; returns the number of groups.
+    /// Loads `len` (at most [`BLOCK_GROUPS`] groups of [`LANES`]) entries
+    /// into the working rows, with the per-machine start times and tails
+    /// the pair loop reads; returns the number of groups. `lane(i)` is entry
+    /// `i`'s parent and job.
     #[inline(always)]
-    fn load_block<N: SubProblem>(&self, s: &mut LaneScratch, nodes: &[N]) -> usize {
+    fn load_block<'a, N: SubProblem + 'a>(
+        &self,
+        s: &mut LaneScratch,
+        len: usize,
+        lane: impl Fn(usize) -> (&'a N, u32),
+    ) -> usize {
         let data = self.data();
         let (n, m) = (data.jobs(), data.machines());
         let w = n.div_ceil(WORD_BITS);
-        let groups = nodes.len().div_ceil(LANES);
+        let groups = len.div_ceil(LANES);
         // Lanes past the end of a short group stay complete schedules (every
         // job scheduled) with a zero front, which no later step can overflow.
         reset(&mut s.front, groups * m, [0; LANES]);
         reset(&mut s.words, groups * w, [u32::MAX; LANES]);
         reset(&mut s.lb, groups, [0; LANES]);
-        for (i, node) in nodes.iter().enumerate() {
-            let (group, lane) = (i / LANES, i % LANES);
-            let (front, words) = (node.front(), node.scheduled_words());
+        for i in 0..len {
+            let (group, l) = (i / LANES, i % LANES);
+            let (parent, job) = lane(i);
+            let (front, words) = (parent.front(), parent.scheduled_words());
             assert_eq!(front.len(), m, "a front holds one entry per machine");
             assert_eq!(words.len(), w, "a scheduled set holds one word per 32 jobs");
-            for (row, &c) in s.front[group * m..].iter_mut().zip(front) {
-                row[lane] = c;
+            let rows = &mut s.front[group * m..(group + 1) * m];
+            if job == Child::PARENT {
+                for (row, &c) in rows.iter_mut().zip(front) {
+                    row[l] = c;
+                }
+            } else {
+                let j = job as usize;
+                assert!(j < n, "job {j} out of range");
+                assert!(
+                    words[j / WORD_BITS] >> (j % WORD_BITS) & 1 == 0,
+                    "job {j} already scheduled"
+                );
+                // The schedule recurrence: the job starts on machine `k`
+                // once the machine is free and it left machine `k − 1`.
+                let mut prev = 0;
+                for ((row, &c), &p) in rows.iter_mut().zip(front).zip(data.ptm_row(j)) {
+                    prev = c.max(prev) + p;
+                    row[l] = prev;
+                }
             }
             for (row, &word) in s.words[group * w..].iter_mut().zip(words) {
-                row[lane] = word;
+                row[l] = word;
+            }
+            if job != Child::PARENT {
+                let j = job as usize;
+                s.words[group * w + j / WORD_BITS][l] |= 1 << (j % WORD_BITS);
             }
         }
 
@@ -495,10 +616,10 @@ mod tests {
         }
     }
 
-    /// `count` sub-problems of depths `0, 1, …, n, 0, …`, each a prefix of
-    /// its own xorshift shuffle of the jobs.
-    fn mixed_depth_prefixes(inst: &crate::Instance, count: usize) -> Vec<Prefix> {
-        let n = inst.jobs();
+    /// `count` prefixes of depths `0, 1, …, n, 0, …`, each of its own
+    /// xorshift shuffle of the jobs, with the job that shuffle schedules
+    /// next (`None` at depth `n`).
+    fn mixed_depth_prefixes(n: usize, count: usize) -> Vec<(Vec<Job>, Option<Job>)> {
         let mut state = 0x9E37_79B9_7F4A_7C15_u64;
         (0..count)
             .map(|i| {
@@ -509,7 +630,8 @@ mod tests {
                     state ^= state << 17;
                     jobs.swap(j, (state % (j as u64 + 1)) as usize);
                 }
-                Prefix::new(inst, &jobs[..i % (n + 1)])
+                let depth = i % (n + 1);
+                (jobs[..depth].to_vec(), jobs.get(depth).copied())
             })
             .collect()
     }
@@ -519,16 +641,34 @@ mod tests {
         // The dispatched entry point and the portable compilation, the only
         // one a CPU without AVX2 runs, each keep one scratch for every
         // shape, batch length and cut-off. Both scratches see the same calls,
-        // so their pair orders, and hence even the pruned nodes' partial
+        // so their pair orders, and hence even the pruned entries' partial
         // bounds, agree. 1 to 3 set words; 0 to 190 machine pairs, on both
-        // sides of the two-pass threshold.
+        // sides of the two-pass threshold. Every other entry is a child of
+        // its parent, advanced in the lane, and the rest are parents
+        // themselves.
         let (mut dispatched, mut portable) = (BoundScratch::new(), BoundScratch::new());
         for n in [5, 33, 65] {
             for m in [1, 5, 9, 20] {
                 let inst = generate("t", n, m, 9);
                 let lb = JohnsonLowerBound::new(&inst);
-                let nodes = mixed_depth_prefixes(&inst, 130);
-                let reference: Vec<Time> = nodes
+                let prefixes = mixed_depth_prefixes(n, 130);
+                let parents: Vec<Prefix> = prefixes
+                    .iter()
+                    .map(|(prefix, _)| Prefix::new(&inst, prefix))
+                    .collect();
+                let (mut children, mut named) = (Vec::new(), Vec::new());
+                for (i, (prefix, next)) in prefixes.iter().enumerate() {
+                    let mut prefix = prefix.clone();
+                    match next {
+                        Some(job) if i % 2 == 1 => {
+                            children.push(Child::new(i as u32, *job as u32));
+                            prefix.push(*job);
+                        }
+                        _ => children.push(Child::parent_itself(i as u32)),
+                    }
+                    named.push(Prefix::new(&inst, &prefix));
+                }
+                let reference: Vec<Time> = named
                     .iter()
                     .map(|node| lb.bound_prefix(&node.front, &node.scheduled))
                     .collect();
@@ -537,23 +677,46 @@ mod tests {
                     let mut sorted = exact.to_vec();
                     sorted.sort_unstable();
                     for cutoff in [0, sorted[len / 2], Time::MAX] {
-                        let at = format!("{n}x{m}, {len} nodes, cut-off {cutoff}");
+                        let at = format!("{n}x{m}, {len} entries, cut-off {cutoff}");
                         let (mut got, mut want) = (vec![0; len], vec![0; len]);
-                        lb.bound_many(&mut dispatched, &nodes[..len], &mut got, cutoff);
-                        lb.bound_many_portable(&mut portable, &nodes[..len], &mut want, cutoff);
+                        let entries = &children[..len];
+                        lb.bound_children(&mut dispatched, &parents, entries, &mut got, cutoff);
+                        lb.bound_lanes_portable(
+                            &mut portable,
+                            |i| (&parents[entries[i].parent as usize], entries[i].job),
+                            &mut want,
+                            cutoff,
+                        );
                         assert_eq!(got, want, "{at}: dispatched vs portable");
+                        let mut whole = vec![0; len];
+                        lb.bound_many(&mut BoundScratch::new(), &named[..len], &mut whole, cutoff);
                         for (i, (&got, &exact)) in got.iter().zip(exact).enumerate() {
-                            assert!(got <= exact, "{at}, node {i}: {got} above {exact}");
+                            assert!(got <= exact, "{at}, entry {i}: {got} above {exact}");
                             if exact < cutoff {
-                                assert_eq!(got, exact, "{at}, node {i}");
+                                assert_eq!(got, exact, "{at}, entry {i}");
+                                assert_eq!(whole[i], exact, "{at}, built entry {i}");
                             } else {
-                                assert!(got >= cutoff, "{at}, node {i}: {got} below the cut-off");
+                                assert!(got >= cutoff, "{at}, entry {i}: {got} below the cut-off");
                             }
                         }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "already scheduled")]
+    fn a_child_of_a_scheduled_job_panics() {
+        let inst = generate("t", 4, 3, 2);
+        let lb = JohnsonLowerBound::new(&inst);
+        lb.bound_children(
+            &mut BoundScratch::new(),
+            &[Prefix::new(&inst, &[2])],
+            &[Child::new(0, 2)],
+            &mut [0],
+            Time::MAX,
+        );
     }
 
     #[test]

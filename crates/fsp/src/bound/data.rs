@@ -138,6 +138,12 @@ impl BoundData {
         self.ptm[job * self.machines + machine]
     }
 
+    /// Processing times of `job` on every machine, in machine order.
+    #[inline]
+    pub fn ptm_row(&self, job: Job) -> &[Time] {
+        &self.ptm[job * self.machines..(job + 1) * self.machines]
+    }
+
     /// Lag of `job` for machine pair `pair` (an `LM` read).
     #[inline]
     pub fn lm(&self, job: Job, pair: usize) -> Time {

@@ -50,7 +50,8 @@ impl JohnsonLowerBound {
     ///
     /// This is the host-side reference of the GPU kernel: same algorithm,
     /// same data structures. Uses the thread-local [`BoundScratch`]; batch
-    /// callers use [`Self::bound_many`], which is tested against this one.
+    /// callers use [`Self::bound_children`] and [`Self::bound_many`], which
+    /// are tested against this one.
     pub fn bound_prefix(&self, front: &[Time], scheduled: &[bool]) -> Time {
         with_thread_scratch(|s| self.bound_prefix_impl(front, |j| scheduled[j], None, s))
     }

@@ -18,7 +18,7 @@ pub mod data;
 pub mod johnson_lb;
 pub mod lb1;
 
-pub use batch::{SubProblem, LANES};
+pub use batch::{Child, SubProblem, LANES};
 
 use crate::schedule::PartialSchedule;
 use crate::Time;
@@ -31,7 +31,7 @@ use std::cell::RefCell;
 /// Allocating them per call dominates the cost of bounding small batches, so
 /// callers that bound many sub-problems — the bounding backends and the
 /// off-load engine's fast-forward path — hold one `BoundScratch` and pass it
-/// to [`JohnsonLowerBound::bound_many`](johnson_lb::JohnsonLowerBound::bound_many).
+/// to [`JohnsonLowerBound::bound_children`](johnson_lb::JohnsonLowerBound::bound_children).
 /// The buffers are (re)sized and reset on every use, so one scratch can
 /// serve instances of different shapes; the single-node entry points fall
 /// back to a thread-local one and stay allocation-free after the first call.

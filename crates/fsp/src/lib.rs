@@ -40,7 +40,7 @@ pub mod bound;
 pub use bound::data::BoundData;
 pub use bound::johnson_lb::JohnsonLowerBound;
 pub use bound::lb1::OneMachineBound;
-pub use bound::{BoundScratch, LowerBound, SubProblem};
+pub use bound::{BoundScratch, Child, LowerBound, SubProblem};
 pub use instance::Instance;
 pub use schedule::{makespan, makespan_prefix, PartialSchedule};
 

@@ -92,12 +92,86 @@ pub fn generate(name: impl Into<String>, jobs: usize, machines: usize, time_seed
 
 /// The published `time_seed` of the very first official instance, `ta001`
 /// (20 jobs × 5 machines). Used as a regression anchor for the generator.
-pub const TA001_TIME_SEED: i64 = 873_654_221;
+pub const TA001_TIME_SEED: i64 = TA_20X5[0].time_seed;
 
 /// Generates the official `ta001` (20 × 5) instance.
 pub fn ta001() -> Instance {
-    generate("ta001", 20, 5, TA001_TIME_SEED)
+    TA_20X5[0].instance()
 }
+
+/// An official Taillard instance of the 20 jobs × 5 machines class: its
+/// name, published `time_seed` and proven optimal makespan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Published {
+    /// Official name, e.g. `ta001`.
+    pub name: &'static str,
+    /// The published seed that regenerates the instance bit-exactly.
+    pub time_seed: i64,
+    /// The proven optimal makespan.
+    pub optimum: Time,
+}
+
+impl Published {
+    /// Regenerates the instance from its time seed.
+    pub fn instance(&self) -> Instance {
+        generate(self.name, 20, 5, self.time_seed)
+    }
+}
+
+/// `ta001`–`ta010`, the 20 × 5 class of Taillard (1993), with their
+/// published time seeds and optima.
+pub const TA_20X5: [Published; 10] = [
+    Published {
+        name: "ta001",
+        time_seed: 873_654_221,
+        optimum: 1278,
+    },
+    Published {
+        name: "ta002",
+        time_seed: 379_008_056,
+        optimum: 1359,
+    },
+    Published {
+        name: "ta003",
+        time_seed: 1_866_992_158,
+        optimum: 1081,
+    },
+    Published {
+        name: "ta004",
+        time_seed: 216_771_124,
+        optimum: 1293,
+    },
+    Published {
+        name: "ta005",
+        time_seed: 495_070_989,
+        optimum: 1235,
+    },
+    Published {
+        name: "ta006",
+        time_seed: 402_959_317,
+        optimum: 1195,
+    },
+    Published {
+        name: "ta007",
+        time_seed: 1_369_363_414,
+        optimum: 1234,
+    },
+    Published {
+        name: "ta008",
+        time_seed: 2_021_925_980,
+        optimum: 1206,
+    },
+    Published {
+        name: "ta009",
+        time_seed: 573_109_518,
+        optimum: 1230,
+    },
+    Published {
+        name: "ta010",
+        time_seed: 88_325_120,
+        optimum: 1108,
+    },
+];
 
 /// An instance *class* of the paper's evaluation: `n` jobs × `m` machines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -20,7 +20,7 @@
 //! regression fails exactly the job named after it. Unset, every kind runs
 //! (the `BackendKind::ALL` set plus 1- and 4-device fleets).
 
-use flowshop_gpu_bnb::bb::{frozen_pool, FspProblem};
+use flowshop_gpu_bnb::bb::{frozen_pool, Batch, FspProblem};
 use flowshop_gpu_bnb::fsp::{taillard, Time};
 use flowshop_gpu_bnb::gpu_bnb::backend::make_backend;
 use flowshop_gpu_bnb::gpu_bnb::{
@@ -276,7 +276,8 @@ fn ta001_pipelined_schedule_beats_the_serialized_sum() {
         frozen.nodes.len(),
     );
     let chunk = frozen.nodes.len().div_ceil(4);
-    let piped = engine.bound_nodes_pipelined(&frozen.nodes, chunk, Some((&lb, Time::MAX)));
+    let batch = Batch::from_nodes(frozen.nodes);
+    let piped = engine.bound_nodes_pipelined(batch.view(), chunk, Some((&lb, Time::MAX)));
     assert!(piped.chunks >= 2);
     assert!(
         piped.overlapped_time < piped.serialized_device_time(),
@@ -290,11 +291,11 @@ fn ta001_pipelined_schedule_beats_the_serialized_sum() {
 fn overlapped_streams_never_reorder_dependent_ops() {
     let inst = taillard::generate("order", 12, 6, 99);
     let problem = FspProblem::new(inst);
-    let nodes = frozen_pool(&problem, 96).nodes;
+    let nodes = Batch::from_nodes(frozen_pool(&problem, 96).nodes);
     let lb = problem.bound_fn().clone();
     let mut engine =
         BoundingEngine::new(lb.data(), DataPlacement::SharedJmPtm, 256, 26, nodes.len());
-    let result = engine.bound_nodes_pipelined(&nodes, 24, Some((&lb, Time::MAX)));
+    let result = engine.bound_nodes_pipelined(nodes.view(), 24, Some((&lb, Time::MAX)));
     let timeline = &result.timeline;
 
     // Streams are created in Device::timeline() order: host encode, H2D,

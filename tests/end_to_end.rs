@@ -3,7 +3,7 @@
 //! solve as a service job) must agree on the optimum of small instances,
 //! starting either from the root or from a shared frozen pool.
 
-use flowshop_gpu_bnb::bb::{frozen_pool, FspProblem, SerialSolver, SolverConfig};
+use flowshop_gpu_bnb::bb::{frozen_pool, Batch, FspProblem, SerialSolver, SolverConfig};
 use flowshop_gpu_bnb::fsp::brute::brute_force_optimal;
 use flowshop_gpu_bnb::fsp::{makespan, taillard};
 use flowshop_gpu_bnb::gpu_bnb::{
@@ -110,8 +110,9 @@ fn gpu_bounds_equal_host_bounds_through_the_whole_stack() {
         26,
         frozen.len(),
     );
-    let result = engine.bound_nodes(&frozen.nodes);
-    for (node, &gpu_bound) in frozen.nodes.iter().zip(&result.bounds) {
+    let batch = Batch::from_nodes(frozen.nodes);
+    let result = engine.bound_nodes(batch.view());
+    for (node, &gpu_bound) in batch.parents().iter().zip(&result.bounds) {
         let host = host_lb.bound_prefix_fn(node.front(), |j| node.is_scheduled(j));
         assert_eq!(gpu_bound, host);
         // Every frozen node survived elimination, so its bound is below the

@@ -2,7 +2,7 @@
 //! randomly generated instance, prefix or pool.
 
 use flowshop_gpu_bnb::bb::problem::NodeBound;
-use flowshop_gpu_bnb::bb::{BestFirstPool, FspNode, FspProblem, Pool};
+use flowshop_gpu_bnb::bb::{Batch, BatchView, BestFirstPool, Child, FspNode, FspProblem, Pool};
 use flowshop_gpu_bnb::fsp::bound::LowerBound;
 use flowshop_gpu_bnb::fsp::{
     makespan, makespan_prefix, taillard, BoundScratch, JohnsonLowerBound, OneMachineBound, Time,
@@ -156,7 +156,7 @@ proptest! {
         let problem = FspProblem::new(inst.clone());
         let host = problem.bound_fn();
         let mut engine = BoundingEngine::new(host.data(), DataPlacement::SharedJmPtm, 64, 26, 4);
-        let gpu_bound = engine.bound_nodes(std::slice::from_ref(&node)).bounds[0];
+        let gpu_bound = engine.bound_nodes(Batch::from_nodes(vec![node.clone()]).view()).bounds[0];
         let host_bound = host.bound_prefix_fn(node.front(), |j| node.is_scheduled(j));
         prop_assert_eq!(gpu_bound, host_bound);
     }
@@ -302,8 +302,8 @@ proptest! {
             for m in LAUNCH_MACHINES {
                 let inst = taillard::generate("prop", n, m, seed);
                 let lb = JohnsonLowerBound::new(&inst);
-                let nodes = mixed_depth_nodes(&inst, LONGEST_LAUNCH, &mut state);
-                let reference: Vec<_> = nodes.iter().map(|node| lb.bound_node(node)).collect();
+                let nodes = Batch::from_nodes(mixed_depth_nodes(&inst, LONGEST_LAUNCH, &mut state));
+                let reference: Vec<_> = nodes.parents().iter().map(|node| lb.bound_node(node)).collect();
                 for placement in [DataPlacement::AllGlobal, DataPlacement::SharedJmPtm] {
                     for block in LAUNCH_BLOCKS {
                         // One engine per shape: launches of every length reuse
@@ -311,10 +311,100 @@ proptest! {
                         let mut engine =
                             BoundingEngine::new(lb.data(), placement.clone(), block, 26, LONGEST_LAUNCH);
                         for len in LAUNCH_LENGTHS {
-                            let launch = engine.bound_nodes(&nodes[..len]);
+                            let launch = engine.bound_nodes(nodes.view().slice(0..len));
                             let at = format!("{n}x{m}, {}, blocks of {block}, {len} nodes", placement.name());
                             prop_assert_eq!(&launch.bounds[..], &reference[..len], "{}", at);
-                            prop_assert_eq!(launch.stats.tally, engine.analytic_tally(&nodes[..len]), "{}", at);
+                            prop_assert_eq!(launch.stats.tally, engine.analytic_tally(nodes.view().slice(0..len)), "{}", at);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Machine counts of the children-bound property: 5 machines bound a
+/// cut-off batch in one pass, 9 and 20 in two.
+const CHILD_MACHINES: [usize; 3] = [5, 9, 20];
+/// Children per batch: one lane, around the 64-entry block, two blocks
+/// plus two.
+const CHILD_LENGTHS: [usize; 5] = [1, 63, 64, 65, LONGEST_CHILDREN];
+const LONGEST_CHILDREN: usize = 130;
+
+proptest! {
+    // Every case walks the shape × batch-length × cut-off grid, so a few
+    // cases suffice.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Bounding `(parent, job)` entries, each child's front advanced inside
+    /// its lane, equals building the children (`branch_into`) and bounding
+    /// them (`bound_many`) at every cut-off, pruned entries' partial bounds
+    /// included, and keeps the cut-off contract against `bound_prefix`.
+    /// Parents sit at random depths, the deepest one job short of a leaf;
+    /// each entry is a child or, one time in four, its parent itself, and
+    /// the entries come in a random order.
+    #[test]
+    fn children_bound_equals_branch_then_bound(seed in 1i64..1_000_000, salt in any::<u64>()) {
+        let mut state = salt;
+        for (n, m) in [12, 33].into_iter().flat_map(|n| CHILD_MACHINES.map(|m| (n, m))) {
+            let inst = taillard::generate("prop", n, m, seed);
+            let problem = FspProblem::new(inst.clone());
+            let lb = JohnsonLowerBound::new(&inst);
+            let (mut parents, mut entries, mut built) = (Vec::new(), Vec::new(), Vec::new());
+            while entries.len() < LONGEST_CHILDREN {
+                let depth = (splitmix(&mut state) % n as u64) as usize;
+                let parent = FspNode::from_prefix(&inst, &shuffled_jobs(n, &mut state)[..depth]);
+                let p = parents.len() as u32;
+                let mut children = Vec::new();
+                problem.branch_into(&parent, &mut children);
+                for child in children {
+                    if splitmix(&mut state).is_multiple_of(4) {
+                        entries.push(Child::parent_itself(p));
+                        built.push(parent.clone());
+                    }
+                    let job = child.prefix_raw()[depth];
+                    entries.push(Child::new(p, job));
+                    built.push(child);
+                }
+                parents.push(parent);
+            }
+            for i in (1..entries.len()).rev() {
+                let j = (splitmix(&mut state) % (i as u64 + 1)) as usize;
+                entries.swap(i, j);
+                built.swap(i, j);
+            }
+            let reference: Vec<Time> = built
+                .iter()
+                .map(|node| {
+                    let mut scheduled = vec![false; n];
+                    node.prefix().for_each(|j| scheduled[j] = true);
+                    lb.bound_prefix(node.front(), &scheduled)
+                })
+                .collect();
+            // Two scratches fed the same calls keep the same pair order.
+            let (mut via_view, mut via_nodes) = (BoundScratch::new(), BoundScratch::new());
+            for len in CHILD_LENGTHS {
+                let view = BatchView::new(&parents, &entries[..len]);
+                prop_assert!(view.depths().eq(built[..len].iter().map(FspNode::depth)));
+                for (i, node) in built[..len].iter().enumerate() {
+                    prop_assert!(view.node(i, &inst) == *node, "{}x{}: entry {}", n, m, i);
+                }
+                let exact = &reference[..len];
+                let mut sorted = exact.to_vec();
+                sorted.sort_unstable();
+                let median = sorted[len / 2];
+                for cutoff in [0, median, median + 1, Time::MAX] {
+                    let at = format!("{n}x{m}, {len} children, cut-off {cutoff}");
+                    let (mut got, mut want) = (vec![0; len], vec![0; len]);
+                    lb.bound_children(&mut via_view, view.parents(), view.children(), &mut got, cutoff);
+                    lb.bound_many(&mut via_nodes, &built[..len], &mut want, cutoff);
+                    prop_assert_eq!(&got, &want, "{}: view vs branch-then-bound", at);
+                    for (i, (&got, &exact)) in got.iter().zip(exact).enumerate() {
+                        prop_assert!(got <= exact, "{}, entry {}: {} above the exact {}", at, i, got, exact);
+                        if exact < cutoff {
+                            prop_assert_eq!(got, exact, "{}, entry {}", at, i);
+                        } else {
+                            prop_assert!(got >= cutoff, "{}, entry {}: {} below the cut-off", at, i, got);
                         }
                     }
                 }
@@ -367,33 +457,46 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Best-first pops any multiset of nodes by bound ascending, then depth
-    /// descending, then insertion order. Bounds and depths come from small
-    /// ranges so both tie-breaks fire, and random prefixes tell equal-key
-    /// nodes apart.
+    /// Best-first pops by bound ascending, then depth descending, then
+    /// insertion order, whatever the interleaving of pushes and pops: the
+    /// oracle is a stable sort of the pending nodes by `(bound,
+    /// Reverse(depth))`, the order of a binary heap with an insertion
+    /// counter. Bounds mix two clusters far apart (0–3 and 10,000–10,003),
+    /// so a push lands below the current minimum, and pops run the pool
+    /// dry and refill it; depths come from a small range so both tie-breaks
+    /// fire, and random prefixes tell equal-key nodes apart.
     #[test]
     fn best_first_pops_by_bound_then_depth_then_insertion(
-        keys in proptest::collection::vec((0u32..4, 0usize..4), 1..200),
+        ops in proptest::collection::vec((0u32..5, 0u32..8, 0usize..4), 1..300),
         salt in any::<u64>(),
     ) {
         let inst = taillard::generate("prop", 9, 3, 7);
         let mut state = salt;
-        let nodes: Vec<FspNode> = keys
-            .iter()
-            .map(|&(bound, depth)| {
+        let mut pool = BestFirstPool::new();
+        let mut pending: Vec<FspNode> = Vec::new();
+        for (step, &(kind, key, depth)) in ops.iter().enumerate() {
+            if kind < 3 {
+                let bound = if key < 4 { key } else { 10_000 + key - 4 };
                 let mut node = FspNode::from_prefix(&inst, &shuffled_jobs(9, &mut state)[..depth]);
                 node.set_bound(bound);
-                node
-            })
-            .collect();
-        let mut expected = nodes.clone();
-        expected.sort_by_key(|node| (node.bound(), Reverse(node.depth())));
-
-        let mut pool = BestFirstPool::new();
-        for node in nodes {
-            pool.push(node);
+                pending.push(node.clone());
+                pool.push(node);
+            } else {
+                let next = pending
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, node)| (node.bound(), Reverse(node.depth())))
+                    .map(|(i, _)| i);
+                let expected = next.map(|i| pending.remove(i));
+                prop_assert_eq!(pool.pop(), expected, "step {}", step);
+            }
+            prop_assert_eq!(pool.len(), pending.len(), "step {}", step);
+            let best = pending.iter().map(FspNode::bound).min();
+            prop_assert_eq!(pool.best_bound(), best, "step {}", step);
         }
-        let popped: Vec<FspNode> = std::iter::from_fn(|| pool.pop()).collect();
-        prop_assert_eq!(popped, expected);
+        let mut rest = std::mem::take(&mut pending);
+        rest.sort_by_key(|node| (node.bound(), Reverse(node.depth())));
+        let drained: Vec<FspNode> = std::iter::from_fn(|| pool.pop()).collect();
+        prop_assert_eq!(drained, rest);
     }
 }
