@@ -36,10 +36,11 @@ use bb::{frozen_pool, FrozenPool, FspProblem, SerialSolver, SolverConfig};
 use fsp::taillard;
 use gpu_bnb::cost::{CostTable, COST_COUNTERS};
 use gpu_bnb::{
-    BackendKind, CacheDisposition, CostReport, DataPlacement, FailureEvent, FailurePlan,
-    FleetTopology, GpuBnbSolver, GpuSolverConfig, JobSpec, ServiceConfig, SolveLatencies,
-    SolveRequest, SolveService,
+    BackendKind, BoundingEngine, CacheDisposition, CostReport, DataPlacement, FailureEvent,
+    FailurePlan, FleetMemberSpec, FleetTopology, GpuBnbSolver, GpuSolverConfig, JobSpec,
+    ServiceConfig, SolveLatencies, SolveRequest, SolveService,
 };
+use gpu_sim::DeviceSpec;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -862,7 +863,51 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         apply_smoke_preset(&mut opts);
         opts.smoke = smoke_was;
     }
+    // A generated instance needs a seed Taillard's generator accepts (the
+    // service and cache presets above fix their own).
+    let seeds = taillard::TaillardRng::SEEDS;
+    if opts.file.is_none() && !seeds.contains(&opts.seed) {
+        return Err(format!(
+            "--seed must be between 1 and {} (got {})",
+            seeds.end - 1,
+            opts.seed
+        ));
+    }
     Ok(opts)
+}
+
+/// Rejects a run too large for its device memory: the engine of every
+/// simulated device the run launches on (a fleet's members, the Tesla
+/// C2050 otherwise) holds the six matrices plus two pool slots and two
+/// output slots of `--pool-size` plus `jobs` nodes. Host backends and the
+/// serial mode get the C2050's limit, so one pool size means the same on
+/// every backend.
+fn check_pool_fits(opts: &Options, jobs: usize, machines: usize) -> Result<(), String> {
+    let members = match opts.mode {
+        Mode::Backend(BackendKind::Fleet(topology))
+        | Mode::BackendFast(BackendKind::Fleet(topology)) => {
+            gpu_bnb::fleet_member_specs(topology.devices, topology.is_hetero())
+        }
+        _ => vec![FleetMemberSpec::Gpu(DeviceSpec::tesla_c2050())],
+    };
+    let bytes = opts
+        .pool_size
+        .checked_add(jobs)
+        .and_then(|capacity| BoundingEngine::device_bytes(jobs, machines, capacity));
+    for member in members {
+        let FleetMemberSpec::Gpu(spec) = member else {
+            continue;
+        };
+        if bytes.is_none_or(|bytes| bytes > spec.global_memory_bytes) {
+            let needed = bytes.map_or("more than usize::MAX".into(), |b| b.to_string());
+            return Err(format!(
+                "{jobs} jobs on {machines} machines with --pool-size {} need {needed} \
+                 bytes of device memory; the {} has {}",
+                opts.pool_size, spec.name, spec.global_memory_bytes
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// One timed solve over an already-prepared (deterministic) frozen pool —
@@ -1463,6 +1508,10 @@ fn main() -> ExitCode {
 
     let jobs = inst.jobs();
     let machines = inst.machines();
+    if let Err(msg) = check_pool_fits(&opts, jobs, machines) {
+        eprintln!("error: {msg}");
+        return ExitCode::FAILURE;
+    }
 
     // Optional runtime tuning: sweep the pool size and the pipeline chunk
     // size on this instance (the paper's runtime procedure) and persist the
@@ -2014,6 +2063,57 @@ mod tests {
             .err()
             .expect("rejected");
         assert!(err.contains("--pool-size must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn a_seed_the_generator_rejects_is_an_error() {
+        for seed in ["0", "-5", "2147483647"] {
+            let err = parse(&format!("--jobs 8 --machines 5 --seed {seed}"))
+                .err()
+                .expect("rejected");
+            assert!(
+                err.contains("--seed must be between 1 and 2147483646"),
+                "{err}"
+            );
+            // After --smoke the seed still picks the generated instance.
+            assert!(parse(&format!("--smoke --seed {seed}")).is_err(), "{seed}");
+            // A file instance and the service and cache presets ignore it.
+            for ignored in ["--file ta001.txt", "--service", "--cache"] {
+                assert!(
+                    parse(&format!("{ignored} --seed {seed}")).is_ok(),
+                    "{ignored}"
+                );
+            }
+        }
+        assert!(parse("--jobs 8 --machines 5 --seed 2147483646").is_ok());
+    }
+
+    #[test]
+    fn a_pool_the_device_memory_cannot_hold_is_an_error() {
+        let fits = |flags: &str, jobs: usize| {
+            let opts = parse(&format!("--jobs {jobs} --machines 20 {flags}")).expect("parses");
+            check_pool_fits(&opts, jobs, 20)
+        };
+        for flags in [
+            "--pool-size 4000000000 --backend seq --mode gpu-fast",
+            "--pool-size 99999999999 --mode gpu",
+            "--pool-size 18446744073709551615 --backend multicore",
+        ] {
+            let err = fits(flags, 20).expect_err("rejected");
+            assert!(err.contains("bytes of device memory"), "{flags}: {err}");
+        }
+        // 30M nodes of a 20-job pool need 2.76 GB: within the C2050's
+        // 2.8 GB, beyond the GTX 580 of a mixed fleet.
+        assert_eq!(fits("--pool-size 30000000 --backend gpu", 20), Ok(()));
+        let err = fits("--pool-size 30000000 --backend fleet:2:hetero", 20).expect_err("rejected");
+        assert!(err.contains("GeForce GTX 580"), "{err}");
+        // The paper's largest pool fits every paper class on every backend.
+        for jobs in [20, 50, 100, 200] {
+            for backend in ["seq", "multicore", "gpu", "gpu-pipelined", "fleet:4:hetero"] {
+                let flags = format!("--pool-size 262144 --backend {backend}");
+                assert_eq!(fits(&flags, jobs), Ok(()), "{jobs} jobs, {backend}");
+            }
+        }
     }
 
     #[test]

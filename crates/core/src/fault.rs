@@ -270,7 +270,9 @@ impl SolveCheckpoint {
     /// or a `best_schedule` that is not made of distinct jobs of the
     /// instance; a `best_schedule` whose makespan is not `upper_bound`; and
     /// a frontier bound other than the node's exact bound. Without a
-    /// schedule, `upper_bound` is taken as given. The check re-bounds the
+    /// schedule, `upper_bound` is taken as given, as a bound only: a solve
+    /// resumed from it claims optimality only once it holds a schedule
+    /// ([`crate::GpuSolveOutcome::is_optimal`]). The check re-bounds the
     /// frontier on the host and books no cost counter.
     pub fn to_nodes(
         &self,

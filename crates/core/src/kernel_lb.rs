@@ -19,6 +19,16 @@
 //! (`fsp::JohnsonLowerBound::bound_prefix`) and access counts equal
 //! [`crate::offload::BoundingEngine::analytic_tally`]; both are checked by
 //! tests in [`crate::offload`] and the workspace property tests.
+//!
+//! The lane loops are written once and compiled twice, the way the host
+//! batch bound's are (`fsp::bound::batch`). On x86-64 with AVX2
+//! ([`fsp::bound::batch::has_avx2`], the one check both kernels share),
+//! [`Kernel::run`] calls the body inside an AVX2 wrapper, where a step of
+//! eight lanes is one 256-bit register with native unsigned `u32` min and
+//! max; any other CPU or target runs the same source compiled for the
+//! baseline (on x86-64, SSE2, which emulates them). Both compilations make
+//! the same reads through [`WarpCtx`] and perform the same integer
+//! operations, so bounds and access counts are bit-identical.
 
 use fsp::Time;
 use gpu_sim::warp::MAX_LANES;
@@ -38,6 +48,7 @@ const STEPS: usize = MAX_LANES / STEP;
 const ZERO: Lanes = [[0; STEP]; STEPS];
 
 /// `mask` widened to one word per lane: all ones where its bit is set.
+#[inline(always)]
 fn widen(mask: u32) -> Lanes {
     let mut wide = ZERO;
     for (s, step) in wide.iter_mut().enumerate() {
@@ -112,6 +123,35 @@ impl Kernel for LowerBoundKernel {
     }
 
     fn run(&self, warp: &mut WarpCtx<'_>, s: &mut LowerBoundScratch) {
+        #[cfg(target_arch = "x86_64")]
+        if fsp::bound::batch::has_avx2() {
+            // SAFETY: AVX2, the one feature the wrapper enables, was just
+            // detected on this CPU.
+            unsafe { self.run_avx2(warp, s) };
+            return;
+        }
+        self.run_portable(warp, s);
+    }
+
+    fn name(&self) -> &str {
+        "flowshop-lower-bound"
+    }
+}
+
+impl LowerBoundKernel {
+    /// [`Self::run_portable`] compiled for AVX2: every lane loop it inlines
+    /// runs on 256-bit registers.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn run_avx2(&self, warp: &mut WarpCtx<'_>, s: &mut LowerBoundScratch) {
+        self.run_portable(warp, s);
+    }
+
+    /// The body of [`Kernel::run`] for one warp. It and every helper it
+    /// calls are inlined into their caller, so they compile for the
+    /// caller's target features: the baseline's when called directly.
+    #[inline(always)]
+    fn run_portable(&self, warp: &mut WarpCtx<'_>, s: &mut LowerBoundScratch) {
         let first = warp.first_thread();
         // The pool fills the leading threads of the grid, so a warp's nodes
         // sit in its leading lanes, and most warps of a small launch hold
@@ -257,8 +297,182 @@ impl Kernel for LowerBoundKernel {
             }
         }
     }
+}
 
-    fn name(&self) -> &str {
-        "flowshop-lower-bound"
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::placement::{DataPlacement, MatrixId};
+    use fsp::taillard::generate;
+    use fsp::{BoundData, Job, JohnsonLowerBound, PartialSchedule};
+    use gpu_sim::host::BufferKind;
+    use gpu_sim::{AccessTally, Device, LaunchConfig};
+
+    /// The kernel body compiled for the baseline target: called directly,
+    /// not through the dispatch of [`Kernel::run`].
+    struct Portable<'k>(&'k LowerBoundKernel);
+
+    impl Kernel for Portable<'_> {
+        type Scratch = LowerBoundScratch;
+
+        fn new_scratch(&self) -> LowerBoundScratch {
+            self.0.new_scratch()
+        }
+
+        fn run(&self, warp: &mut WarpCtx<'_>, s: &mut LowerBoundScratch) {
+            self.0.run_portable(warp, s);
+        }
+    }
+
+    /// `count` prefixes cycling through the root, a random depth and a
+    /// complete schedule, each of its own xorshift shuffle of the jobs.
+    fn mixed_depth_prefixes(n: usize, count: usize) -> Vec<Vec<Job>> {
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        (0..count)
+            .map(|i| {
+                let mut jobs: Vec<Job> = (0..n).collect();
+                for j in (1..n).rev() {
+                    jobs.swap(j, (next() % (j as u64 + 1)) as usize);
+                }
+                let depth = match i % 3 {
+                    0 => 0,
+                    1 => (next() % (n as u64 + 1)) as usize,
+                    _ => n,
+                };
+                jobs.truncate(depth);
+                jobs
+            })
+            .collect()
+    }
+
+    /// A C2050 holding the six bound matrices of `data` and `prefixes`
+    /// encoded as the off-load engine encodes a pool, and the kernel over
+    /// them.
+    fn device_with(data: &BoundData, prefixes: &[Vec<Job>]) -> (Device, LowerBoundKernel) {
+        let (n, m) = (data.jobs(), data.machines());
+        let mut device = Device::tesla_c2050();
+        let mut matrix = |id: MatrixId, values: &[u32]| {
+            device.alloc_init(
+                values.to_vec(),
+                id.packed_elem_bytes(n),
+                BufferKind::InstanceData,
+            )
+        };
+        let (ptm, lm, jm) = (
+            matrix(MatrixId::Ptm, data.ptm_raw()),
+            matrix(MatrixId::Lm, data.lm_raw()),
+            matrix(MatrixId::Jm, data.jm_raw()),
+        );
+        let (rm, qm, mm) = (
+            matrix(MatrixId::Rm, data.rm_raw()),
+            matrix(MatrixId::Qm, data.qm_raw()),
+            matrix(MatrixId::Mm, data.mm_raw()),
+        );
+        let stride = 1 + n;
+        let mut encoded = vec![0; prefixes.len() * stride];
+        for (entry, prefix) in encoded.chunks_exact_mut(stride).zip(prefixes) {
+            entry[0] = prefix.len() as u32;
+            for (slot, &job) in entry[1..].iter_mut().zip(prefix) {
+                *slot = job as u32;
+            }
+        }
+        let pool = device.alloc_init(encoded, 2, BufferKind::Stream);
+        let out = device.alloc(prefixes.len(), 4, BufferKind::Stream);
+        let kernel = LowerBoundKernel {
+            jobs: n,
+            machines: m,
+            num_pairs: data.num_pairs(),
+            num_nodes: prefixes.len(),
+            node_stride: stride,
+            ptm,
+            lm,
+            jm,
+            rm,
+            qm,
+            mm,
+            pool,
+            out,
+        };
+        (device, kernel)
+    }
+
+    /// Launches `kernel` over the first `len` pool entries and returns the
+    /// bounds it wrote and the launch's access tally. The output buffer is
+    /// overwritten first, so a bound the launch did not write shows.
+    fn launch(
+        device: &mut Device,
+        kernel: &impl Kernel,
+        out: DeviceBuffer,
+        len: usize,
+        config: &LaunchConfig,
+    ) -> (Vec<Time>, AccessTally) {
+        device.upload(out, &vec![Time::MAX; len]);
+        let tally = device.launch(kernel, config).stats.tally;
+        (device.download_prefix(out, len).to_vec(), tally)
+    }
+
+    /// The dispatched kernel (the AVX2 compilation on a CPU with AVX2) and
+    /// the portable body give the same bounds and the same per-space access
+    /// counts on every launch shape, and both equal the single-node
+    /// reference. On a CPU without AVX2 the dispatch runs the portable body,
+    /// so the test then compares that body with itself and with the
+    /// reference.
+    #[test]
+    fn the_dispatched_kernel_equals_the_portable_body() {
+        const LENGTHS: [usize; 8] = [1, 7, 8, 9, 31, 32, 33, 65];
+        for n in [1, 2, 8, 33, 65] {
+            for m in [1, 2, 5, 8, 20] {
+                let inst = generate("t", n, m, 11);
+                let lb = JohnsonLowerBound::new(&inst);
+                let prefixes = mixed_depth_prefixes(n, LENGTHS[LENGTHS.len() - 1]);
+                let reference: Vec<Time> = prefixes
+                    .iter()
+                    .map(|prefix| {
+                        let mut scheduled = vec![false; n];
+                        for &job in prefix {
+                            scheduled[job] = true;
+                        }
+                        let front = PartialSchedule::from_prefix(&inst, prefix);
+                        lb.bound_prefix(front.front(), &scheduled)
+                    })
+                    .collect();
+                let (mut device, mut kernel) = device_with(lb.data(), &prefixes);
+                for placement in [DataPlacement::AllGlobal, DataPlacement::SharedJmPtm] {
+                    let shared: Vec<DeviceBuffer> = placement
+                        .shared_matrices()
+                        .iter()
+                        .map(|id| match id {
+                            MatrixId::Jm => kernel.jm,
+                            MatrixId::Ptm => kernel.ptm,
+                            other => panic!("no paper placement shares {other:?}"),
+                        })
+                        .collect();
+                    for block in [32, 48, 256] {
+                        let mut config =
+                            LaunchConfig::for_threads(1, block).with_shared_buffers(shared.clone());
+                        for len in LENGTHS {
+                            let at = format!(
+                                "{n}x{m}, {}, blocks of {block}, {len} nodes",
+                                placement.name()
+                            );
+                            kernel.num_nodes = len;
+                            config.fit_threads(len);
+                            let out = kernel.out;
+                            let dispatched = launch(&mut device, &kernel, out, len, &config);
+                            let portable =
+                                launch(&mut device, &Portable(&kernel), out, len, &config);
+                            assert_eq!(dispatched, portable, "{at}");
+                            assert_eq!(dispatched.0, reference[..len], "{at}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -117,6 +117,13 @@ pub struct PipelinedBatch {
     pub launch_times: Vec<Duration>,
 }
 
+/// Device bytes of one pool-slot entry: a node's depth or one job of its
+/// prefix.
+const POOL_ENTRY_BYTES: usize = 2;
+
+/// Device bytes of one output-slot entry: a node's lower bound.
+const BOUND_BYTES: usize = 4;
+
 /// Batch tails a [`PipelineSession`] remembers: the one batch in flight plus
 /// the batch whose bounds gate the next staging.
 const GATED_BATCHES: usize = 2;
@@ -296,12 +303,12 @@ impl BoundingEngine {
 
         let node_stride = 1 + n;
         let pool_bufs = [
-            device.alloc(max_pool * node_stride, 2, BufferKind::Stream),
-            device.alloc(max_pool * node_stride, 2, BufferKind::Stream),
+            device.alloc(max_pool * node_stride, POOL_ENTRY_BYTES, BufferKind::Stream),
+            device.alloc(max_pool * node_stride, POOL_ENTRY_BYTES, BufferKind::Stream),
         ];
         let out_bufs = [
-            device.alloc(max_pool, 4, BufferKind::Stream),
-            device.alloc(max_pool, 4, BufferKind::Stream),
+            device.alloc(max_pool, BOUND_BYTES, BufferKind::Stream),
+            device.alloc(max_pool, BOUND_BYTES, BufferKind::Stream),
         ];
         let buffer_of = |matrix| match matrix {
             MatrixId::Ptm => ptm,
@@ -341,6 +348,23 @@ impl BoundingEngine {
             encode_bufs: [Vec::new(), Vec::new()],
             scratch: BoundScratch::new(),
         }
+    }
+
+    /// Global-memory bytes an engine for `jobs × machines` instances
+    /// allocates at pool capacity `max_pool`: the six packed matrices plus
+    /// the two pool slots and the two output slots. `None` when the count
+    /// overflows `usize`. The engine fits a device exactly when this is at
+    /// most the device's global memory.
+    pub fn device_bytes(jobs: usize, machines: usize, max_pool: usize) -> Option<usize> {
+        let matrices: usize = MatrixId::ALL
+            .iter()
+            .map(|id| id.packed_bytes(jobs, machines))
+            .sum();
+        let per_node = (1 + jobs) * POOL_ENTRY_BYTES + BOUND_BYTES;
+        max_pool
+            .checked_mul(per_node)?
+            .checked_mul(2)?
+            .checked_add(matrices)
     }
 
     /// The data placement this engine was built with.
@@ -966,6 +990,20 @@ mod tests {
         assert!(result.bounds.is_empty());
         assert_eq!(result.kernel.duration, Duration::ZERO);
         assert_eq!(result.transfer_time, Duration::ZERO);
+    }
+
+    #[test]
+    fn device_bytes_is_what_the_engine_allocates() {
+        for (n, m, max_pool) in [(1, 1, 1), (8, 4, 9), (20, 20, 4_116), (65, 9, 300)] {
+            let inst = generate("t", n, m, 2);
+            let (engine, _) = engine_for(&inst, DataPlacement::SharedJmPtm, max_pool);
+            assert_eq!(
+                BoundingEngine::device_bytes(n, m, max_pool),
+                Some(engine.device().allocated_bytes()),
+                "{n}x{m}, pool {max_pool}"
+            );
+        }
+        assert_eq!(BoundingEngine::device_bytes(20, 20, usize::MAX / 4), None);
     }
 
     #[test]

@@ -270,7 +270,8 @@ pub struct JobOutcome {
     pub lower_bound: Time,
     /// Relative optimality gap `(best_makespan − lower_bound) /
     /// best_makespan`, clamped to `[0, 1]`; `0.0` exactly when optimal,
-    /// `1.0` when no incumbent exists.
+    /// `1.0` when the job holds no schedule (no incumbent, or one seeded
+    /// without a schedule).
     pub gap: f64,
     /// The final pending frontier as a resume checkpoint, when the job was
     /// submitted with [`JobSpec::keep_frontier`] **and** stopped with work
@@ -281,9 +282,11 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
-    /// `true` when the search proved optimality.
+    /// `true` when the search proved optimality: it exhausted the tree and
+    /// holds a schedule of [`Self::best_makespan`] (see
+    /// [`crate::GpuSolveOutcome::is_optimal`]).
     pub fn is_optimal(&self) -> bool {
-        self.stop == JobStopReason::Exhausted
+        self.stop == JobStopReason::Exhausted && self.best_schedule.is_some()
     }
 }
 
@@ -431,6 +434,7 @@ impl JobRun {
     fn finalize(&mut self, stop: JobStopReason) -> JobOutcome {
         let upper = self.search.upper_bound();
         let lower_bound = self.search.lower_bound();
+        let gap = optimality_gap(upper, lower_bound, self.search.best_schedule.is_some());
         // The frontier checkpoint, when the caller asked to keep it and the
         // job stopped with pending work: the same shape a paused standalone
         // solve writes.
@@ -447,15 +451,16 @@ impl JobRun {
             latencies: std::mem::take(&mut self.search.latencies),
             stop,
             lower_bound,
-            gap: optimality_gap(upper, lower_bound),
+            gap,
             frontier,
         }
     }
 }
 
-/// The relative optimality gap, `1.0` when no incumbent exists.
-fn optimality_gap(upper: Time, lower: Time) -> f64 {
-    if upper == Time::MAX {
+/// The relative optimality gap, `1.0` when no schedule backs the incumbent
+/// `upper`: without one it is no makespan, so nothing is proven optimal.
+fn optimality_gap(upper: Time, lower: Time, has_schedule: bool) -> f64 {
+    if upper == Time::MAX || !has_schedule {
         return 1.0;
     }
     if upper == 0 {
@@ -987,7 +992,7 @@ impl SolveService {
             latencies: SolveLatencies::default(),
             stop: JobStopReason::Cancelled,
             lower_bound: 0,
-            gap: optimality_gap(best_makespan, 0),
+            gap: optimality_gap(best_makespan, 0, queued.spec.initial_schedule.is_some()),
             frontier: None,
         };
         *queued.shared.status.lock().unwrap() = JobStatus::Cancelled;
@@ -1151,6 +1156,41 @@ mod tests {
     }
 
     #[test]
+    fn a_job_resumed_without_a_schedule_certifies_no_optimum() {
+        // As for the standalone solver: an incumbent that came without a
+        // schedule and that nothing beats leaves the gap open.
+        let inst = generate("t", 8, 4, 7);
+        let optimum = brute_force_optimal(&inst).1;
+        let cfg = config(BackendKind::Gpu, 8);
+        let paused = GpuBnbSolver::new(
+            inst.clone(),
+            GpuSolverConfig {
+                checkpoint_after: Some(2),
+                ..cfg.clone()
+            },
+        )
+        .solve();
+        let mut checkpoint = paused.checkpoint.expect("the solve outlives two batches");
+        checkpoint.best_schedule = None;
+        for upper_bound in [optimum - 66, optimum, optimum + 1] {
+            checkpoint.upper_bound = upper_bound;
+            let service = SolveService::with_defaults();
+            let handle = service.submit(
+                JobSpec::new(inst.clone(), cfg.clone())
+                    .resume_from(&checkpoint)
+                    .expect("taken as given"),
+            );
+            service.run_until_idle();
+            let outcome = handle.outcome().expect("finished");
+            assert_eq!(outcome.stop, JobStopReason::Exhausted, "ub {upper_bound}");
+            let found = upper_bound > optimum;
+            assert_eq!(outcome.is_optimal(), found, "ub {upper_bound}");
+            assert_eq!(outcome.gap == 0.0, found, "ub {upper_bound}");
+            assert!(outcome.lower_bound <= optimum, "ub {upper_bound}");
+        }
+    }
+
+    #[test]
     fn shared_cost_equals_the_absorbed_per_job_sum() {
         let cfg = config(BackendKind::Gpu, 16);
         let service = SolveService::with_defaults();
@@ -1263,11 +1303,12 @@ mod tests {
 
     #[test]
     fn optimality_gap_handles_the_edges() {
-        assert_eq!(optimality_gap(Time::MAX, 0), 1.0);
-        assert_eq!(optimality_gap(0, 0), 0.0);
-        assert_eq!(optimality_gap(100, 100), 0.0);
-        assert!((optimality_gap(100, 80) - 0.2).abs() < 1e-12);
-        assert_eq!(optimality_gap(100, 200), 0.0, "clamped");
+        assert_eq!(optimality_gap(Time::MAX, 0, false), 1.0);
+        assert_eq!(optimality_gap(0, 0, true), 0.0);
+        assert_eq!(optimality_gap(100, 100, true), 0.0);
+        assert_eq!(optimality_gap(100, 100, false), 1.0, "no schedule");
+        assert!((optimality_gap(100, 80, true) - 0.2).abs() < 1e-12);
+        assert_eq!(optimality_gap(100, 200, true), 0.0, "clamped");
     }
 
     #[test]

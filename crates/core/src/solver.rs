@@ -49,9 +49,12 @@ pub struct GpuSolveOutcome {
 }
 
 impl GpuSolveOutcome {
-    /// `true` when the search proved optimality.
+    /// `true` when the search proved optimality: it exhausted the tree and
+    /// holds a schedule of [`Self::best_makespan`]. An incumbent seeded
+    /// without a schedule (a checkpoint's bare `upper_bound`) that nothing
+    /// beat proves only that no schedule is shorter.
     pub fn is_optimal(&self) -> bool {
-        self.stop == StopReason::Exhausted
+        self.stop == StopReason::Exhausted && self.best_schedule.is_some()
     }
 
     /// The parallel efficiency (`T_serial / T_gpu`) the paper reports, under
@@ -671,6 +674,41 @@ mod tests {
                 paused.stats.bounded + resumed.stats.bounded,
                 uninterrupted.stats.bounded
             );
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_without_a_schedule_certifies_no_optimum() {
+        // A schedule-less checkpoint's incumbent is taken as given. At or
+        // below the optimum nothing beats it, so the resumed run ends
+        // holding no schedule: a lower bound, not an optimum. Above it the
+        // run finds and certifies the optimum.
+        let inst = generate("t", 8, 4, 7);
+        let optimum = brute_force_optimal(&inst).1;
+        let config = GpuSolverConfig {
+            pool_size: 8,
+            fast_forward: true,
+            ..Default::default()
+        };
+        let paused = GpuBnbSolver::new(
+            inst.clone(),
+            GpuSolverConfig {
+                checkpoint_after: Some(2),
+                ..config.clone()
+            },
+        )
+        .solve();
+        let mut checkpoint = paused.checkpoint.expect("the solve outlives two batches");
+        checkpoint.best_schedule = None;
+        let solver = GpuBnbSolver::new(inst.clone(), config);
+        for upper_bound in [optimum - 66, optimum, optimum + 1] {
+            checkpoint.upper_bound = upper_bound;
+            let resumed = solver.resume(&checkpoint).expect("taken as given");
+            assert_eq!(resumed.stop, StopReason::Exhausted, "ub {upper_bound}");
+            let found = upper_bound > optimum;
+            assert_eq!(resumed.is_optimal(), found, "ub {upper_bound}");
+            assert_eq!(resumed.best_schedule.is_some(), found, "ub {upper_bound}");
+            assert_eq!(resumed.best_makespan, upper_bound.min(optimum));
         }
     }
 

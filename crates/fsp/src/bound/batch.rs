@@ -131,8 +131,11 @@ impl Child {
     }
 }
 
-/// `true` when this CPU runs the AVX2 compilation of the lane loops.
-fn has_avx2() -> bool {
+/// `true` when this CPU runs the AVX2 compilation of the lane loops: an
+/// x86-64 CPU that reports AVX2 at run time. The batch bound dispatches on
+/// it, and so does the simulator's bounding kernel (`gpu_bnb::kernel_lb`),
+/// so both run the same compilation.
+pub fn has_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")

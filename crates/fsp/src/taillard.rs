@@ -29,15 +29,18 @@ impl TaillardRng {
     const C: i64 = 2836;
     const M: i64 = 2_147_483_647;
 
+    /// The seeds the generator accepts: `1..2^31-1`.
+    pub const SEEDS: std::ops::Range<i64> = 1..Self::M;
+
     /// Creates the generator from a strictly positive seed (the benchmark's
     /// `time_seed`).
     ///
     /// # Panics
     ///
-    /// Panics if `seed` is not in `1..2^31-1`.
+    /// Panics if `seed` is not in [`Self::SEEDS`].
     pub fn new(seed: i64) -> Self {
         assert!(
-            seed > 0 && seed < Self::M,
+            Self::SEEDS.contains(&seed),
             "Taillard seeds must be in 1..2^31-1, got {seed}"
         );
         Self { seed }

@@ -19,6 +19,7 @@
 //! loop over one specific backend per job (the strict reference stays
 //! sequential); unset, the default cross-iteration pipelined backend runs.
 
+use flowshop_gpu_bnb::bb::solver::StopReason;
 use flowshop_gpu_bnb::bb::{frozen_pool, FspNode, FspProblem, SerialSolver, SolverConfig};
 use flowshop_gpu_bnb::fsp::{taillard, Time};
 use flowshop_gpu_bnb::gpu_bnb::{BackendKind, DataPlacement, GpuBnbSolver, GpuSolverConfig};
@@ -125,7 +126,9 @@ fn ta001_lookahead_visits_the_same_node_set_as_the_strict_loop() {
     assert_eq!(strict.stats.bounded, ahead.stats.bounded);
     assert_eq!(strict.stats.pruned, ahead.stats.pruned);
     assert_eq!(strict.stats.leaves, ahead.stats.leaves);
-    assert!(strict.is_optimal() && ahead.is_optimal());
+    // Both runs exhaust the tree. The pinned incumbent came without a
+    // schedule, so neither certifies an optimum.
+    assert!(strict.stop == StopReason::Exhausted && ahead.stop == StopReason::Exhausted);
     assert_eq!(ahead.gpu.nodes_bounded, ahead.stats.bounded);
 }
 
