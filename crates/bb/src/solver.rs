@@ -74,10 +74,13 @@ pub struct SolveOutcome {
 }
 
 impl SolveOutcome {
-    /// `true` when the search proved optimality (explored or pruned the whole
-    /// tree).
+    /// `true` when the search proved optimality: it explored or pruned the
+    /// whole tree and holds a schedule of [`Self::best_makespan`]. An
+    /// incumbent seeded without a schedule (`solve_from`'s bare
+    /// `initial_ub`) that nothing beat proves only that no schedule is
+    /// shorter.
     pub fn is_optimal(&self) -> bool {
-        self.stop == StopReason::Exhausted
+        self.stop == StopReason::Exhausted && self.best_schedule.is_some()
     }
 }
 
@@ -354,6 +357,27 @@ mod tests {
         let solver = SerialSolver::with_defaults(problem);
         let outcome = solver.solve_from(frozen, None, None);
         assert_eq!(outcome.best_makespan, expected);
+    }
+
+    #[test]
+    fn an_incumbent_without_a_schedule_certifies_no_optimum() {
+        // Seeded at or below the optimum (666), the search prunes every
+        // node and ends exhausted holding no schedule: the seed is then a
+        // proven bound, not an optimum. Seeded above it, the search finds
+        // an optimal schedule.
+        let inst = generate("t", 8, 4, 7);
+        let (_, optimum) = brute_force_optimal(&inst);
+        let problem = FspProblem::new(inst);
+        let mut root = problem.root();
+        problem.bound(&mut root);
+        let solver = SerialSolver::with_defaults(problem);
+        for (seed, optimal) in [(optimum - 66, false), (optimum, false), (optimum + 1, true)] {
+            let outcome = solver.solve_from(vec![root.clone()], Some(seed), None);
+            assert_eq!(outcome.stop, StopReason::Exhausted, "seeded {seed}");
+            assert_eq!(outcome.is_optimal(), optimal, "seeded {seed}");
+            assert_eq!(outcome.best_schedule.is_some(), optimal, "seeded {seed}");
+            assert_eq!(outcome.best_makespan, seed.min(optimum), "seeded {seed}");
+        }
     }
 
     #[test]

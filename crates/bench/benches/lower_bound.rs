@@ -17,10 +17,31 @@
 //! bound children built beforehand (branch, then bound, with the branching
 //! untimed); the `children_from_parents` row bounds the same children
 //! exactly as `(parent, job)` entries of a batch, each lane advancing its
-//! parent's front by the job, which is how a solve bounds them.
+//! parent's front by the job, which is how a solve bounds them. The
+//! `pool_batches_below_incumbent` row bounds them the way a backend calls
+//! the bound: one call per pool-size slice of entries, against the frozen
+//! incumbent, with one scratch kept across calls. Both rows assert their
+//! bounds, so a run checks the optimised batch path as well as timing it.
 //!
 //! Each class's header names the lane kernel the batch rows ran on: `avx2`,
 //! or `portable` on a CPU without AVX2.
+//!
+//! Gathering the Johnson rows once per scratch and keeping the pair
+//! epilogue in registers moved the batch rows as below: medians of 14
+//! alternating runs per side on a 2-vCPU Xeon VM with AVX2, in ns per
+//! node, parent → change. The host ran slow during these runs (about twice
+//! the single-run figures of a quiet host), so compare ratios. The
+//! `reference` rows run unchanged code and read ×0.91–×1.08, which is the
+//! noise.
+//!
+//! | row | 8×20 | 9×5 | 20×20 |
+//! |---|---|---|---|
+//! | `batch` | 996 → 679 | 107 → 86 | 2,114 → 1,400 |
+//! | `children` | 994 → 676 | 100 → 83 | 1,790 → 1,210 |
+//! | `children_below_incumbent` | 828 → 540 | 105 → 82 | 1,954 → 1,236 |
+//! | `children_from_parents` | 1,091 → 716 | 110 → 90 | 1,816 → 1,390 |
+//! | `pool_batches_below_incumbent` | 877 → 577 | 114 → 90 | 1,858 → 1,230 |
+//! | `reference` | 16,776 → 17,388 | 657 → 724 | 32,532 → 30,012 |
 
 use bb::{frozen_pool, Batch, FspNode, FspProblem};
 use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion, Throughput};
@@ -124,6 +145,37 @@ fn bench_lower_bounds(c: &mut Criterion) {
                     std::hint::black_box(&out);
                 });
                 assert_eq!(out, exact, "the view bounds the built children's bounds");
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new(
+                "pool_batches_below_incumbent",
+                format!("{class} ({} nodes)", children.len()),
+            ),
+            &family,
+            |b, family| {
+                let view = family.view();
+                let mut scratch = BoundScratch::new();
+                let mut out = vec![0; view.len()];
+                b.iter(|| {
+                    for (batch, out) in view.chunks(pool).zip(out.chunks_mut(pool)) {
+                        lb.bound_children(
+                            &mut scratch,
+                            batch.parents(),
+                            std::hint::black_box(batch.children()),
+                            out,
+                            incumbent,
+                        );
+                    }
+                    std::hint::black_box(&out);
+                });
+                for (&got, &exact) in out.iter().zip(&exact) {
+                    if exact < incumbent {
+                        assert_eq!(got, exact, "an unpruned child gets its exact bound");
+                    } else {
+                        assert!(got >= incumbent, "a pruned child stays pruned");
+                    }
+                }
             },
         );
     }

@@ -6,15 +6,24 @@
 //! [`JohnsonLowerBound::bound_children`] does the same on the host with
 //! [`LANES`] sub-problems per pass: each machine pair's Johnson row — the
 //! `(job, p1, lag, p2)` read from `JM`, `PTM` and `LM` at every position —
-//! is gathered once and replayed over a block of lane groups, and a lane
-//! skips a scheduled job not with a branch but by AND-ing the row's values
-//! with its keep mask for that job (all ones while the job remains, zero
-//! once it is scheduled). A masked-out job adds zero to machine one's clock
-//! and leaves machine two's clock where it was, so every lane performs the
-//! reference's integer operations on its remaining jobs, in the same order,
-//! and the bounds are bit-identical to [`JohnsonLowerBound::bound_prefix`].
-//! The gathered row is per-call scratch of `n` entries, not a second
-//! resident matrix layout.
+//! is replayed over a block of lane groups, and a lane skips a scheduled
+//! job not with a branch but by AND-ing the row's values with its keep mask
+//! for that job (all ones while the job remains, zero once it is
+//! scheduled). A masked-out job adds zero to machine one's clock and leaves
+//! machine two's clock where it was, so every lane performs the reference's
+//! integer operations on its remaining jobs, in the same order, and the
+//! bounds are bit-identical to [`JohnsonLowerBound::bound_prefix`].
+//!
+//! The rows of all `m(m−1)/2` pairs, `n` entries each, are gathered from
+//! the strided matrices once per bound a [`BoundScratch`] serves and replayed
+//! by every block, pass and call after that: a backend holds one scratch
+//! for one instance, so it gathers them once per solve. The scratch keys
+//! them by the bound's identity, which clones share and no other bound ever
+//! takes, never by address or shape. They live in the scratch, not beside
+//! the matrices, so an instance that is not being bounded holds no rows.
+//! After a group has replayed a row, its running maximum, tail and live
+//! mask are copied into locals and the pair's hits counted per lane, so
+//! the epilogue runs in vector registers too.
 //!
 //! A node whose bound reaches the incumbent is pruned whatever its exact
 //! value (`lb ≥ ub`, Figure 1 of the paper), so the batch bound takes a
@@ -178,8 +187,13 @@ pub(crate) struct LaneScratch {
     live: Vec<[u32; LANES]>,
     /// One row per group: the bound so far, the maximum over pairs.
     lb: Vec<[Time; LANES]>,
-    /// The current pair's Johnson row: `(job, p1, lag, p2)` per position.
-    row: Vec<[u32; 4]>,
+    /// Every machine pair's Johnson row, `n` entries per pair in pair
+    /// order: `(job, p1, lag, p2)` at each position of the pair's Johnson
+    /// order.
+    rows: Vec<[u32; 4]>,
+    /// The identity ([`JohnsonLowerBound::id`]) of the bound whose rows
+    /// `rows` holds, or `None` before the first call.
+    rows_of: Option<u64>,
     /// Per machine pair: live lanes whose running maximum it raised, summed
     /// over the two-pass calls since the pair count last changed.
     hits: Vec<u64>,
@@ -191,6 +205,32 @@ pub(crate) struct LaneScratch {
 }
 
 impl LaneScratch {
+    /// Gathers every machine pair's Johnson row of `bound` from `JM`, `PTM`
+    /// and `LM`, unless the scratch already holds them: once per bound a
+    /// scratch serves, not once per call, block or pass. The key is the
+    /// bound's identity, which no other bound ever takes, so a scratch never
+    /// replays another instance's rows, whatever its shape.
+    fn gather_rows(&mut self, bound: &JohnsonLowerBound) {
+        if self.rows_of == Some(bound.id()) {
+            return;
+        }
+        let data = bound.data();
+        self.rows.clear();
+        for pair in 0..data.num_pairs() {
+            let (m1, m2) = data.pair(pair);
+            self.rows.extend((0..data.jobs()).map(|pos| {
+                let job = data.jm(pos, pair);
+                [
+                    job as u32,
+                    data.ptm(job, m1),
+                    data.lm(job, pair),
+                    data.ptm(job, m2),
+                ]
+            }));
+        }
+        self.rows_of = Some(bound.id());
+    }
+
     /// Re-sorts the two-pass pair order by hits, keeping the previous order
     /// among ties; a new pair count starts from index order and no hits.
     #[inline(always)]
@@ -336,6 +376,7 @@ impl JohnsonLowerBound {
         cutoff: Time,
     ) {
         let s = &mut scratch.lanes;
+        s.gather_rows(self);
         let pairs = self.data().num_pairs();
         let two_pass = cutoff != Time::MAX && pairs > ONE_PASS_MAX_PAIRS;
         if two_pass {
@@ -505,6 +546,11 @@ impl JohnsonLowerBound {
     /// Replays the Johnson rows of `pairs` over the first `groups` lane
     /// groups, raising each lane's running maximum. With `COUNT`, each
     /// pair is also credited with the live lanes whose maximum it raised.
+    ///
+    /// A group's running maximum, tail and live mask are copied into locals
+    /// and the hits counted per lane, so the epilogue stays in vector
+    /// registers: the compiler cannot tell rows borrowed from the scratch's
+    /// vectors apart, and would store and compare them lane by lane.
     #[inline(always)]
     fn replay_pairs<const COUNT: bool>(
         &self,
@@ -517,24 +563,15 @@ impl JohnsonLowerBound {
         let m = data.machines();
         for pair in pairs {
             let (m1, m2) = data.pair(pair);
-            s.row.clear();
-            s.row.extend((0..n).map(|pos| {
-                let job = data.jm(pos, pair);
-                [
-                    job as u32,
-                    data.ptm(job, m1),
-                    data.lm(job, pair),
-                    data.ptm(job, m2),
-                ]
-            }));
-            let mut raised = 0;
+            let row = &s.rows[pair * n..(pair + 1) * n];
+            let mut raised = [0u32; LANES];
             for group in 0..groups {
                 let keep = &s.keep[group * n..(group + 1) * n];
                 let mut on_m1 = s.start[group * m + m1];
                 let mut on_m2 = s.start[group * m + m2];
                 // Johnson order with lags; a lane's scheduled job adds
                 // nothing to machine one and leaves machine two unchanged.
-                for &[job, p1, lag, p2] in &s.row {
+                for &[job, p1, lag, p2] in row {
                     let keep = &keep[job as usize];
                     for lane in 0..LANES {
                         on_m1[lane] += p1 & keep[lane];
@@ -542,13 +579,13 @@ impl JohnsonLowerBound {
                         on_m2[lane] = on_m2[lane].max(ready_on_m2 & keep[lane]) + (p2 & keep[lane]);
                     }
                 }
-                let tail = &s.tail[group * m + m2];
-                let lb = &mut s.lb[group];
+                let tail = s.tail[group * m + m2];
+                let mut lb = s.lb[group];
                 if COUNT {
-                    let live = &s.live[group];
+                    let live = s.live[group];
                     for lane in 0..LANES {
                         let value = on_m2[lane] + tail[lane];
-                        raised += u32::from(value > lb[lane]) & live[lane];
+                        raised[lane] += u32::from(value > lb[lane]) & live[lane];
                         lb[lane] = lb[lane].max(value);
                     }
                 } else {
@@ -556,9 +593,10 @@ impl JohnsonLowerBound {
                         lb[lane] = lb[lane].max(on_m2[lane] + tail[lane]);
                     }
                 }
+                s.lb[group] = lb;
             }
             if COUNT {
-                s.hits[pair] += u64::from(raised);
+                s.hits[pair] += raised.iter().map(|&r| u64::from(r)).sum::<u64>();
             }
         }
     }
@@ -639,6 +677,90 @@ mod tests {
             .collect()
     }
 
+    /// A batch over `count` mixed-depth prefixes of `inst`: every other
+    /// entry a child of its parent (advanced in the lane), the rest the
+    /// parents themselves, with the sub-problem each entry names.
+    struct Family {
+        parents: Vec<Prefix>,
+        entries: Vec<Child>,
+        named: Vec<Prefix>,
+    }
+
+    impl Family {
+        fn new(inst: &crate::Instance, count: usize) -> Self {
+            let prefixes = mixed_depth_prefixes(inst.jobs(), count);
+            let parents = prefixes
+                .iter()
+                .map(|(prefix, _)| Prefix::new(inst, prefix))
+                .collect();
+            let (mut entries, mut named) = (Vec::new(), Vec::new());
+            for (i, (prefix, next)) in prefixes.iter().enumerate() {
+                let mut prefix = prefix.clone();
+                match next {
+                    Some(job) if i % 2 == 1 => {
+                        entries.push(Child::new(i as u32, *job as u32));
+                        prefix.push(*job);
+                    }
+                    _ => entries.push(Child::parent_itself(i as u32)),
+                }
+                named.push(Prefix::new(inst, &prefix));
+            }
+            Self {
+                parents,
+                entries,
+                named,
+            }
+        }
+
+        /// [`JohnsonLowerBound::bound_prefix`] of every named sub-problem.
+        fn exact(&self, lb: &JohnsonLowerBound) -> Vec<Time> {
+            self.named
+                .iter()
+                .map(|node| lb.bound_prefix(&node.front, &node.scheduled))
+                .collect()
+        }
+
+        /// Bounds the first `len` entries against `cutoff` through the
+        /// dispatched entry point with `dispatched` and the portable
+        /// compilation with `portable`, and asserts that both agree and
+        /// keep the cut-off contract against `exact`.
+        fn bound_checked(
+            &self,
+            lb: &JohnsonLowerBound,
+            (dispatched, portable): (&mut BoundScratch, &mut BoundScratch),
+            len: usize,
+            exact: &[Time],
+            cutoff: Time,
+            at: &str,
+        ) {
+            let (mut got, mut want) = (vec![0; len], vec![0; len]);
+            let entries = &self.entries[..len];
+            lb.bound_children(dispatched, &self.parents, entries, &mut got, cutoff);
+            lb.bound_lanes_portable(
+                portable,
+                |i| (&self.parents[entries[i].parent as usize], entries[i].job),
+                &mut want,
+                cutoff,
+            );
+            assert_eq!(got, want, "{at}: dispatched vs portable");
+            for (i, (&got, &exact)) in got.iter().zip(exact).enumerate() {
+                assert!(got <= exact, "{at}, entry {i}: {got} above {exact}");
+                if exact < cutoff {
+                    assert_eq!(got, exact, "{at}, entry {i}");
+                } else {
+                    assert!(got >= cutoff, "{at}, entry {i}: {got} below the cut-off");
+                }
+            }
+        }
+    }
+
+    /// Cut-offs 0, the median of `exact` and [`Time::MAX`].
+    fn cutoffs(exact: &[Time]) -> [Time; 3] {
+        let mut sorted = exact.to_vec();
+        sorted.sort_unstable();
+        [0, sorted[exact.len() / 2], Time::MAX]
+    }
+
     #[test]
     fn one_scratch_serves_instances_of_any_shape() {
         // The dispatched entry point and the portable compilation, the only
@@ -646,65 +768,71 @@ mod tests {
         // shape, batch length and cut-off. Both scratches see the same calls,
         // so their pair orders, and hence even the pruned entries' partial
         // bounds, agree. 1 to 3 set words; 0 to 190 machine pairs, on both
-        // sides of the two-pass threshold. Every other entry is a child of
-        // its parent, advanced in the lane, and the rest are parents
-        // themselves.
+        // sides of the two-pass threshold.
         let (mut dispatched, mut portable) = (BoundScratch::new(), BoundScratch::new());
         for n in [5, 33, 65] {
             for m in [1, 5, 9, 20] {
                 let inst = generate("t", n, m, 9);
                 let lb = JohnsonLowerBound::new(&inst);
-                let prefixes = mixed_depth_prefixes(n, 130);
-                let parents: Vec<Prefix> = prefixes
-                    .iter()
-                    .map(|(prefix, _)| Prefix::new(&inst, prefix))
-                    .collect();
-                let (mut children, mut named) = (Vec::new(), Vec::new());
-                for (i, (prefix, next)) in prefixes.iter().enumerate() {
-                    let mut prefix = prefix.clone();
-                    match next {
-                        Some(job) if i % 2 == 1 => {
-                            children.push(Child::new(i as u32, *job as u32));
-                            prefix.push(*job);
-                        }
-                        _ => children.push(Child::parent_itself(i as u32)),
-                    }
-                    named.push(Prefix::new(&inst, &prefix));
-                }
-                let reference: Vec<Time> = named
-                    .iter()
-                    .map(|node| lb.bound_prefix(&node.front, &node.scheduled))
-                    .collect();
+                let family = Family::new(&inst, 130);
+                let reference = family.exact(&lb);
                 for len in [1, 9, 65, 130] {
                     let exact = &reference[..len];
-                    let mut sorted = exact.to_vec();
-                    sorted.sort_unstable();
-                    for cutoff in [0, sorted[len / 2], Time::MAX] {
+                    for cutoff in cutoffs(exact) {
                         let at = format!("{n}x{m}, {len} entries, cut-off {cutoff}");
-                        let (mut got, mut want) = (vec![0; len], vec![0; len]);
-                        let entries = &children[..len];
-                        lb.bound_children(&mut dispatched, &parents, entries, &mut got, cutoff);
-                        lb.bound_lanes_portable(
-                            &mut portable,
-                            |i| (&parents[entries[i].parent as usize], entries[i].job),
-                            &mut want,
+                        let scratches = (&mut dispatched, &mut portable);
+                        family.bound_checked(&lb, scratches, len, exact, cutoff, &at);
+                        let mut whole = vec![0; len];
+                        lb.bound_many(
+                            &mut BoundScratch::new(),
+                            &family.named[..len],
+                            &mut whole,
                             cutoff,
                         );
-                        assert_eq!(got, want, "{at}: dispatched vs portable");
-                        let mut whole = vec![0; len];
-                        lb.bound_many(&mut BoundScratch::new(), &named[..len], &mut whole, cutoff);
-                        for (i, (&got, &exact)) in got.iter().zip(exact).enumerate() {
-                            assert!(got <= exact, "{at}, entry {i}: {got} above {exact}");
+                        for (i, (&whole, &exact)) in whole.iter().zip(exact).enumerate() {
                             if exact < cutoff {
-                                assert_eq!(got, exact, "{at}, entry {i}");
-                                assert_eq!(whole[i], exact, "{at}, built entry {i}");
-                            } else {
-                                assert!(got >= cutoff, "{at}, entry {i}: {got} below the cut-off");
+                                assert_eq!(whole, exact, "{at}, built entry {i}");
                             }
                         }
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_scratch_never_replays_another_instances_rows() {
+        // The scratch caches every pair's Johnson rows across calls. Each of
+        // the two scratches (dispatched and portable) alternates between a
+        // bound, its clone and a bound of a second instance of the same
+        // shape, then serves a bound of a third instance rebuilt in the
+        // first one's place, at the benchmark's 8×20 (two passes below a
+        // finite cut-off) and 9×5 (one pass). A cache keyed by shape, or by
+        // the bound's address, would replay the wrong rows here. 131
+        // entries make three blocks: 64 + 64 + 3.
+        let (mut dispatched, mut portable) = (BoundScratch::new(), BoundScratch::new());
+        for (n, m) in [(8, 20), (9, 5)] {
+            let insts = [21, 22, 23].map(|seed| generate("t", n, m, seed));
+            let families = insts.each_ref().map(|inst| Family::new(inst, 131));
+            let mut check = |lb: &JohnsonLowerBound, which: usize, call: &str| {
+                let family = &families[which];
+                let exact = family.exact(lb);
+                for cutoff in cutoffs(&exact) {
+                    let at = format!("{n}x{m}, {call}, cut-off {cutoff}");
+                    let scratches = (&mut dispatched, &mut portable);
+                    family.bound_checked(lb, scratches, exact.len(), &exact, cutoff, &at);
+                }
+            };
+            let mut first = JohnsonLowerBound::new(&insts[0]);
+            let second = JohnsonLowerBound::new(&insts[1]);
+            for round in 0..2 {
+                check(&first, 0, &format!("first bound, round {round}"));
+                check(&first.clone(), 0, &format!("its clone, round {round}"));
+                check(&second, 1, &format!("second bound, round {round}"));
+            }
+            check(&first, 0, "first bound again");
+            first = JohnsonLowerBound::new(&insts[2]);
+            check(&first, 2, "a third bound in the first one's place");
         }
     }
 

@@ -19,29 +19,46 @@ use super::data::BoundData;
 use super::{with_thread_scratch, BoundScratch, LowerBound};
 use crate::schedule::PartialSchedule;
 use crate::{Job, Time};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The next identity [`JohnsonLowerBound::from_data`] hands out.
+static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 
 /// The full Johnson-based lower bound of the paper.
 #[derive(Debug, Clone)]
 pub struct JohnsonLowerBound {
     data: BoundData,
+    /// Taken once per construction and never reused; clones share it,
+    /// because they share the (immutable) matrices.
+    id: u64,
 }
 
 impl JohnsonLowerBound {
     /// Pre-computes the six bound matrices for `inst`.
     pub fn new(inst: &crate::instance::Instance) -> Self {
-        Self {
-            data: BoundData::new(inst),
-        }
+        Self::from_data(BoundData::new(inst))
     }
 
     /// Builds the bound from already-computed matrices.
     pub fn from_data(data: BoundData) -> Self {
-        Self { data }
+        // `fetch_add` alone makes every identity unique; the count
+        // publishes no other data, so it needs no ordering.
+        Self {
+            data,
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+        }
     }
 
     /// The pre-computed matrices (shared with the GPU off-load engine).
     pub fn data(&self) -> &BoundData {
         &self.data
+    }
+
+    /// This bound's identity: two bounds share it exactly when they are
+    /// clones of one construction, so equal identities mean equal
+    /// matrices. A [`BoundScratch`] keys the Johnson rows it caches by it.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
     }
 
     /// Computes the lower bound for a sub-problem described by its scheduled

@@ -169,6 +169,9 @@ impl Device {
     ///
     /// Panics if the allocation would exceed the device's global memory.
     pub fn alloc(&mut self, len: usize, elem_bytes: usize, kind: BufferKind) -> DeviceBuffer {
+        // Checked before the host buffer is built, which a length beyond the
+        // device could not be.
+        self.fitting_bytes(len, elem_bytes);
         self.alloc_init(vec![0; len], elem_bytes, kind)
     }
 
@@ -183,14 +186,7 @@ impl Device {
         elem_bytes: usize,
         kind: BufferKind,
     ) -> DeviceBuffer {
-        let bytes = data.len() * elem_bytes;
-        assert!(
-            self.allocated_bytes + bytes <= self.spec.global_memory_bytes,
-            "device out of memory: {} + {} bytes exceeds {}",
-            self.allocated_bytes,
-            bytes,
-            self.spec.global_memory_bytes
-        );
+        let bytes = self.fitting_bytes(data.len(), elem_bytes);
         let id = self.allocations.len();
         let len = data.len();
         self.allocations.push(Allocation {
@@ -205,6 +201,26 @@ impl Device {
             len,
             elem_bytes,
         }
+    }
+
+    /// The bytes of a `len`-element buffer of `elem_bytes`-byte elements.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "device out of memory" if they would not fit beside the
+    /// buffers already allocated, including when the count overflows.
+    fn fitting_bytes(&self, len: usize, elem_bytes: usize) -> usize {
+        let fits = |bytes: &usize| {
+            self.allocated_bytes
+                .checked_add(*bytes)
+                .is_some_and(|total| total <= self.spec.global_memory_bytes)
+        };
+        len.checked_mul(elem_bytes).filter(fits).unwrap_or_else(|| {
+            panic!(
+                "device out of memory: {} + {len} × {elem_bytes} bytes exceeds {}",
+                self.allocated_bytes, self.spec.global_memory_bytes
+            )
+        })
     }
 
     /// Overwrites the contents of an existing buffer (recurring host→device
@@ -602,6 +618,19 @@ mod tests {
     fn exceeding_global_memory_panics() {
         let mut dev = Device::new(DeviceSpec::tiny_test_device());
         dev.alloc(100_000_000, 4, BufferKind::Stream);
+    }
+
+    #[test]
+    #[should_panic(expected = "device out of memory")]
+    fn a_length_beyond_the_device_panics_before_allocating() {
+        // 4 TiB of host zeros would abort the process, not panic.
+        Device::tesla_c2050().alloc(1 << 40, 2, BufferKind::Stream);
+    }
+
+    #[test]
+    #[should_panic(expected = "device out of memory")]
+    fn an_overflowing_byte_count_panics() {
+        Device::tesla_c2050().alloc(usize::MAX / 2 + 1, 4, BufferKind::Stream);
     }
 
     #[test]
