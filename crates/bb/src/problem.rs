@@ -2,8 +2,8 @@
 //! branching and bounding operators for the permutation Flow-Shop.
 
 use crate::node::FspNode;
-use fsp::bound::LowerBound;
-use fsp::{BoundScratch, Instance, JohnsonLowerBound, OneMachineBound, Time};
+use fsp::bound::{with_thread_scratch, LowerBound};
+use fsp::{Instance, JohnsonLowerBound, OneMachineBound, Time};
 use std::sync::Arc;
 
 /// A lower bound evaluated directly on a [`FspNode`] (front + scheduled set),
@@ -40,8 +40,10 @@ impl NodeBound for JohnsonLowerBound {
         self.bound_prefix_fn(node.front(), |j| node.is_scheduled(j))
     }
 
+    /// Bounds through the calling thread's scratch, so a worker that
+    /// batches through here gathers the Johnson rows once per bound.
     fn bound_nodes(&self, nodes: &[FspNode], out: &mut [Time]) {
-        self.bound_many(&mut BoundScratch::new(), nodes, out, Time::MAX);
+        with_thread_scratch(|scratch| self.bound_many(scratch, nodes, out, Time::MAX));
     }
 
     fn bound_name(&self) -> &'static str {
@@ -245,6 +247,30 @@ mod tests {
         let prob = FspProblem::new(generate("t", 12, 6, 31));
         let (perm, ub) = prob.initial_upper_bound();
         assert_eq!(fsp::makespan(prob.instance(), &perm), ub);
+    }
+
+    #[test]
+    fn thread_scratch_batches_keep_each_instances_rows() {
+        // `bound_nodes` bounds through this thread's scratch, which keeps
+        // the Johnson rows of the last bound it served and lends its
+        // head/tail buffers to `bound_node`. Alternating two same-shape
+        // instances, with single-node bounds in between, must never replay
+        // one instance's rows for the other.
+        let problems = [7, 8].map(|seed| FspProblem::new(generate("t", 8, 20, seed)));
+        let pools = problems
+            .each_ref()
+            .map(|problem| crate::frozen_pool(problem, 64).nodes);
+        for _ in 0..3 {
+            for (problem, nodes) in problems.iter().zip(&pools) {
+                assert!(!nodes.is_empty());
+                let bound = problem.bound_fn();
+                let mut out = vec![0; nodes.len()];
+                bound.bound_nodes(nodes, &mut out);
+                for (node, &lb) in nodes.iter().zip(&out) {
+                    assert_eq!(lb, bound.bound_node(node));
+                }
+            }
+        }
     }
 
     #[test]

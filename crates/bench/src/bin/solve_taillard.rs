@@ -133,8 +133,8 @@ struct Report {
     /// only; `None` for standalone rows).
     job: Option<usize>,
     /// Normalized deal-weight shares of the fleet members (fleet rows only;
-    /// `None` for single-device and CPU rows) — the spec-derived model's
-    /// shares, or the `--fleet-weights` override, normalized to sum to 1.
+    /// `None` for single-device and CPU rows) — the launch-quantized
+    /// spec-derived models' shares, normalized to sum to 1.
     fleet_weights: Option<Vec<f64>>,
     pool_size: usize,
     reps: usize,
@@ -309,9 +309,6 @@ struct Options {
     devices: Option<usize>,
     /// Upgrade the fleet backend to mixed device specs (C2050 + GTX 580).
     hetero: bool,
-    /// Override the fleet's deal weights (one per member; `None` = the
-    /// spec-derived throughput model).
-    fleet_weights: Option<Vec<f64>>,
     pool_size: usize,
     pipeline_chunk: Option<usize>,
     node_limit: Option<u64>,
@@ -365,7 +362,6 @@ impl Default for Options {
             autotune: false,
             devices: None,
             hetero: false,
-            fleet_weights: None,
             pool_size: 4_096,
             pipeline_chunk: None,
             node_limit: None,
@@ -478,13 +474,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--lookahead" => opts.lookahead = true,
             "--autotune" => opts.autotune = true,
             "--hetero" => opts.hetero = true,
-            "--fleet-weights" => {
-                let weights: Result<Vec<f64>, _> = value(args, &mut i, flag)?
-                    .split(',')
-                    .map(|w| w.trim().parse::<f64>())
-                    .collect();
-                opts.fleet_weights = Some(weights.map_err(|e| format!("{e}"))?);
-            }
             "--devices" => {
                 opts.devices = Some(
                     value(args, &mut i, flag)?
@@ -586,11 +575,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                      solve:    --mode serial|gpu|gpu-fast\n\
                      \x20         --backend seq|multicore|gpu|gpu-pipelined|fleet[:N][:hetero][:steal]\n\
                      \x20         --devices N  --hetero (mixed-spec fleet: C2050 + GTX 580)\n\
-                     \x20         --fleet-weights w1,w2,... (override the fleet's deal weights;\n\
-                     \x20         one positive weight per member, default spec-derived)\n\
                      \x20         --lookahead (cross-iteration pipelining)  --pipeline-chunk C\n\
-                     \x20         --autotune (sweep pool + chunk size; + device count and deal\n\
-                     \x20         weights for fleet)\n\
+                     \x20         --autotune (sweep pool + chunk size on the run's backend)\n\
                      \x20         --pool-size P  --node-limit N  --frozen K  --reps R\n\
                      fault:    --fail-seed S (seeded deterministic fleet member failures)\n\
                      \x20         --fail-at B:M[,B:M...] (explicit failure events: member M\n\
@@ -676,31 +662,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
         }
     }
-    if let Some(weights) = &opts.fleet_weights {
-        if opts.smoke {
-            return Err("--fleet-weights cannot be combined with --smoke (the \
-                        gate's fleet rows use the spec-derived deal)"
-                .into());
-        }
-        let devices = match opts.mode {
-            Mode::Backend(kind @ BackendKind::Fleet { .. })
-            | Mode::BackendFast(kind @ BackendKind::Fleet { .. }) => kind.devices(),
-            _ => {
-                return Err("--fleet-weights requires a fleet backend \
-                            (--backend fleet[:N] or --devices N)"
-                    .into())
-            }
-        };
-        if weights.len() != devices {
-            return Err(format!(
-                "--fleet-weights needs one weight per fleet member ({} given, {devices} members)",
-                weights.len()
-            ));
-        }
-        if !weights.iter().all(|w| w.is_finite() && *w > 0.0) {
-            return Err("--fleet-weights must all be finite and positive".into());
-        }
-    }
     let fault_flags = opts.fail_seed.is_some() || !opts.fail_at.is_empty();
     if fault_flags {
         if opts.smoke || opts.service || opts.cache {
@@ -718,11 +679,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
         };
         if !opts.fail_at.is_empty() {
-            if opts.autotune {
-                return Err("--fail-at cannot be combined with --autotune (the tuned \
-                            fleet may have fewer members than the events name)"
-                    .into());
-            }
             let events = opts
                 .fail_at
                 .iter()
@@ -965,7 +921,6 @@ fn run_once(
                     backend: kind,
                     lookahead,
                     pipeline_chunk: opts.pipeline_chunk,
-                    fleet_weights: opts.fleet_weights.clone(),
                     fail_seed: opts.fail_seed,
                     fail_at: opts.fail_at.clone(),
                     checkpoint_after: opts.checkpoint.as_ref().map(|(batches, _)| *batches),
@@ -1514,46 +1469,28 @@ fn main() -> ExitCode {
     }
 
     // Optional runtime tuning: sweep the pool size and the pipeline chunk
-    // size on this instance (the paper's runtime procedure) and persist the
-    // winners into the run options before anything is timed.
+    // size on this instance and this run's backend (the paper's runtime
+    // procedure) and persist the winners into the run options before
+    // anything is timed. The serial solver has neither to tune.
     let mut opts = opts;
     if opts.autotune {
-        let base = GpuSolverConfig {
-            placement: DataPlacement::SharedJmPtm,
-            fast_forward: true,
-            ..Default::default()
-        };
-        if let Mode::Backend(kind @ BackendKind::Fleet { .. })
-        | Mode::BackendFast(kind @ BackendKind::Fleet { .. }) = opts.mode
-        {
-            // Fleet runs sweep the device count, the per-device chunk and
-            // the deal weights jointly (the best chunk depends on each
-            // device's share); hetero/stealing modes carry over from the
-            // configured fleet.
-            let fleet_base = GpuSolverConfig {
-                backend: kind,
-                ..base.clone()
-            };
-            let tuned = gpu_bnb::autotune::autotune_fleet_config(&inst, &fleet_base, 16_384);
-            opts.pool_size = tuned.config.pool_size;
-            opts.pipeline_chunk = tuned.config.pipeline_chunk;
-            opts.mode = opts.mode.with_backend(tuned.config.backend);
-            // A `--fleet-weights` override outranks the learned weights.
-            if opts.fleet_weights.is_none() {
-                opts.fleet_weights = tuned.config.fleet_weights.clone();
+        match opts.mode {
+            Mode::Backend(kind) | Mode::BackendFast(kind) => {
+                let base = GpuSolverConfig {
+                    placement: DataPlacement::SharedJmPtm,
+                    fast_forward: true,
+                    backend: kind,
+                    ..Default::default()
+                };
+                let tuned = gpu_bnb::autotune::autotune_solver_config(&inst, &base, 16_384);
+                opts.pool_size = tuned.config.pool_size;
+                opts.pipeline_chunk = tuned.config.pipeline_chunk;
+                eprintln!(
+                    "autotune: pool_size {} , pipeline_chunk {:?}",
+                    opts.pool_size, opts.pipeline_chunk
+                );
             }
-            eprintln!(
-                "autotune: pool_size {} , devices {} , pipeline_chunk {:?} , fleet_weights {:?}",
-                opts.pool_size, tuned.fleet.best_devices, opts.pipeline_chunk, opts.fleet_weights
-            );
-        } else {
-            let tuned = gpu_bnb::autotune::autotune_solver_config(&inst, &base, 16_384);
-            opts.pool_size = tuned.config.pool_size;
-            opts.pipeline_chunk = tuned.config.pipeline_chunk;
-            eprintln!(
-                "autotune: pool_size {} , pipeline_chunk {:?}",
-                opts.pool_size, opts.pipeline_chunk
-            );
+            Mode::Serial => eprintln!("autotune: the serial solver has no pool or chunk to tune"),
         }
     }
 
@@ -1608,22 +1545,13 @@ fn main() -> ExitCode {
         vec![(opts.mode, opts.lookahead)]
     };
 
-    // Fleet rows report their normalized deal-weight shares — the
-    // spec-derived model's, or the `--fleet-weights` override.
+    // Fleet rows report their normalized deal-weight shares.
     let weight_shares = |mode: Mode| -> Option<Vec<f64>> {
         let kind = match mode {
             Mode::Serial => return None,
             Mode::Backend(kind) | Mode::BackendFast(kind) => kind,
         };
-        gpu_bnb::fleet_weight_shares(
-            kind,
-            &GpuSolverConfig {
-                fleet_weights: opts.fleet_weights.clone(),
-                ..Default::default()
-            },
-            jobs,
-            machines,
-        )
+        gpu_bnb::fleet_weight_shares(kind, &GpuSolverConfig::default(), jobs, machines)
     };
 
     let mut reports: Vec<Report> = specs
@@ -2132,12 +2060,10 @@ mod tests {
             .err()
             .expect("rejected");
         assert!(err.contains("kills member 5 of a 2-member fleet"), "{err}");
-        // The tuned fleet can be smaller than the one the events were named in.
-        let err = parse("--fail-at 0:1 --backend fleet:4 --autotune")
-            .err()
-            .expect("rejected");
-        assert!(err.contains("--autotune"), "{err}");
         assert!(parse("--fail-at 0:1 --backend fleet:2").is_ok());
+        // Tuning keeps the fleet's size, so the events still name members
+        // the tuned run has.
+        assert!(parse("--fail-at 0:3 --backend fleet:4 --autotune").is_ok());
     }
 
     #[test]

@@ -96,15 +96,6 @@ fn hash_config(config: &GpuSolverConfig, scope: KeyScope, h: &mut DefaultHasher)
     config.pipeline_depth.hash(h);
     config.pipeline_chunk.hash(h);
     config.lookahead.hash(h);
-    match &config.fleet_weights {
-        None => 0u8.hash(h),
-        Some(weights) => {
-            1u8.hash(h);
-            for w in weights {
-                w.to_bits().hash(h);
-            }
-        }
-    }
     config.fail_seed.hash(h);
     config.fail_at.hash(h);
 }
@@ -476,10 +467,6 @@ mod tests {
             },
             GpuSolverConfig {
                 lookahead: !base.lookahead,
-                ..base.clone()
-            },
-            GpuSolverConfig {
-                fleet_weights: Some(vec![1.0, 2.0]),
                 ..base.clone()
             },
             GpuSolverConfig {

@@ -290,8 +290,8 @@ impl std::fmt::Display for BackendKind {
 /// Struct-literal construction (with `..Default::default()`) keeps working;
 /// the validated path is [`GpuSolverConfig::builder`], which rejects
 /// inconsistent combinations (fault injection plus checkpointing, zero
-/// pipeline depth, mis-sized fleet weights) at build time instead of deep
-/// inside a solve.
+/// pipeline depth, a failure naming a missing fleet member) at build time
+/// instead of deep inside a solve.
 #[derive(Debug, Clone)]
 pub struct GpuSolverConfig {
     /// Number of sub-problems off-loaded to the device per bounding
@@ -350,16 +350,6 @@ pub struct GpuSolverConfig {
     /// the visited node set provably matches the strict loop (constant
     /// incumbent).
     pub lookahead: bool,
-    /// Explicit per-member throughput weights for the
-    /// [`BackendKind::Fleet`] deal (nodes per modelled second, relative —
-    /// only ratios matter). `None` derives each member's weight from its
-    /// [`gpu_sim::DeviceSpec`] and the kernel cost model; set it from the
-    /// weight auto-tuner ([`crate::autotune::autotune_fleet_weights`]) or
-    /// `solve_taillard --fleet-weights` to override the modelled deal. The
-    /// length must equal the fleet's device count. Weights steer the *deal*
-    /// only — the steal pass and per-member wave quantization keep using the
-    /// physical device models.
-    pub fleet_weights: Option<Vec<f64>>,
     /// Seed of the deterministic fleet failure plan
     /// ([`crate::fault::FailurePlan::seeded`]): `Some(seed)` kills
     /// `devices / 2` distinct fleet members at seed-derived batch ordinals.
@@ -395,7 +385,6 @@ impl Default for GpuSolverConfig {
             pipeline_depth: 4,
             pipeline_chunk: None,
             lookahead: false,
-            fleet_weights: None,
             fail_seed: None,
             fail_at: Vec::new(),
             checkpoint_after: None,
@@ -463,9 +452,9 @@ impl std::error::Error for ConfigError {}
 /// rejects combinations the solver would otherwise only trip over mid-run —
 /// fault injection combined with checkpointing (a checkpointed solve must
 /// replay bit-identically, which an injected failure breaks), fault
-/// injection or fleet weights on a non-fleet backend, mis-sized or
-/// non-positive fleet weights, zero pool / depth parameters, and a block
-/// larger than a GPU the backend launches on allows.
+/// injection on a non-fleet backend, a `fail_at` event naming a member the
+/// fleet does not have, zero pool / depth parameters, and a block larger
+/// than a GPU the backend launches on allows.
 ///
 /// ```
 /// use gpu_bnb::{BackendKind, FleetTopology, GpuSolverConfig};
@@ -555,10 +544,6 @@ impl SolverConfigBuilder {
         lookahead: bool
     );
     builder_setter!(
-        /// Sets [`GpuSolverConfig::fleet_weights`].
-        fleet_weights: Option<Vec<f64>>
-    );
-    builder_setter!(
         /// Sets [`GpuSolverConfig::fail_seed`].
         fail_seed: Option<u64>
     );
@@ -618,26 +603,6 @@ impl SolverConfigBuilder {
                 "fault injection needs a fleet backend (got `{}`)",
                 config.backend
             )));
-        }
-        if let Some(weights) = &config.fleet_weights {
-            let Some(topology) = fleet else {
-                return Err(ConfigError(format!(
-                    "fleet_weights need a fleet backend (got `{}`)",
-                    config.backend
-                )));
-            };
-            if weights.len() != topology.devices {
-                return Err(ConfigError(format!(
-                    "fleet_weights has {} entries but the fleet has {} devices",
-                    weights.len(),
-                    topology.devices
-                )));
-            }
-            if weights.iter().any(|w| !w.is_finite() || *w <= 0.0) {
-                return Err(ConfigError(
-                    "fleet_weights must all be finite and positive".into(),
-                ));
-            }
         }
         if let Some(topology) = fleet {
             for &(_, member) in &config.fail_at {
@@ -805,35 +770,14 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("bit-identically"), "{err}");
 
-        // Fault injection and fleet weights need a fleet backend.
+        // Fault injection needs a fleet backend.
         assert!(GpuSolverConfig::builder()
             .fail_seed(Some(11))
             .build()
             .is_err());
-        assert!(GpuSolverConfig::builder()
-            .fleet_weights(Some(vec![1.0, 2.0]))
-            .build()
-            .is_err());
-
-        // Fleet weights must match the device count and be positive.
-        let fleet = BackendKind::Fleet(FleetTopology::uniform(2));
-        assert!(GpuSolverConfig::builder()
-            .backend(fleet)
-            .fleet_weights(Some(vec![1.0]))
-            .build()
-            .is_err());
-        assert!(GpuSolverConfig::builder()
-            .backend(fleet)
-            .fleet_weights(Some(vec![1.0, -2.0]))
-            .build()
-            .is_err());
-        assert!(GpuSolverConfig::builder()
-            .backend(fleet)
-            .fleet_weights(Some(vec![1.0, 2.0]))
-            .build()
-            .is_ok());
 
         // Explicit fail_at events must name an existing member.
+        let fleet = BackendKind::Fleet(FleetTopology::uniform(2));
         assert!(GpuSolverConfig::builder()
             .backend(fleet)
             .fail_at(vec![(0, 2)])

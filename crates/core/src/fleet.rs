@@ -9,9 +9,8 @@
 //! [`crate::backend::MulticoreBackend`] per CPU member — splits every batch
 //! into per-member shards, bounds the shards concurrently on the model, and
 //! merges the bounds back in input order — so the rest of the workspace
-//! (solver, auto-tuner, service, bench binaries)
-//! drives a fleet through the very same [`BoundingBackend`] trait as a
-//! single card.
+//! (solver, auto-tuner, service, bench binaries) drives a fleet through the
+//! very same [`BoundingBackend`] trait as a single card.
 //!
 //! **Weighted sharding** ([`plan_shards_weighted`]): the batch is cut into
 //! wave-aligned chunks (the same granularity the pipelined backend launches
@@ -24,14 +23,14 @@
 //! — the smallest member wave — and a sub-wave launch still pays a full
 //! wave of issue on the wider card, so at deal granularity the useful
 //! ratio between GPUs collapses from SMs × clock to the clock ratio alone.
-//! [`GpuSolverConfig::fleet_weights`] overrides skip the re-quantization
-//! and stay authoritative. A homogeneous fleet has equal weights, and the
-//! weighted deal then reproduces the classic least-loaded deal exactly. When the batch has fewer chunks than members, the chunk
-//! shrinks to `len / members` (rounded down, min 1); members left without a
-//! range are trimmed from the plan, so per-member stats never report
-//! phantom idle members. The plan is a *partition*: every input index lands
-//! in exactly one shard, which is what keeps fleet bounds bit-identical to
-//! any single-device backend (each node's bound depends only on the node).
+//! A homogeneous fleet has equal weights, and the weighted deal then
+//! reproduces the classic least-loaded deal exactly. When the batch has
+//! fewer chunks than members, the chunk shrinks to `len / members`
+//! (rounded down, min 1); members left without a range are trimmed from
+//! the plan, so per-member stats never report phantom idle members. The
+//! plan is a *partition*: every input index lands in exactly one shard,
+//! which is what keeps fleet bounds bit-identical to any single-device
+//! backend (each node's bound depends only on the node).
 //!
 //! **Deterministic work stealing** ([`steal_pass`]): with stealing enabled,
 //! a second planning pass runs *before* any launch. As long as the member
@@ -103,9 +102,7 @@ pub fn fleet_member_specs(devices: usize, hetero: bool) -> Vec<FleetMemberSpec> 
 /// The planner's throughput model of one fleet member: a linear weight for
 /// the deal and the wave quantization the steal pass schedules against.
 /// Derived from the member's spec and the kernel/host cost models by
-/// [`member_models`]; the `weight` (and only the weight — wave geometry
-/// stays physical) can be overridden by [`GpuSolverConfig::fleet_weights`]
-/// or the weight auto-tuner.
+/// [`member_models`], and re-quantized per batch by [`launch_models`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemberModel {
     /// Modelled throughput in nodes per second (only ratios matter for the
@@ -537,7 +534,6 @@ struct FleetMember {
 pub struct FleetBackend {
     members: Vec<FleetMember>,
     models: Vec<MemberModel>,
-    weights_overridden: bool,
     name: &'static str,
     stealing: bool,
     host_lb: Arc<JohnsonLowerBound>,
@@ -586,15 +582,13 @@ impl FleetBackend {
 
     /// Creates a fleet with one member per entry of `specs` — mixed GPU
     /// specs and CPU members are legal — with the weighted deal derived
-    /// from the member models (or [`GpuSolverConfig::fleet_weights`], which
-    /// must then match the member count) and the deterministic steal pass
-    /// enabled by `stealing`.
+    /// from the member models and the deterministic steal pass enabled by
+    /// `stealing`.
     ///
     /// # Panics
     ///
-    /// Panics if `specs` is empty, if the fleet is pipelined and
-    /// `config.pipeline_depth` is zero, or if an explicit weight vector has
-    /// the wrong length or a non-finite/non-positive entry.
+    /// Panics if `specs` is empty, or if the fleet is pipelined and
+    /// `config.pipeline_depth` is zero.
     pub fn with_members(
         problem: &FspProblem<JohnsonLowerBound>,
         config: &GpuSolverConfig,
@@ -609,21 +603,7 @@ impl FleetBackend {
             "a pipelined fleet needs a positive pipeline depth"
         );
         let inst = problem.instance();
-        let mut models = member_models(&specs, config, inst.jobs(), inst.machines());
-        if let Some(weights) = &config.fleet_weights {
-            assert_eq!(
-                weights.len(),
-                specs.len(),
-                "fleet_weights must have one weight per member"
-            );
-            assert!(
-                weights.iter().all(|w| w.is_finite() && *w > 0.0),
-                "fleet weights must be finite and positive: {weights:?}"
-            );
-            for (model, &weight) in models.iter_mut().zip(weights) {
-                model.weight = weight;
-            }
-        }
+        let models = member_models(&specs, config, inst.jobs(), inst.machines());
         let hetero = specs.iter().any(|s| *s != specs[0]);
         let mut topology = FleetTopology::uniform(DEFAULT_FLEET_DEVICES);
         if hetero {
@@ -676,7 +656,6 @@ impl FleetBackend {
         Self {
             members,
             models,
-            weights_overridden: config.fleet_weights.is_some(),
             name,
             stealing,
             host_lb: problem.bound_fn().clone(),
@@ -707,8 +686,9 @@ impl FleetBackend {
         self.stealing
     }
 
-    /// The planner's throughput model of every member, in ordinal order
-    /// (weights already reflect any explicit override).
+    /// The planner's standalone throughput model of every member, in
+    /// ordinal order (before the per-batch [`launch_models`]
+    /// re-quantization).
     pub fn member_models(&self) -> &[MemberModel] {
         &self.models
     }
@@ -792,13 +772,8 @@ impl BoundingBackend for FleetBackend {
         let chunk = self.chunk_for(batch.len());
         let eff = effective_chunk(batch.len(), self.members.len(), chunk);
         // Plan against the models re-quantized to this batch's launch
-        // granularity; explicit weight overrides stay authoritative.
-        let mut planning = launch_models(&self.models, eff);
-        if self.weights_overridden {
-            for (plan, model) in planning.iter_mut().zip(&self.models) {
-                plan.weight = model.weight;
-            }
-        }
+        // granularity.
+        let planning = launch_models(&self.models, eff);
         let weights: Vec<f64> = planning.iter().map(|m| m.weight).collect();
         let mut shards = plan_shards_weighted(batch.len(), &weights, chunk);
         let steal = if self.stealing {
@@ -990,9 +965,8 @@ impl BoundingBackend for FleetBackend {
 }
 
 /// Normalized per-member weight shares of a fleet kind (summing to 1.0),
-/// for reports: the spec-derived member models with any
-/// [`GpuSolverConfig::fleet_weights`] override applied. `None` for
-/// non-fleet kinds.
+/// for reports: the spec-derived member models re-quantized to the shared
+/// launch chunk. `None` for non-fleet kinds.
 pub fn fleet_weight_shares(
     kind: BackendKind,
     config: &GpuSolverConfig,
@@ -1005,24 +979,18 @@ pub fn fleet_weight_shares(
     let specs = fleet_member_specs(topology.devices, topology.is_hetero());
     let standalone = member_models(&specs, config, jobs, machines);
     // Shares reflect the deal the fleet actually runs: models re-quantized
-    // to the shared launch chunk (the smallest member wave), unless an
-    // explicit override pins the weights.
+    // to the shared launch chunk (the smallest member wave).
     let chunk = standalone
         .iter()
         .map(|m| m.wave_nodes)
         .filter(|&w| w > 0)
         .min()
         .unwrap_or(0);
-    let mut models = if chunk > 0 {
+    let models = if chunk > 0 {
         launch_models(&standalone, chunk)
     } else {
         standalone
     };
-    if let Some(weights) = &config.fleet_weights {
-        for (model, &weight) in models.iter_mut().zip(weights) {
-            model.weight = weight;
-        }
-    }
     let total: f64 = models.iter().map(|m| m.weight).sum();
     Some(models.iter().map(|m| m.weight / total).collect())
 }
@@ -1518,35 +1486,38 @@ mod tests {
     }
 
     #[test]
-    fn adversarial_weights_make_the_steal_pass_fire() {
-        // A lopsided explicit weight vector piles the whole multi-wave
-        // batch onto member 0; the steal pass re-deals the surplus before
-        // launch (the crossing search hands back whole waves), the modelled
+    fn a_gpu_cpu_mix_makes_the_steal_pass_fire() {
+        // The linear deal can leave the GPU member a last launch the CPU
+        // member would finish sooner: the CPU thief has no wave to gate
+        // on, so the steal pass hands it the GPU's tail before launch (at
+        // this length one steal drops a whole launch), the modelled
         // schedule drops, and bounds stay bit-identical.
-        let (problem, nodes, base) = wave_fixture(8192);
-        assert!(nodes.len() >= 8192, "fixture must span several waves");
+        let (problem, frozen, base) = wave_fixture(8192);
+        let nodes = &frozen[..3_795];
         let config = GpuSolverConfig {
-            fleet_weights: Some(vec![100.0, 1.0]),
             fast_forward: true,
-            ..base.clone()
+            ..base
         };
         let reference = PipelinedGpuBackend::new(&problem, &config, nodes.len())
-            .bound_batch(&nodes)
+            .bound_batch(nodes)
             .bounds;
         let build = |stealing| {
             FleetBackend::with_members(
                 &problem,
                 &config,
                 nodes.len(),
-                fleet_member_specs(2, false),
+                vec![
+                    FleetMemberSpec::Gpu(DeviceSpec::tesla_c2050()),
+                    FleetMemberSpec::Cpu { threads: 4 },
+                ],
                 true,
                 stealing,
             )
         };
         let mut greedy = build(false);
         let mut stealing = build(true);
-        let greedy_batch = greedy.bound_batch(&nodes);
-        let steal_batch = stealing.bound_batch(&nodes);
+        let greedy_batch = greedy.bound_batch(nodes);
+        let steal_batch = stealing.bound_batch(nodes);
         assert_eq!(greedy_batch.bounds, reference);
         assert_eq!(steal_batch.bounds, reference);
         assert_eq!(greedy_batch.accounting.steals, 0);
@@ -1557,7 +1528,7 @@ mod tests {
         assert!(stealing.members.iter().all(|m| m.gather.is_empty()));
         assert!(
             steal_batch.accounting.device_time < greedy_batch.accounting.device_time,
-            "stealing {:?} must beat the starved deal {:?}",
+            "stealing {:?} must beat the plain deal {:?}",
             steal_batch.accounting.device_time,
             greedy_batch.accounting.device_time
         );
@@ -1617,7 +1588,7 @@ mod tests {
     }
 
     #[test]
-    fn fleet_weight_shares_normalize_and_respect_overrides() {
+    fn fleet_weight_shares_normalize_the_launch_models() {
         let (_, _, config) = fixture(16);
         let kind = |hetero: bool| {
             let topology = FleetTopology::uniform(2);
@@ -1632,17 +1603,6 @@ mod tests {
             "the GTX member takes the bigger share"
         );
         assert!((hetero.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        let overridden = fleet_weight_shares(
-            kind(true),
-            &GpuSolverConfig {
-                fleet_weights: Some(vec![1.0, 3.0]),
-                ..config
-            },
-            20,
-            20,
-        )
-        .unwrap();
-        assert_eq!(overridden, vec![0.25, 0.75]);
     }
 
     #[test]

@@ -288,6 +288,7 @@ impl GpuBnbSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::BackendKind;
     use crate::placement::DataPlacement;
     use bb::{SerialSolver, SolverConfig};
     use fsp::brute::brute_force_optimal;
@@ -398,15 +399,18 @@ mod tests {
     #[test]
     fn node_limit_truncates_the_search() {
         let inst = generate("t", 12, 10, 5);
-        let cfg = GpuSolverConfig {
-            pool_size: 128,
-            node_limit: Some(400),
-            fast_forward: true,
-            ..Default::default()
-        };
-        let outcome = GpuBnbSolver::new(inst, cfg).solve();
-        assert_eq!(outcome.stop, StopReason::NodeLimit);
-        assert!(outcome.stats.bounded >= 400);
+        for backend in [BackendKind::Gpu, BackendKind::Multicore] {
+            let cfg = GpuSolverConfig {
+                pool_size: 128,
+                node_limit: Some(400),
+                fast_forward: true,
+                backend,
+                ..Default::default()
+            };
+            let outcome = GpuBnbSolver::new(inst.clone(), cfg).solve();
+            assert_eq!(outcome.stop, StopReason::NodeLimit, "{backend}");
+            assert!(outcome.stats.bounded >= 400, "{backend}");
+        }
     }
 
     #[test]
@@ -464,18 +468,21 @@ mod tests {
 
     #[test]
     fn every_backend_kind_reaches_the_same_optimum() {
+        // The pool size changes the batches, never the optimum.
         let inst = generate("t", 8, 4, 77);
         let (_, expected) = brute_force_optimal(&inst);
-        for kind in crate::config::BackendKind::ALL {
-            let cfg = GpuSolverConfig {
-                pool_size: 32,
-                backend: kind,
-                fast_forward: true,
-                ..Default::default()
-            };
-            let outcome = GpuBnbSolver::new(inst.clone(), cfg).solve();
-            assert!(outcome.is_optimal(), "{kind}");
-            assert_eq!(outcome.best_makespan, expected, "{kind}");
+        for kind in BackendKind::ALL {
+            for pool_size in [1, 32, 1024] {
+                let cfg = GpuSolverConfig {
+                    pool_size,
+                    backend: kind,
+                    fast_forward: true,
+                    ..Default::default()
+                };
+                let outcome = GpuBnbSolver::new(inst.clone(), cfg).solve();
+                assert!(outcome.is_optimal(), "{kind}, pool {pool_size}");
+                assert_eq!(outcome.best_makespan, expected, "{kind}, pool {pool_size}");
+            }
         }
     }
 

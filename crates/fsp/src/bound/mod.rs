@@ -85,8 +85,12 @@ thread_local! {
     static THREAD_SCRATCH: RefCell<BoundScratch> = RefCell::new(BoundScratch::new());
 }
 
-/// Runs `f` with the thread-local scratch (fresh fallback if re-entered).
-pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut BoundScratch) -> R) -> R {
+/// Runs `f` with this thread's [`BoundScratch`] (a fresh one if re-entered).
+///
+/// The single-node entry points bound through it, and so can a caller
+/// without a scratch of its own: a long-lived worker thread then gathers
+/// a bound's Johnson rows once, not on every call.
+pub fn with_thread_scratch<R>(f: impl FnOnce(&mut BoundScratch) -> R) -> R {
     THREAD_SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut scratch) => f(&mut scratch),
         Err(_) => f(&mut BoundScratch::new()),

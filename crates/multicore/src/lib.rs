@@ -10,13 +10,11 @@
 #![warn(missing_docs)]
 
 pub mod flops;
-pub mod highlevel;
 pub mod model;
 pub mod parallel_bounding;
 pub mod worker;
 
 pub use flops::{CpuSpec, GpuFlops};
-pub use highlevel::{ForkJoinConfig, ForkJoinOutcome, ForkJoinSolver};
 pub use model::MulticoreModel;
 pub use parallel_bounding::ParallelBoundingPool;
 pub use worker::{MulticoreConfig, MulticoreOutcome, MulticoreSolver};

@@ -7,7 +7,7 @@ use flowshop_gpu_bnb::bb::{frozen_pool, Batch, FspProblem, SerialSolver, SolverC
 use flowshop_gpu_bnb::fsp::brute::brute_force_optimal;
 use flowshop_gpu_bnb::fsp::{makespan, taillard};
 use flowshop_gpu_bnb::gpu_bnb::{
-    DataPlacement, GpuBnbSolver, GpuSolverConfig, SolveRequest, SolveService,
+    BackendKind, DataPlacement, GpuBnbSolver, GpuSolverConfig, SolveRequest, SolveService,
 };
 use flowshop_gpu_bnb::multicore_bnb::{MulticoreConfig, MulticoreSolver};
 
@@ -41,6 +41,23 @@ fn all_four_solvers_agree_with_brute_force() {
         let gpu = GpuBnbSolver::new(inst.clone(), gpu_config(64)).solve();
         assert_eq!(gpu.best_makespan, expected, "gpu, seed {seed}");
 
+        // The same off-load loop bounding on the CPU thread pool, without
+        // the NEH seed: it must reach the optimum's leaves itself.
+        let offload_cpu = GpuBnbSolver::new(
+            inst.clone(),
+            GpuSolverConfig {
+                backend: BackendKind::Multicore,
+                multicore_threads: 3,
+                use_initial_ub: false,
+                ..gpu_config(64)
+            },
+        )
+        .solve();
+        assert_eq!(
+            offload_cpu.best_makespan, expected,
+            "off-load on multicore, seed {seed}"
+        );
+
         let service = SolveService::with_defaults()
             .request(SolveRequest::new(inst.clone(), gpu_config(64)))
             .certificate;
@@ -51,6 +68,7 @@ fn all_four_solvers_agree_with_brute_force() {
             serial.best_schedule,
             multicore.best_schedule,
             gpu.best_schedule,
+            offload_cpu.best_schedule,
             service.best_schedule,
         ]
         .into_iter()
