@@ -576,7 +576,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                      \x20         --backend seq|multicore|gpu|gpu-pipelined|fleet[:N][:hetero][:steal]\n\
                      \x20         --devices N  --hetero (mixed-spec fleet: C2050 + GTX 580)\n\
                      \x20         --lookahead (cross-iteration pipelining)  --pipeline-chunk C\n\
-                     \x20         --autotune (sweep pool + chunk size on the run's backend)\n\
+                     \x20         --autotune (sweep pool size, then chunk size where the backend reads it)\n\
                      \x20         --pool-size P  --node-limit N  --frozen K  --reps R\n\
                      fault:    --fail-seed S (seeded deterministic fleet member failures)\n\
                      \x20         --fail-at B:M[,B:M...] (explicit failure events: member M\n\
@@ -1136,10 +1136,11 @@ const DEFAULT_PERTURB: (u64, usize) = (2012, 2);
 /// ([`SolveService::request`]): request 0 solves cold and stores its
 /// certificate, request 1 repeats the workload exactly (an exact hit — zero
 /// device work, one `cache_hits` tick), and requests 2+ solve seeded
-/// perturbations of the instance as warm starts (donor incumbent re-priced,
-/// frontier resumed after a bound recheck). One report row per request,
-/// billed at the request's own [`CostReport`] — so the deterministic cost
-/// gate covers hit, miss and warm-start behaviour.
+/// perturbations of the instance as warm starts: the donor's schedule,
+/// re-priced on the perturbed instance, seeds the incumbent and the search
+/// starts from the root. One report row per request, billed at the
+/// request's own [`CostReport`] — so the deterministic cost gate covers
+/// hit, miss and warm-start behaviour.
 fn run_cache(opts: &Options, inst: &fsp::Instance, label: &str) -> Vec<Report> {
     let (seed, edits) = opts.perturb.unwrap_or(DEFAULT_PERTURB);
     let config = GpuSolverConfig {
@@ -1162,15 +1163,12 @@ fn run_cache(opts: &Options, inst: &fsp::Instance, label: &str) -> Vec<Report> {
             } else {
                 gpu_bnb::perturbed(inst, seed.wrapping_add(k as u64), edits)
             };
-            let outcome =
-                service.request(SolveRequest::new(request_inst, config.clone()).keeping_frontier());
+            let outcome = service.request(SolveRequest::new(request_inst, config.clone()));
             let disposition = match outcome.disposition {
-                CacheDisposition::Hit => "hit".to_string(),
-                CacheDisposition::Miss => "miss".to_string(),
-                CacheDisposition::Disabled => "uncached".to_string(),
-                CacheDisposition::WarmStart { invalidated } => {
-                    format!("warm start ({invalidated} frontier bounds invalidated)")
-                }
+                CacheDisposition::Hit => "hit",
+                CacheDisposition::Miss => "miss",
+                CacheDisposition::Disabled => "uncached",
+                CacheDisposition::WarmStart => "warm start",
             };
             eprintln!(
                 "cache: request {k} — {disposition}, makespan {}, {} nodes bounded",
@@ -1468,10 +1466,11 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Optional runtime tuning: sweep the pool size and the pipeline chunk
-    // size on this instance and this run's backend (the paper's runtime
-    // procedure) and persist the winners into the run options before
-    // anything is timed. The serial solver has neither to tune.
+    // Optional runtime tuning: sweep the pool size and, on a backend that
+    // reads it, the pipeline chunk size on this instance and this run's
+    // backend (the paper's runtime procedure) and persist the winners into
+    // the run options before anything is timed. The serial solver has
+    // neither to tune.
     let mut opts = opts;
     if opts.autotune {
         match opts.mode {
@@ -1480,6 +1479,7 @@ fn main() -> ExitCode {
                     placement: DataPlacement::SharedJmPtm,
                     fast_forward: true,
                     backend: kind,
+                    pipeline_chunk: opts.pipeline_chunk,
                     ..Default::default()
                 };
                 let tuned = gpu_bnb::autotune::autotune_solver_config(&inst, &base, 16_384);

@@ -9,12 +9,13 @@
 //! pick the best modelled throughput — and extends it to the stream
 //! pipeline's **chunk size**: how many nodes ride each kernel launch of the
 //! pipelined backend, swept per device spec the same way
-//! ([`autotune_pipeline_chunk`]). [`autotune_solver_config`] runs both
-//! sweeps and persists the winners into a [`GpuSolverConfig`], which is what
+//! ([`autotune_pipeline_chunk`]). [`autotune_solver_config`] runs the pool
+//! sweep, then the chunk sweep for the backends that read the chunk, and
+//! persists the winners into a [`GpuSolverConfig`], which is what
 //! `solve_taillard --autotune` and the facade's autotune entry point use.
 
 use crate::backend::make_backend;
-use crate::config::{GpuSolverConfig, PAPER_POOL_SIZES};
+use crate::config::{BackendKind, GpuSolverConfig, PAPER_POOL_SIZES};
 use crate::offload::BoundingEngine;
 use crate::placement::MatrixId;
 use bb::{frozen_pool, Batch, FspProblem};
@@ -243,21 +244,27 @@ pub fn autotune_pipeline_chunk(
 }
 
 /// The outcome of [`autotune_solver_config`]: the tuned configuration plus
-/// both sweep reports for inspection.
+/// the sweep reports for inspection.
 #[derive(Debug, Clone)]
 pub struct AutotunedConfig {
-    /// `base` with [`GpuSolverConfig::pool_size`] and
-    /// [`GpuSolverConfig::pipeline_chunk`] replaced by the sweep winners.
+    /// `base` with [`GpuSolverConfig::pool_size`] and, when the chunk sweep
+    /// ran, [`GpuSolverConfig::pipeline_chunk`] replaced by the sweep
+    /// winners.
     pub config: GpuSolverConfig,
     /// The pool-size sweep.
     pub pool: AutotuneReport,
-    /// The pipeline-chunk sweep (run at the tuned pool size).
-    pub chunk: ChunkAutotuneReport,
+    /// The pipeline-chunk sweep (run at the tuned pool size), or `None` for
+    /// a backend that never reads [`GpuSolverConfig::pipeline_chunk`].
+    pub chunk: Option<ChunkAutotuneReport>,
 }
 
-/// Runs the pool-size sweep, then the pipeline-chunk sweep at the winning
-/// pool size, and returns `base` with both parameters persisted — the
-/// runtime procedure the paper calls for, extended to the pipeline.
+/// Runs the pool-size sweep, then — for the backends that read
+/// [`GpuSolverConfig::pipeline_chunk`]: [`BackendKind::GpuPipelined`], and
+/// [`BackendKind::Fleet`], whose deal quantum it is — the pipeline-chunk
+/// sweep at the winning pool size, and returns `base` with the winners
+/// persisted: the runtime procedure the paper calls for, extended to the
+/// pipeline. Other backends keep `base`'s `pipeline_chunk` and bound no
+/// chunk probe.
 pub fn autotune_solver_config(
     inst: &Instance,
     base: &GpuSolverConfig,
@@ -266,8 +273,15 @@ pub fn autotune_solver_config(
     let pool = autotune_pool_size(inst, base, &[], probe_budget_nodes);
     let mut config = base.clone();
     config.pool_size = pool.best_pool_size;
-    let chunk = autotune_pipeline_chunk(inst, &config, &[], probe_budget_nodes);
-    config.pipeline_chunk = Some(chunk.best_chunk_size);
+    let reads_chunk = matches!(
+        base.backend,
+        BackendKind::GpuPipelined | BackendKind::Fleet(_)
+    );
+    let chunk =
+        reads_chunk.then(|| autotune_pipeline_chunk(inst, &config, &[], probe_budget_nodes));
+    if let Some(chunk) = &chunk {
+        config.pipeline_chunk = Some(chunk.best_chunk_size);
+    }
     AutotunedConfig {
         config,
         pool,
@@ -379,14 +393,31 @@ mod tests {
     #[test]
     fn autotuned_config_persists_both_sweeps() {
         let inst = generate("t", 14, 8, 7);
-        let tuned = autotune_solver_config(&inst, &base(), 1_000);
+        let pipelined = GpuSolverConfig {
+            backend: BackendKind::GpuPipelined,
+            ..base()
+        };
+        let tuned = autotune_solver_config(&inst, &pipelined, 1_000);
         assert_eq!(tuned.config.pool_size, tuned.pool.best_pool_size);
-        assert_eq!(
-            tuned.config.pipeline_chunk,
-            Some(tuned.chunk.best_chunk_size)
-        );
+        let chunk = tuned.chunk.expect("the pipelined backend reads the chunk");
+        assert_eq!(tuned.config.pipeline_chunk, Some(chunk.best_chunk_size));
         // Everything else of the base survives the tuning.
-        assert_eq!(tuned.config.backend, base().backend);
-        assert_eq!(tuned.config.block_threads, base().block_threads);
+        assert_eq!(tuned.config.backend, pipelined.backend);
+        assert_eq!(tuned.config.block_threads, pipelined.block_threads);
+    }
+
+    #[test]
+    fn only_backends_that_read_the_chunk_sweep_it() {
+        // `seq`, `multicore` and the one-launch `gpu` keep the given chunk
+        // (`None` here) and bound no chunk probe.
+        let inst = generate("t", 10, 5, 3);
+        for backend in BackendKind::ALL {
+            let cfg = GpuSolverConfig { backend, ..base() };
+            let tuned = autotune_solver_config(&inst, &cfg, 500);
+            let reads_chunk = matches!(backend, BackendKind::GpuPipelined | BackendKind::Fleet(_));
+            assert_eq!(tuned.chunk.is_some(), reads_chunk, "{backend}");
+            let chunk = tuned.chunk.map(|c| c.best_chunk_size);
+            assert_eq!(tuned.config.pipeline_chunk, chunk, "{backend}");
+        }
     }
 }

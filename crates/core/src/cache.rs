@@ -1,9 +1,8 @@
 //! # Incremental solve cache — content-addressed certificates
 //!
-//! PR 10's tentpole: a [`SolveCache`] that memoizes finished solves as
-//! **certificates** (incumbent schedule, makespan, proven lower bound, gap,
-//! the full [`CostReport`], and optionally the frontier checkpoint the solve
-//! ended with) keyed by *content*, not by name: an [`InstanceKey`] hashes the
+//! A [`SolveCache`] memoizes finished solves as **certificates** (incumbent
+//! schedule, makespan, proven lower bound, gap and the full [`CostReport`])
+//! keyed by *content*, not by name: an [`InstanceKey`] hashes the
 //! processing-time matrix itself, a [`ConfigKey`] hashes exactly the
 //! solve-relevant configuration knobs. Repeating a workload therefore hits
 //! the cache even if the instance was re-generated, re-labelled or re-read
@@ -18,17 +17,15 @@
 //!   [`Certificate`] is returned bit-exactly, no solver runs;
 //! - **warm start** — a *perturbed* instance misses, but a [`CacheDonor`]
 //!   with the same shape and [`ReuseKey`] (the config identity minus the
-//!   stopping limits) supplies its incumbent as a warm upper bound, and —
-//!   when the donor carries a frontier checkpoint — the frontier to resume
-//!   from after a bound-recheck pass;
+//!   stopping limits) supplies its schedule, re-priced on the requested
+//!   instance, as a warm upper bound; the solve itself starts from the root;
 //! - **miss** — a cold solve, whose certificate is stored for next time.
 //!
 //! The cache is a deterministic, insertion-ordered map with FIFO eviction:
 //! every lookup, donor scan and eviction is a pure function of the insertion
 //! sequence, so cached replays stay bit-reproducible and the deterministic
 //! cost gate can cover cache behaviour (the `cache_hits` /
-//! `cache_warm_starts` / `cache_invalidated_nodes` counters of
-//! [`CostReport`]).
+//! `cache_warm_starts` counters of [`CostReport`]).
 //!
 //! Keys are process-internal (`std` [`DefaultHasher`]) and are never
 //! persisted; the serialized artifacts (checkpoints, reports) carry no key
@@ -39,7 +36,6 @@ use std::hash::{Hash, Hasher};
 
 use crate::config::GpuSolverConfig;
 use crate::cost::CostReport;
-use crate::fault::SolveCheckpoint;
 use fsp::{Instance, Job, Time};
 
 /// Content hash of a workload's *problem data*: jobs, machines and the
@@ -72,14 +68,18 @@ enum KeyScope {
 
 /// Hashes the **identity-bearing** configuration fields into `h`.
 ///
-/// This is the normalization contract of the cache (satellite #3): a field
-/// is hashed here iff changing it can change the certificate or any cost
-/// counter of a fresh solve. `checkpoint_after` is deliberately absent — it
-/// only adds a checkpoint artifact to the outcome; PR 9's
-/// `tests/fault_equivalence.rs` proves the certificate (makespan, bound,
-/// gap, summed cost) is identical with and without it. The regression test
+/// This is the normalization contract of the cache: a field is hashed here
+/// iff changing it can change the certificate or any cost counter of a
+/// fresh solve. `checkpoint_after` is deliberately absent — it only adds a
+/// checkpoint artifact to the outcome; `tests/fault_equivalence.rs` proves
+/// the certificate (makespan, bound, gap, summed cost) is identical with
+/// and without it. The regression test
 /// `config_key_separates_identity_bearing_fields_only` enumerates both
 /// lists and fails if a new `GpuSolverConfig` field is classified silently.
+///
+/// The [`KeyScope::Reuse`] list also decides which service jobs share a
+/// bounding backend, so every field a backend's construction or state
+/// depends on belongs here.
 fn hash_config(config: &GpuSolverConfig, scope: KeyScope, h: &mut DefaultHasher) {
     config.pool_size.hash(h);
     config.block_threads.hash(h);
@@ -96,6 +96,9 @@ fn hash_config(config: &GpuSolverConfig, scope: KeyScope, h: &mut DefaultHasher)
     config.pipeline_depth.hash(h);
     config.pipeline_chunk.hash(h);
     config.lookahead.hash(h);
+    // Failure plans are backend state (deaths are keyed to the shared
+    // backend's batch ordinals), so jobs with different plans never share
+    // an engine.
     config.fail_seed.hash(h);
     config.fail_at.hash(h);
 }
@@ -116,10 +119,11 @@ impl ConfigKey {
     }
 }
 
-/// Donor-matching identity: [`ConfigKey`] minus the stopping limits
-/// (`node_limit`, `time_limit`). A cached certificate is a sound warm-start
-/// donor for any request whose `ReuseKey` matches — the incumbent is re-priced
-/// on the perturbed instance, so limits of the *donor's* run are irrelevant.
+/// Donor-matching and backend-sharing identity: [`ConfigKey`] minus the
+/// stopping limits (`node_limit`, `time_limit`). A cached certificate is a
+/// sound warm-start donor for any request whose `ReuseKey` matches — only
+/// its schedule is reused, re-priced on the requested instance, so limits
+/// of the *donor's* run are irrelevant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ReuseKey(u64);
 
@@ -133,8 +137,8 @@ impl ReuseKey {
 }
 
 /// A memoized solve result: everything `SolveService::request` needs to
-/// answer an exact repeat without running the solver, plus the warm-start
-/// material for perturbed neighbours.
+/// answer an exact repeat without running the solver; its schedule is the
+/// warm-start material for perturbed neighbours.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Certificate {
     /// The incumbent schedule (`None` only if the solve never found one).
@@ -149,11 +153,6 @@ pub struct Certificate {
     /// certificate. Returned verbatim on an exact hit (the *request* is
     /// billed separately, as one `cache_hits` tick).
     pub cost: CostReport,
-    /// The final frontier, when the producing job kept it
-    /// (`JobSpec::keep_frontier`): the pending pool drained in pop order,
-    /// reusable as a resume point after a bound-recheck pass. `None` for
-    /// exhausted solves (empty frontier) or when not requested.
-    pub frontier: Option<SolveCheckpoint>,
 }
 
 impl Certificate {
@@ -168,7 +167,7 @@ impl Certificate {
 /// [`ReuseKey`] match the request.
 #[derive(Debug, Clone, Copy)]
 pub struct CacheDonor<'a> {
-    /// The donor's certificate (incumbent + optional frontier).
+    /// The donor's certificate.
     pub certificate: &'a Certificate,
     /// Number of processing-time cells in which the donor's instance
     /// differs from the requested one (`0` when only the limits changed).
@@ -379,11 +378,10 @@ mod tests {
             lower_bound: makespan,
             gap: 0.0,
             cost: CostReport::default(),
-            frontier: None,
         }
     }
 
-    /// Satellite #3 regression: the `ConfigKey` normalization contract.
+    /// Regression: the `ConfigKey` normalization contract.
     /// Every identity-bearing field must move the key; every
     /// observability-only field must not; the limits must move `ConfigKey`
     /// but not `ReuseKey`. Enumerating all fields here means a future

@@ -146,9 +146,9 @@ pub struct CostReport {
     /// Solves warm-started from a cached incumbent (perturbed-instance
     /// reuse: the donor's schedule re-priced as the initial upper bound).
     pub cache_warm_starts: u64,
-    /// Stored frontier nodes whose bounds a perturbation invalidated (the
-    /// bound-recheck pass over a cached frontier checkpoint re-bounded
-    /// them before the resume).
+    /// Always 0: warm starts reuse only a donor's schedule, so no stored
+    /// bound is ever re-checked. Kept because the benchmark's per-layer
+    /// metric names include it.
     pub cache_invalidated_nodes: u64,
 }
 

@@ -3,12 +3,13 @@
 //! Everything below [`SolveService`] turns the one-instance solver of this
 //! crate into a long-lived multi-tenant service, the setting the paper's
 //! cluster story assumes: callers **submit** solve jobs (instance +
-//! [`GpuSolverConfig`] + optional node/deadline budget), the service queues
-//! and prioritizes them, and a deterministic scheduler steps every running
-//! job one batch per round. Jobs whose instance and engine-relevant
-//! configuration hash to the same key share one backend, so their batches
-//! ride it (and, under [`GpuSolverConfig::lookahead`], its persistent
-//! pipeline sessions) back to back, while each job keeps its own books.
+//! [`GpuSolverConfig`], whose `node_limit` and `time_limit` are the job's
+//! only limits), the service queues and prioritizes them, and a
+//! deterministic scheduler steps every running job one batch per round.
+//! Jobs with the same [`InstanceKey`] and [`ReuseKey`] share one backend, so
+//! their batches ride it (and, under [`GpuSolverConfig::lookahead`], its
+//! persistent pipeline sessions) back to back, while each job keeps its own
+//! books.
 //!
 //! Three guarantees, all covered by `tests/service_equivalence.rs`:
 //!
@@ -16,8 +17,8 @@
 //!   node set, [`CostReport`] and latency histograms are bit-identical to a
 //!   standalone [`crate::solver::GpuBnbSolver`] run of the same spec,
 //!   however many jobs run concurrently.
-//! * **Anytime semantics** — a job stopped by its node budget, deadline or a
-//!   [`JobHandle::cancel`] still returns its best incumbent together with a
+//! * **Anytime semantics** — a job stopped by its node limit, time limit or
+//!   a [`JobHandle::cancel`] still returns its best incumbent together with a
 //!   proven lower bound and optimality gap, and incumbent improvements can
 //!   be polled while the job runs ([`JobHandle::poll_incumbents`]).
 //! * **Exhaustive accounting** — the per-job [`CostReport`]s sum exactly to
@@ -27,7 +28,7 @@
 //! See `docs/SERVICE.md` for the lifecycle, scheduling and fairness rules.
 
 use crate::backend::{make_backend, BoundingBackend};
-use crate::cache::{Certificate, ConfigKey, InstanceKey, SolveCache};
+use crate::cache::{Certificate, ConfigKey, InstanceKey, ReuseKey, SolveCache};
 use crate::config::GpuSolverConfig;
 use crate::cost::{CostReport, SolveLatencies};
 use crate::fault::SolveCheckpoint;
@@ -36,9 +37,7 @@ use crate::stats::GpuRunStats;
 use bb::stats::SolveStats;
 use bb::{FspNode, FspProblem};
 use fsp::{Instance, Job, Time};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -61,25 +60,20 @@ impl std::fmt::Display for JobId {
     }
 }
 
-/// Everything one solve job needs: the instance, the solver configuration,
-/// and the optional service-level knobs (priority, budgets, a seeded
-/// incumbent or starting pool).
+/// Everything one solve job needs: the instance, the solver configuration
+/// (limits included), and the optional service-level knobs (priority, a
+/// seeded incumbent or starting pool).
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// The Flow-Shop instance to solve.
     pub instance: Instance,
     /// Solver configuration (backend, pool size, limits — identical in
-    /// meaning to a standalone [`crate::solver::GpuBnbSolver`] run).
+    /// meaning to a standalone [`crate::solver::GpuBnbSolver`] run; the
+    /// job's `time_limit` counts from the moment it starts running).
     pub config: GpuSolverConfig,
     /// Scheduling priority: higher runs first; ties go to the earlier
     /// submission. Zero by default.
     pub priority: i32,
-    /// Stop after this many lower-bound evaluations (overrides
-    /// [`GpuSolverConfig::node_limit`] when set).
-    pub node_budget: Option<u64>,
-    /// Stop after this much wall-clock time from the moment the job starts
-    /// running (overrides [`GpuSolverConfig::time_limit`] when set).
-    pub deadline: Option<Duration>,
     /// Explicit starting pool (the frozen-pool protocol). `None`: the job
     /// starts from the root node, bounded on the host at admission.
     pub initial_nodes: Option<Vec<FspNode>>,
@@ -94,49 +88,26 @@ pub struct JobSpec {
     /// the finished job's summed [`CostReport`] equals an uninterrupted
     /// run's.
     pub resume_cost: Option<CostReport>,
-    /// Keep the final pending frontier: when the job stops with work left
-    /// (budget, deadline, cancellation), the outcome carries the drained
-    /// pool as a [`SolveCheckpoint`] ([`JobOutcome::frontier`]) — the
-    /// resume point the solve cache stores for warm-start reuse. Off by
-    /// default (exhausted jobs have an empty frontier either way).
-    pub keep_frontier: bool,
 }
 
 impl JobSpec {
     /// A job solving `instance` under `config`, with default service knobs
-    /// (priority 0, no extra budgets, root start).
+    /// (priority 0, root start).
     pub fn new(instance: Instance, config: GpuSolverConfig) -> Self {
         Self {
             instance,
             config,
             priority: 0,
-            node_budget: None,
-            deadline: None,
             initial_nodes: None,
             initial_upper_bound: None,
             initial_schedule: None,
             resume_cost: None,
-            keep_frontier: false,
         }
     }
 
     /// Sets the scheduling priority (higher runs first).
     pub fn with_priority(mut self, priority: i32) -> Self {
         self.priority = priority;
-        self
-    }
-
-    /// Caps the job at `nodes` lower-bound evaluations (anytime result
-    /// beyond it).
-    pub fn with_node_budget(mut self, nodes: u64) -> Self {
-        self.node_budget = Some(nodes);
-        self
-    }
-
-    /// Caps the job at `deadline` of wall-clock time once running (anytime
-    /// result beyond it).
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 
@@ -166,10 +137,7 @@ impl JobSpec {
     ///
     /// Returns the reason when [`crate::fault::SolveCheckpoint::to_nodes`]
     /// rejects the checkpoint for the job's instance.
-    pub fn resume_from(
-        mut self,
-        checkpoint: &crate::fault::SolveCheckpoint,
-    ) -> Result<Self, String> {
+    pub fn resume_from(mut self, checkpoint: &SolveCheckpoint) -> Result<Self, String> {
         let nodes = checkpoint.to_nodes(&FspProblem::new(self.instance.clone()))?;
         self.initial_nodes = Some(nodes);
         if checkpoint.upper_bound != Time::MAX {
@@ -178,13 +146,6 @@ impl JobSpec {
         }
         self.resume_cost = Some(checkpoint.cost);
         Ok(self)
-    }
-
-    /// Asks for the final pending frontier in the outcome
-    /// ([`JobOutcome::frontier`]; see [`JobSpec::keep_frontier`]).
-    pub fn keeping_frontier(mut self) -> Self {
-        self.keep_frontier = true;
-        self
     }
 
     /// Warm-starts the incumbent from the NEH heuristic (`fsp::neh`),
@@ -209,11 +170,11 @@ pub enum JobStatus {
     Queued,
     /// Admitted: the scheduler steps this job every round.
     Running,
-    /// Finished by exhausting its tree (optimal) or its node budget.
+    /// Finished by exhausting its tree (optimal) or its node limit.
     Done,
     /// Stopped by [`JobHandle::cancel`] (while queued or running).
     Cancelled,
-    /// Stopped by its wall-clock deadline with an anytime result.
+    /// Stopped by its wall-clock time limit with an anytime result.
     DeadlineExpired,
 }
 
@@ -223,9 +184,11 @@ pub enum JobStatus {
 pub enum JobStopReason {
     /// The pending tree was exhausted: the result is proven optimal.
     Exhausted,
-    /// The node budget ran out; the result is the best incumbent + gap.
+    /// [`GpuSolverConfig::node_limit`] ran out; the result is the best
+    /// incumbent + gap.
     NodeBudget,
-    /// The deadline expired; the result is the best incumbent + gap.
+    /// [`GpuSolverConfig::time_limit`] expired; the result is the best
+    /// incumbent + gap.
     Deadline,
     /// The caller cancelled the job.
     Cancelled,
@@ -273,12 +236,6 @@ pub struct JobOutcome {
     /// `1.0` when the job holds no schedule (no incumbent, or one seeded
     /// without a schedule).
     pub gap: f64,
-    /// The final pending frontier as a resume checkpoint, when the job was
-    /// submitted with [`JobSpec::keep_frontier`] **and** stopped with work
-    /// left (an exhausted job's frontier is empty, so `None`). This is the
-    /// warm-start material the solve cache stores alongside the
-    /// certificate.
-    pub frontier: Option<SolveCheckpoint>,
 }
 
 impl JobOutcome {
@@ -379,31 +336,29 @@ struct JobRun {
     id: JobId,
     shared: Arc<JobShared>,
     priority: i32,
-    /// Key of the shared backend the job's batches ride (see
-    /// [`backend_key`]).
-    backend_key: u64,
+    /// Key of the shared backend the job's batches ride.
+    backend_key: BackendKey,
     search: SearchState,
-    node_budget: Option<u64>,
-    deadline: Option<Duration>,
+    node_limit: Option<u64>,
+    time_limit: Option<Duration>,
     started: Instant,
     finished: bool,
-    keep_frontier: bool,
 }
 
 impl JobRun {
-    /// One scheduler round for this job: budget checks, then select → bound
+    /// One scheduler round for this job: limit checks, then select → bound
     /// → eliminate one batch, streaming incumbent improvements to the
     /// handle. Returns the stop reason when the job is over.
     fn step(&mut self, backend: &mut dyn BoundingBackend) -> Option<JobStopReason> {
         if self.shared.cancelled.load(Ordering::Relaxed) {
             return Some(JobStopReason::Cancelled);
         }
-        if let Some(deadline) = self.deadline {
-            if self.started.elapsed() >= deadline {
+        if let Some(limit) = self.time_limit {
+            if self.started.elapsed() >= limit {
                 return Some(JobStopReason::Deadline);
             }
         }
-        if let Some(limit) = self.node_budget {
+        if let Some(limit) = self.node_limit {
             if self.search.stats.bounded >= limit {
                 return Some(JobStopReason::NodeBudget);
             }
@@ -435,11 +390,6 @@ impl JobRun {
         let upper = self.search.upper_bound();
         let lower_bound = self.search.lower_bound();
         let gap = optimality_gap(upper, lower_bound, self.search.best_schedule.is_some());
-        // The frontier checkpoint, when the caller asked to keep it and the
-        // job stopped with pending work: the same shape a paused standalone
-        // solve writes.
-        let frontier =
-            (self.keep_frontier && self.search.pending() > 0).then(|| self.search.freeze());
         let gpu = self.search.finish(self.started.elapsed());
         JobOutcome {
             job: self.id,
@@ -452,7 +402,6 @@ impl JobRun {
             stop,
             lower_bound,
             gap,
-            frontier,
         }
     }
 }
@@ -469,31 +418,11 @@ fn optimality_gap(upper: Time, lower: Time, has_schedule: bool) -> f64 {
     ((upper.saturating_sub(lower)) as f64 / upper as f64).clamp(0.0, 1.0)
 }
 
-/// The key under which jobs share a backend: the instance content plus
-/// every configuration field the backend construction depends on. Jobs with
-/// equal keys share one backend.
-fn backend_key(instance: &Instance, config: &GpuSolverConfig) -> u64 {
-    let mut h = DefaultHasher::new();
-    instance.jobs().hash(&mut h);
-    instance.machines().hash(&mut h);
-    instance.raw().hash(&mut h);
-    config.pool_size.hash(&mut h);
-    config.block_threads.hash(&mut h);
-    config.registers_per_thread.hash(&mut h);
-    format!("{:?}", config.placement).hash(&mut h);
-    config.fast_forward.hash(&mut h);
-    config.backend.to_string().hash(&mut h);
-    config.multicore_threads.hash(&mut h);
-    config.pipeline_depth.hash(&mut h);
-    config.pipeline_chunk.hash(&mut h);
-    config.lookahead.hash(&mut h);
-    // Failure plans are backend state (deaths are keyed to the shared
-    // backend's batch ordinals), so jobs with different plans never share
-    // an engine.
-    config.fail_seed.hash(&mut h);
-    config.fail_at.hash(&mut h);
-    h.finish()
-}
+/// The key under which jobs share a backend: the cache's own instance and
+/// reuse identities, so one field list (`cache::hash_config`) decides both
+/// donor matching and backend sharing. The limits are left out: jobs that
+/// differ only in where they stop share one engine.
+type BackendKey = (InstanceKey, ReuseKey);
 
 /// Scheduler state: the admitted jobs, the waiting queue, the shared
 /// backends and the books of the jobs that finished.
@@ -501,7 +430,7 @@ fn backend_key(instance: &Instance, config: &GpuSolverConfig) -> u64 {
 struct ServiceState {
     queued: Vec<QueuedJob>,
     running: Vec<JobRun>,
-    backends: HashMap<u64, Box<dyn BoundingBackend>>,
+    backends: HashMap<BackendKey, Box<dyn BoundingBackend>>,
     /// The absorbed counters of every job that finished after running.
     finished_cost: CostReport,
 }
@@ -515,92 +444,56 @@ pub enum CachePolicy {
     ReadWrite,
     /// Bypass the cache entirely: always a cold solve, nothing stored. A
     /// disabled request is bit-identical to [`SolveService::submit`] +
-    /// [`SolveService::run_until_idle`] of the same spec.
+    /// [`SolveService::run_until_idle`] of the same spec. A caller who wants
+    /// a truncated solve that is not stored sets the limit in the config and
+    /// passes this policy.
     Disabled,
 }
 
 /// How the cache answered a request (carried in [`RequestOutcome`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheDisposition {
-    /// The request opted out ([`CachePolicy::Disabled`]) or carried a
-    /// request-level budget/deadline (never cached: truncation points are
-    /// caller state, not workload content).
+    /// The request opted out ([`CachePolicy::Disabled`]).
     Disabled,
     /// No usable cached material: a cold solve ran and was stored.
     Miss,
     /// Exact repeat: the stored certificate was returned bit-identically,
     /// with zero device work — the request bill is one `cache_hits` tick.
     Hit,
-    /// A perturbed neighbour donated its incumbent as a warm upper bound
-    /// (and, when it had one, its frontier checkpoint as the starting
-    /// pool after a bound-recheck pass).
-    WarmStart {
-        /// Frontier nodes whose stored bound the perturbation invalidated
-        /// (recomputed bound differs); also billed as
-        /// `cache_invalidated_nodes`.
-        invalidated: u64,
-    },
+    /// A same-shape neighbour donated its schedule, re-priced on the
+    /// requested instance, as a warm upper bound; the solve starts from the
+    /// root.
+    WarmStart,
 }
 
 /// The consolidated solve request: one entry point
-/// ([`SolveService::request`]) that folds the instance, the configuration,
-/// the cache policy and the service knobs into a single value, instead of
-/// the caller wiring [`JobSpec`], scheduler rounds and cache lookups by
-/// hand.
+/// ([`SolveService::request`]) that folds the instance, the configuration
+/// and the cache policy into a single value, instead of the caller wiring
+/// [`JobSpec`], scheduler rounds and cache lookups by hand.
 #[derive(Debug, Clone)]
 pub struct SolveRequest {
     /// The Flow-Shop instance to solve.
     pub instance: Instance,
-    /// Solver configuration (cache identity is its [`ConfigKey`]).
+    /// Solver configuration, limits included (cache identity is its
+    /// [`ConfigKey`]).
     pub config: GpuSolverConfig,
     /// Cache behaviour ([`CachePolicy::ReadWrite`] by default).
     pub cache: CachePolicy,
-    /// Keep the final frontier in the certificate, making this workload a
-    /// resume-capable warm-start donor (see [`JobSpec::keep_frontier`]).
-    pub keep_frontier: bool,
-    /// Request-level node budget. Budgeted requests always solve fresh and
-    /// are never stored (see [`CacheDisposition::Disabled`]).
-    pub node_budget: Option<u64>,
-    /// Request-level deadline; same cache exclusion as the node budget.
-    pub deadline: Option<Duration>,
 }
 
 impl SolveRequest {
-    /// A cache-enabled request with no extra budgets.
+    /// A cache-enabled request.
     pub fn new(instance: Instance, config: GpuSolverConfig) -> Self {
         Self {
             instance,
             config,
             cache: CachePolicy::ReadWrite,
-            keep_frontier: false,
-            node_budget: None,
-            deadline: None,
         }
     }
 
     /// Sets the cache policy.
     pub fn with_cache(mut self, cache: CachePolicy) -> Self {
         self.cache = cache;
-        self
-    }
-
-    /// Keeps the final frontier in the stored certificate.
-    pub fn keeping_frontier(mut self) -> Self {
-        self.keep_frontier = true;
-        self
-    }
-
-    /// Caps the solve at `nodes` bound evaluations (disables caching for
-    /// this request).
-    pub fn with_node_budget(mut self, nodes: u64) -> Self {
-        self.node_budget = Some(nodes);
-        self
-    }
-
-    /// Caps the solve at `deadline` wall-clock time (disables caching for
-    /// this request).
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 }
@@ -616,10 +509,9 @@ pub struct RequestOutcome {
     /// How the cache answered.
     pub disposition: CacheDisposition,
     /// What **this request** charged the service: the fresh solve's cost
-    /// plus the cache counters (`cache_warm_starts`,
-    /// `cache_invalidated_nodes`) when one ran, or a zero report with one
-    /// `cache_hits` tick on an exact hit. Cost-gate rows for cached
-    /// replays price this report.
+    /// (plus one `cache_warm_starts` tick on a warm start) when one ran, or
+    /// a zero report with one `cache_hits` tick on an exact hit. Cost-gate
+    /// rows for cached replays price this report.
     pub request_cost: CostReport,
     /// The underlying job outcome when a solver actually ran; `None` on an
     /// exact hit (nothing ran).
@@ -659,7 +551,7 @@ pub struct RequestOutcome {
 /// ```
 ///
 /// Anytime semantics: a job cancelled before it starts still yields an
-/// outcome, and a deadline of zero returns the seeded (NEH) incumbent with
+/// outcome, and a time limit of zero returns the seeded (NEH) incumbent with
 /// a non-trivial optimality gap instead of failing:
 ///
 /// ```
@@ -679,8 +571,11 @@ pub struct RequestOutcome {
 ///
 /// let cancelled = service.submit(JobSpec::new(inst.clone(), config.clone()));
 /// cancelled.cancel();
-/// let rushed = service
-///     .submit(JobSpec::new(inst, config).warm_start().with_deadline(Duration::ZERO));
+/// let zero = GpuSolverConfig {
+///     time_limit: Some(Duration::ZERO),
+///     ..config
+/// };
+/// let rushed = service.submit(JobSpec::new(inst, zero).warm_start());
 ///
 /// service.run_until_idle();
 /// assert_eq!(cancelled.status(), JobStatus::Cancelled);
@@ -788,9 +683,9 @@ impl SolveService {
             .evict(InstanceKey::of(instance), ConfigKey::of(config))
     }
 
-    /// The consolidated solve entry point (the tentpole of the incremental
-    /// cache): answers `request` from the [`SolveCache`] when it can,
-    /// otherwise drives a solve to completion and stores its certificate.
+    /// The consolidated solve entry point: answers `request` from the
+    /// [`SolveCache`] when it can, otherwise drives a solve to completion
+    /// and stores its certificate.
     ///
     /// Three paths, reported in [`RequestOutcome::disposition`]:
     ///
@@ -798,19 +693,16 @@ impl SolveService {
     ///   certificate: returned bit-identically (schedule, makespan, bound,
     ///   gap and every cost counter), no solver runs, and the request is
     ///   billed one `cache_hits` tick with zero device work;
-    /// * **warm start** — a same-shape donor with the same
-    ///   [`crate::cache::ReuseKey`] exists: its incumbent is **re-priced on
-    ///   the requested instance** (a valid, possibly loose upper bound) and
-    ///   seeds the solve; when the donor kept a frontier checkpoint, a
-    ///   bound-recheck pass re-bounds every frontier node on the requested
-    ///   instance (counting changed bounds as `cache_invalidated_nodes`)
-    ///   and the solve resumes from the rechecked frontier instead of the
-    ///   root;
+    /// * **warm start** — a same-shape donor with the same [`ReuseKey`]
+    ///   exists: its schedule is **re-priced on the requested instance** (a
+    ///   valid, possibly loose upper bound) and seeds the incumbent, or NEH
+    ///   does when [`GpuSolverConfig::use_initial_ub`] is set and NEH is
+    ///   better. The solve starts from the root, so its certificate is the
+    ///   requested instance's own whatever the donor's instance or limits;
     /// * **miss** — a cold solve; its certificate is stored for next time.
     ///
-    /// Requests carrying a request-level `node_budget` or `deadline`, or
-    /// [`CachePolicy::Disabled`], bypass the cache entirely and behave
-    /// bit-identically to [`SolveService::submit`] +
+    /// A [`CachePolicy::Disabled`] request bypasses the cache entirely and
+    /// behaves bit-identically to [`SolveService::submit`] +
     /// [`SolveService::run_until_idle`] of the same spec.
     ///
     /// Drives the scheduler with [`SolveService::run_until_idle`], so any
@@ -820,19 +712,13 @@ impl SolveService {
             instance,
             config,
             cache: policy,
-            keep_frontier,
-            node_budget,
-            deadline,
         } = request;
-        // Truncation points (budgets, deadlines) are caller state, not
-        // workload content: such requests never read or feed the cache.
-        let cacheable =
-            policy == CachePolicy::ReadWrite && node_budget.is_none() && deadline.is_none();
+        let cacheable = policy == CachePolicy::ReadWrite;
 
+        let mut donated = None;
         if cacheable {
-            let instance_key = InstanceKey::of(&instance);
-            let config_key = ConfigKey::of(&config);
-            if let Some(stored) = self.cache.lock().unwrap().get(instance_key, config_key) {
+            let cache = self.cache.lock().unwrap();
+            if let Some(stored) = cache.get(InstanceKey::of(&instance), ConfigKey::of(&config)) {
                 let request_cost = CostReport {
                     cache_hits: 1,
                     ..Default::default()
@@ -844,51 +730,20 @@ impl SolveService {
                     job: None,
                 };
             }
+            donated = cache
+                .donor(&instance, &config)
+                .and_then(|donor| donor.certificate.best_schedule.clone());
         }
 
+        let warm = donated.is_some();
         let mut spec = JobSpec::new(instance.clone(), config.clone());
-        if keep_frontier {
-            spec = spec.keeping_frontier();
-        }
-        if let Some(nodes) = node_budget {
-            spec = spec.with_node_budget(nodes);
-        }
-        if let Some(limit) = deadline {
-            spec = spec.with_deadline(limit);
-        }
-
-        // Warm-start material from the closest donor, when caching is on.
-        let mut warm: Option<u64> = None;
-        if cacheable {
-            let cache = self.cache.lock().unwrap();
-            if let Some(donor) = cache.donor(&instance, &config) {
-                if let Some(schedule) = &donor.certificate.best_schedule {
-                    // Re-price the donor's incumbent on the requested
-                    // instance: a feasible schedule is a valid upper bound
-                    // on *any* instance of the same shape.
-                    let warm_ub = fsp::schedule::makespan(&instance, schedule);
-                    spec = spec.with_incumbent(schedule.clone(), warm_ub);
-                    let mut invalidated = 0u64;
-                    if let Some(checkpoint) = &donor.certificate.frontier {
-                        // Bound-recheck pass: rebuild every frontier node
-                        // against the requested instance and recompute its
-                        // bound. Nodes whose stored bound the perturbation
-                        // changed are the invalidated subtrees the resumed
-                        // solve re-explores.
-                        let problem = FspProblem::new(instance.clone());
-                        let mut nodes = Vec::with_capacity(checkpoint.frontier.len());
-                        for (prefix, stored_bound) in &checkpoint.frontier {
-                            let mut node = FspNode::from_prefix(&instance, prefix);
-                            problem.bound(&mut node);
-                            if node.bound() != *stored_bound {
-                                invalidated += 1;
-                            }
-                            nodes.push(node);
-                        }
-                        spec = spec.with_initial_nodes(nodes);
-                    }
-                    warm = Some(invalidated);
-                }
+        if let Some(schedule) = donated {
+            // A feasible schedule is a valid upper bound on *any* instance
+            // of the same shape once re-priced on it.
+            let warm_ub = fsp::schedule::makespan(&instance, &schedule);
+            spec = spec.with_incumbent(schedule, warm_ub);
+            if config.use_initial_ub {
+                spec = spec.warm_start();
             }
         }
 
@@ -897,14 +752,13 @@ impl SolveService {
         let outcome = handle.outcome().expect("run_until_idle finished the job");
 
         let mut request_cost = outcome.cost;
-        let disposition = match (cacheable, warm) {
-            (false, _) => CacheDisposition::Disabled,
-            (true, None) => CacheDisposition::Miss,
-            (true, Some(invalidated)) => {
-                request_cost.cache_warm_starts = 1;
-                request_cost.cache_invalidated_nodes = invalidated;
-                CacheDisposition::WarmStart { invalidated }
-            }
+        let disposition = if !cacheable {
+            CacheDisposition::Disabled
+        } else if warm {
+            request_cost.cache_warm_starts = 1;
+            CacheDisposition::WarmStart
+        } else {
+            CacheDisposition::Miss
         };
         let certificate = Certificate {
             best_schedule: outcome.best_schedule.clone(),
@@ -912,7 +766,6 @@ impl SolveService {
             lower_bound: outcome.lower_bound,
             gap: outcome.gap,
             cost: request_cost,
-            frontier: outcome.frontier.clone(),
         };
         if cacheable {
             self.cache
@@ -935,8 +788,8 @@ impl SolveService {
     /// 2. admits queued jobs (priority descending, then submission order)
     ///    while fewer than `max_concurrent` run — cancelled queued jobs are
     ///    finalized without starting;
-    /// 3. steps every running job once — budget/deadline/cancel checks,
-    ///    then one select → bound → eliminate batch — in priority order
+    /// 3. steps every running job once — limit and cancel checks, then one
+    ///    select → bound → eliminate batch — in priority order
     ///    (descending, ties by submission order).
     ///
     /// Single batches from several jobs ride the shared backends back to
@@ -993,7 +846,6 @@ impl SolveService {
             stop: JobStopReason::Cancelled,
             lower_bound: 0,
             gap: optimality_gap(best_makespan, 0, queued.spec.initial_schedule.is_some()),
-            frontier: None,
         };
         *queued.shared.status.lock().unwrap() = JobStatus::Cancelled;
         *queued.shared.outcome.lock().unwrap() = Some(outcome.clone());
@@ -1005,7 +857,7 @@ impl SolveService {
     fn start_job(state: &mut ServiceState, queued: QueuedJob) {
         let QueuedJob { id, shared, spec } = queued;
         let problem = FspProblem::new(spec.instance.clone());
-        let backend_key = backend_key(&spec.instance, &spec.config);
+        let backend_key = (InstanceKey::of(&spec.instance), ReuseKey::of(&spec.config));
         state.backends.entry(backend_key).or_insert_with(|| {
             let capacity = spec.config.pool_size + spec.instance.jobs();
             make_backend(&problem, &spec.config, capacity)
@@ -1032,11 +884,10 @@ impl SolveService {
             priority: spec.priority,
             backend_key,
             search,
-            node_budget: spec.node_budget.or(spec.config.node_limit),
-            deadline: spec.deadline.or(spec.config.time_limit),
+            node_limit: spec.config.node_limit,
+            time_limit: spec.config.time_limit,
             started: Instant::now(),
             finished: false,
-            keep_frontier: spec.keep_frontier,
         });
     }
 
@@ -1208,15 +1059,26 @@ mod tests {
 
     #[test]
     fn same_spec_jobs_share_one_backend_distinct_specs_do_not() {
+        // Backends are keyed by the cache's (InstanceKey, ReuseKey): the
+        // limits are not reuse identity, the backend and `use_initial_ub`
+        // are.
         let service = SolveService::with_defaults();
         let inst = generate("t", 7, 4, 13);
         let cfg = config(BackendKind::Gpu, 16);
-        service.submit(JobSpec::new(inst.clone(), cfg.clone()));
-        service.submit(JobSpec::new(inst.clone(), cfg.clone()));
-        let other = config(BackendKind::Sequential, 16);
-        service.submit(JobSpec::new(inst, other));
-        service.run_until_idle();
-        assert_eq!(service.state.lock().unwrap().backends.len(), 2);
+        let mut limited = cfg.clone();
+        limited.node_limit = Some(50);
+        let mut unseeded = cfg.clone();
+        unseeded.use_initial_ub = false;
+        let backends_after = |config: GpuSolverConfig| {
+            service.submit(JobSpec::new(inst.clone(), config));
+            service.run_until_idle();
+            service.state.lock().unwrap().backends.len()
+        };
+        assert_eq!(backends_after(cfg.clone()), 1);
+        assert_eq!(backends_after(cfg), 1);
+        assert_eq!(backends_after(limited), 1, "a node limit shares");
+        assert_eq!(backends_after(config(BackendKind::Sequential, 16)), 2);
+        assert_eq!(backends_after(unseeded), 3, "use_initial_ub splits");
     }
 
     #[test]
@@ -1252,14 +1114,14 @@ mod tests {
     }
 
     #[test]
-    fn node_budget_yields_an_anytime_result_with_a_gap() {
+    fn node_limit_yields_an_anytime_result_with_a_gap() {
         let service = SolveService::with_defaults();
         let inst = generate("t", 12, 8, 3);
-        let handle = service.submit(
-            JobSpec::new(inst, config(BackendKind::Gpu, 64))
-                .warm_start()
-                .with_node_budget(200),
-        );
+        let limited = GpuSolverConfig {
+            node_limit: Some(200),
+            ..config(BackendKind::Gpu, 64)
+        };
+        let handle = service.submit(JobSpec::new(inst, limited).warm_start());
         service.run_until_idle();
         let outcome = handle.outcome().expect("finished");
         assert_eq!(outcome.stop, JobStopReason::NodeBudget);

@@ -68,25 +68,28 @@
 //!
 //! ## Auto-tuning the off-load parameters
 //!
-//! The runtime procedure the paper calls for: sweep the pool size, then the
-//! pipeline chunk size on the target device, and persist both winners into
-//! the configuration the solvers and `solve_taillard --autotune` consume.
+//! The runtime procedure the paper calls for: sweep the pool size, then —
+//! on a backend that reads it, such as the stream pipeline — the pipeline
+//! chunk size on the target device, and persist the winners into the
+//! configuration the solvers and `solve_taillard --autotune` consume.
 //!
 //! ```
 //! use flowshop_gpu_bnb::fsp::taillard;
 //! use flowshop_gpu_bnb::gpu_bnb::autotune::autotune_solver_config;
-//! use flowshop_gpu_bnb::gpu_bnb::GpuSolverConfig;
+//! use flowshop_gpu_bnb::gpu_bnb::{BackendKind, GpuSolverConfig};
 //!
 //! let inst = taillard::generate("tune", 12, 6, 7);
 //! let base = GpuSolverConfig {
+//!     backend: BackendKind::GpuPipelined,
 //!     fast_forward: true,
 //!     ..Default::default()
 //! };
 //! let tuned = autotune_solver_config(&inst, &base, 512);
 //! assert_eq!(tuned.config.pool_size, tuned.pool.best_pool_size);
-//! assert_eq!(tuned.config.pipeline_chunk, Some(tuned.chunk.best_chunk_size));
+//! let chunk = tuned.chunk.expect("the pipelined backend reads the chunk");
+//! assert_eq!(tuned.config.pipeline_chunk, Some(chunk.best_chunk_size));
 //! assert!(!tuned.pool.measurements.is_empty());
-//! assert!(!tuned.chunk.measurements.is_empty());
+//! assert!(!chunk.measurements.is_empty());
 //! ```
 
 pub use bb;

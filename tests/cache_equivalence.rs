@@ -11,10 +11,8 @@
 //! 2. a warm-started solve of a perturbed instance reaches the same
 //!    optimum as a cold solve of that instance (the donor's incumbent is a
 //!    valid upper bound after re-pricing, so pruning stays sound);
-//! 3. a frontier resume (donor kept its truncated pool) is deterministic:
-//!    the same request sequence reproduces the same invalidation count and
-//!    the same certificate, and the invalidated nodes are billed as
-//!    `cache_invalidated_nodes`;
+//! 3. a warm start seeds the better of the re-priced donor schedule and
+//!    NEH, so a donor looser than NEH leaves the cold solve unchanged;
 //! 4. a cache-disabled request is bit-identical to `submit` +
 //!    `run_until_idle` of the same spec — the consolidated entry point
 //!    adds no accounting of its own.
@@ -22,10 +20,10 @@
 //! Like `backend_equivalence`, the CI `cache-matrix` job runs this suite
 //! once per backend by setting `BACKEND_FILTER`; unset, every kind runs.
 
-use flowshop_gpu_bnb::fsp::{schedule, taillard, Instance};
+use flowshop_gpu_bnb::fsp::{neh, schedule, taillard, Instance};
 use flowshop_gpu_bnb::gpu_bnb::{
     perturbed, BackendKind, CacheDisposition, CachePolicy, DataPlacement, FleetTopology,
-    GpuSolverConfig, JobSpec, ServiceConfig, SolveRequest, SolveService,
+    GpuSolverConfig, JobSpec, JobStopReason, ServiceConfig, SolveRequest, SolveService,
 };
 
 /// The backends this suite checks: `BACKEND_FILTER` when set, the full
@@ -56,15 +54,6 @@ fn config_for(kind: BackendKind) -> GpuSolverConfig {
         backend: kind,
         fast_forward: true,
         ..Default::default()
-    }
-}
-
-/// Same configuration truncated by a node limit, so the solve leaves a
-/// non-empty frontier behind for the resume path.
-fn truncated_config_for(kind: BackendKind, node_limit: u64) -> GpuSolverConfig {
-    GpuSolverConfig {
-        node_limit: Some(node_limit),
-        ..config_for(kind)
     }
 }
 
@@ -133,13 +122,9 @@ fn warm_started_perturbed_solve_reaches_the_cold_optimum() {
         let donor = service.request(SolveRequest::new(inst.clone(), config.clone()));
         assert_eq!(donor.disposition, CacheDisposition::Miss, "{kind}");
         let warm = service.request(SolveRequest::new(neighbour.clone(), config.clone()));
-        let CacheDisposition::WarmStart { invalidated } = warm.disposition else {
-            panic!("{kind}: expected a warm start, got {:?}", warm.disposition);
-        };
-        // The donor's solve exhausted its tree, so there is no frontier to
-        // recheck — the warm start is incumbent-only and provably sound.
-        assert_eq!(invalidated, 0, "{kind}: exhausted donors have no frontier");
+        assert_eq!(warm.disposition, CacheDisposition::WarmStart, "{kind}");
         assert_eq!(warm.request_cost.cache_warm_starts, 1, "{kind}");
+        assert_eq!(warm.request_cost.cache_invalidated_nodes, 0, "{kind}");
 
         // Soundness: the warm-started solve proves the same optimum.
         assert!(warm.certificate.is_optimal(), "{kind}");
@@ -157,61 +142,44 @@ fn warm_started_perturbed_solve_reaches_the_cold_optimum() {
 }
 
 #[test]
-fn frontier_resume_is_deterministic_and_bills_invalidated_nodes() {
-    let inst = instance(14, 8, 7);
-    let neighbour = perturbed(&inst, 2012, 3);
+fn a_donor_looser_than_neh_leaves_the_cold_solve_unchanged() {
+    // Two unrelated instances of one shape: the donor's optimal schedule,
+    // re-priced on the requested instance, is looser than NEH there, so the
+    // warm start seeds NEH — exactly what a cold solve seeds — and differs
+    // from the cache-disabled solve only by its warm-start tick.
+    let donor_inst = instance(10, 6, 31);
+    let requested = instance(10, 6, 32);
     for kind in gated_kinds() {
-        let config = truncated_config_for(kind, 600);
-
-        let run = || {
-            let service = SolveService::new(ServiceConfig { max_concurrent: 2 });
-            let donor =
-                service.request(SolveRequest::new(inst.clone(), config.clone()).keeping_frontier());
-            assert_eq!(donor.disposition, CacheDisposition::Miss, "{kind}");
-            let frontier = donor.certificate.frontier.as_ref().expect("kept frontier");
-            assert!(
-                !frontier.frontier.is_empty(),
-                "{kind}: the node limit must truncate, leaving a frontier"
-            );
-            let warm = service
-                .request(SolveRequest::new(neighbour.clone(), config.clone()).keeping_frontier());
-            (donor, warm)
-        };
-
-        let (_, warm) = run();
-        let CacheDisposition::WarmStart { invalidated } = warm.disposition else {
-            panic!(
-                "{kind}: expected a frontier warm start, got {:?}",
-                warm.disposition
-            );
-        };
+        let config = config_for(kind);
+        let service = SolveService::new(ServiceConfig { max_concurrent: 2 });
+        let donor = service.request(SolveRequest::new(donor_inst.clone(), config.clone()));
+        let donated = donor.certificate.best_schedule.as_ref().expect("schedule");
         assert!(
-            invalidated > 0,
-            "{kind}: perturbing processing times must invalidate some stored bounds"
+            schedule::makespan(&requested, donated) > neh::neh(&requested).1,
+            "{kind}: the donor must price above NEH on the requested instance"
         );
-        assert_eq!(
-            warm.request_cost.cache_invalidated_nodes, invalidated,
-            "{kind}: the invalidation count is billed as a cost counter"
+        let warm = service.request(SolveRequest::new(requested.clone(), config.clone()));
+        assert_eq!(warm.disposition, CacheDisposition::WarmStart, "{kind}");
+
+        let fresh = SolveService::new(ServiceConfig { max_concurrent: 2 });
+        let cold = fresh.request(
+            SolveRequest::new(requested.clone(), config).with_cache(CachePolicy::Disabled),
         );
-        assert_eq!(warm.request_cost.cache_warm_starts, 1, "{kind}");
-        // The resumed incumbent is still a feasible schedule of the
-        // requested (perturbed) instance.
-        let warm_schedule = warm.certificate.best_schedule.as_ref().expect("schedule");
+        let mut expected = cold.request_cost;
+        expected.cache_warm_starts = 1;
+        assert_eq!(warm.request_cost, expected, "{kind}");
         assert_eq!(
-            schedule::makespan(&neighbour, warm_schedule),
-            warm.certificate.best_makespan,
+            warm.certificate.best_schedule, cold.certificate.best_schedule,
             "{kind}"
         );
-
-        // Replaying the same request sequence in a fresh service reproduces
-        // the same certificate and the same bill, counter for counter.
-        let (_, replay) = run();
-        assert_eq!(replay.disposition, warm.disposition, "{kind}");
         assert_eq!(
-            replay.certificate, warm.certificate,
-            "{kind}: the frontier resume must be deterministic"
+            warm.certificate.best_makespan, cold.certificate.best_makespan,
+            "{kind}"
         );
-        assert_eq!(replay.request_cost, warm.request_cost, "{kind}");
+        assert_eq!(
+            warm.certificate.lower_bound, cold.certificate.lower_bound,
+            "{kind}"
+        );
     }
 }
 
@@ -249,11 +217,17 @@ fn cache_disabled_requests_are_bit_identical_to_submit() {
         assert_eq!(off.request_cost.cache_hits, 0, "{kind}");
         assert_eq!(off.request_cost.cache_warm_starts, 0, "{kind}");
 
-        // Budgeted requests take the same bypass: disposition Disabled,
-        // nothing stored, even under the read-write default policy.
-        let budgeted =
-            service.request(SolveRequest::new(inst.clone(), config.clone()).with_node_budget(50));
+        // A truncated solve that is not stored: the limit lives in the
+        // config, the bypass in the policy.
+        let truncated = GpuSolverConfig {
+            node_limit: Some(50),
+            ..config.clone()
+        };
+        let budgeted = service
+            .request(SolveRequest::new(inst.clone(), truncated).with_cache(CachePolicy::Disabled));
         assert_eq!(budgeted.disposition, CacheDisposition::Disabled, "{kind}");
+        let job = budgeted.job.as_ref().expect("a solver ran");
+        assert_eq!(job.stop, JobStopReason::NodeBudget, "{kind}");
         assert_eq!(service.cached_certificates(), 0, "{kind}");
     }
 }

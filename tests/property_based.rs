@@ -4,12 +4,15 @@
 use flowshop_gpu_bnb::bb::problem::NodeBound;
 use flowshop_gpu_bnb::bb::{Batch, BatchView, BestFirstPool, Child, FspNode, FspProblem, Pool};
 use flowshop_gpu_bnb::fsp::bound::LowerBound;
+use flowshop_gpu_bnb::fsp::brute::brute_force_optimal;
 use flowshop_gpu_bnb::fsp::{
-    makespan, makespan_prefix, taillard, BoundScratch, JohnsonLowerBound, OneMachineBound, Time,
+    makespan, makespan_prefix, taillard, BoundScratch, Instance, Job, JohnsonLowerBound,
+    OneMachineBound, Time,
 };
 use flowshop_gpu_bnb::gpu_bnb::{
-    perturbed, BoundingEngine, CacheDisposition, DataPlacement, GpuSolverConfig, ServiceConfig,
-    SolveRequest, SolveService,
+    perturbed, BackendKind, BoundingEngine, CacheDisposition, CachePolicy, DataPlacement,
+    FleetTopology, GpuBnbSolver, GpuSolverConfig, RequestOutcome, ServiceConfig, SolveRequest,
+    SolveService,
 };
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -66,6 +69,89 @@ fn shuffled_jobs(n: usize, state: &mut u64) -> Vec<usize> {
         order.swap(i, (splitmix(state) % (i as u64 + 1)) as usize);
     }
     order
+}
+
+/// `inst` with `cells` processing times, picked by `salt`, halved (never
+/// below 1): a larger drift than `perturbed`'s ±1/±2 edits.
+fn halved_neighbour(inst: &Instance, salt: u64, cells: usize) -> Instance {
+    let mut pt = inst.raw().to_vec();
+    let mut state = salt;
+    for _ in 0..cells {
+        let cell = (splitmix(&mut state) % pt.len() as u64) as usize;
+        pt[cell] = (pt[cell] / 2).max(1);
+    }
+    Instance::new(
+        format!("{}-halved", inst.name()),
+        inst.jobs(),
+        inst.machines(),
+        pt,
+    )
+}
+
+/// Checks what one solve of `inst` claims against its brute-force
+/// `optimum`: the optimum lies between the proven lower bound (when the
+/// solve reports one) and the makespan, a held schedule prices to the
+/// makespan, and a claim of optimality is the optimum itself.
+fn agrees_with_the_oracle(
+    what: &str,
+    inst: &Instance,
+    optimum: Time,
+    best_makespan: Time,
+    schedule: Option<&[Job]>,
+    lower_bound: Option<Time>,
+    optimal: bool,
+) {
+    if let Some(lower) = lower_bound {
+        assert!(
+            lower <= optimum,
+            "{what}: lower bound {lower} above the optimum {optimum}"
+        );
+    }
+    assert!(
+        optimum <= best_makespan,
+        "{what}: makespan {best_makespan} below the optimum {optimum}"
+    );
+    if let Some(schedule) = schedule {
+        assert_eq!(
+            makespan(inst, schedule),
+            best_makespan,
+            "{what}: the schedule misprices"
+        );
+    }
+    if optimal {
+        assert_eq!(
+            best_makespan, optimum,
+            "{what}: certified {best_makespan}, optimum {optimum}"
+        );
+    }
+}
+
+/// [`agrees_with_the_oracle`] for a request's certificate and, when a
+/// solver ran, its job outcome.
+fn request_agrees_with_the_oracle(
+    what: &str,
+    inst: &Instance,
+    optimum: Time,
+    answer: &RequestOutcome,
+) {
+    let cert = &answer.certificate;
+    agrees_with_the_oracle(
+        what,
+        inst,
+        optimum,
+        cert.best_makespan,
+        cert.best_schedule.as_deref(),
+        Some(cert.lower_bound),
+        cert.is_optimal(),
+    );
+    // A truncated job can still close its gap, so the certificate may prove
+    // more than the job's stop reason claims, never less.
+    if let Some(job) = &answer.job {
+        assert!(
+            !job.is_optimal() || cert.is_optimal(),
+            "{what}: the job claims an optimum its certificate does not"
+        );
+    }
 }
 
 /// `count` nodes of `inst`, each a random order cut at the root, at a random
@@ -188,7 +274,7 @@ proptest! {
         let service = SolveService::new(ServiceConfig { max_concurrent: 1 });
         service.request(SolveRequest::new(inst, config.clone()));
         let warm = service.request(SolveRequest::new(neighbour.clone(), config));
-        prop_assert!(matches!(warm.disposition, CacheDisposition::WarmStart { .. }));
+        prop_assert_eq!(warm.disposition, CacheDisposition::WarmStart);
         prop_assert_eq!(warm.request_cost.cache_warm_starts, 1);
 
         // Soundness: a donated upper bound never changes the proven optimum.
@@ -236,6 +322,118 @@ proptest! {
         prop_assert_eq!(firsts, (0..n).collect::<Vec<_>>());
         for child in &children {
             prop_assert_eq!(child.unscheduled().count(), n - 1);
+        }
+    }
+}
+
+/// Job counts of the oracle test: mostly 5–8 jobs, where brute force is
+/// cheap in a debug build, and one 9-job entry (362,880 permutations).
+/// Larger instances outlive the donor's node limit more often.
+const ORACLE_JOBS: [usize; 7] = [5, 6, 7, 7, 8, 8, 9];
+
+proptest! {
+    // Every case brute-forces two instances and runs nine solves.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every way to obtain a certificate — a cold request, its exact
+    /// repeat, a cache-disabled request, warm starts on a neighbour from an
+    /// exhausted donor and from a donor truncated by a node limit,
+    /// checkpoint and resume, and a fleet solve that loses members — agrees
+    /// with the brute-force optimum. The neighbour halves a few cells, so
+    /// the donor's closed subtrees need not stay closed on it: a warm start
+    /// that resumed them could certify a makespan above the optimum.
+    #[test]
+    fn every_certificate_agrees_with_the_brute_force_oracle(
+        jobs in 0usize..ORACLE_JOBS.len(),
+        m in 3usize..=6,
+        seed in 1i64..1_000_000,
+        salt in any::<u64>(),
+        pause in 1u64..=4,
+    ) {
+        let inst = taillard::generate("oracle", ORACLE_JOBS[jobs], m, seed);
+        let neighbour = halved_neighbour(&inst, salt, 6);
+        prop_assume!(neighbour.raw() != inst.raw());
+        let optimum = brute_force_optimal(&inst).1;
+        let neighbour_optimum = brute_force_optimal(&neighbour).1;
+        let config = GpuSolverConfig {
+            pool_size: 16,
+            backend: BackendKind::Gpu,
+            fast_forward: true,
+            ..Default::default()
+        };
+
+        let service = SolveService::new(ServiceConfig { max_concurrent: 1 });
+        let cold = service.request(SolveRequest::new(inst.clone(), config.clone()));
+        prop_assert_eq!(cold.disposition, CacheDisposition::Miss);
+        prop_assert!(cold.certificate.is_optimal());
+        request_agrees_with_the_oracle("cold", &inst, optimum, &cold);
+        let hit = service.request(SolveRequest::new(inst.clone(), config.clone()));
+        prop_assert_eq!(hit.disposition, CacheDisposition::Hit);
+        request_agrees_with_the_oracle("hit", &inst, optimum, &hit);
+        let off = service.request(
+            SolveRequest::new(inst.clone(), config.clone()).with_cache(CachePolicy::Disabled),
+        );
+        prop_assert_eq!(off.disposition, CacheDisposition::Disabled);
+        request_agrees_with_the_oracle("disabled", &inst, optimum, &off);
+        let warm = service.request(SolveRequest::new(neighbour.clone(), config.clone()));
+        prop_assert_eq!(warm.disposition, CacheDisposition::WarmStart);
+        prop_assert!(warm.certificate.is_optimal());
+        request_agrees_with_the_oracle("warm, exhausted donor", &neighbour, neighbour_optimum, &warm);
+
+        // Donors truncated by a node limit, with the same ReuseKey.
+        for limit in [40, 120, 300] {
+            let service = SolveService::new(ServiceConfig { max_concurrent: 1 });
+            let truncated = GpuSolverConfig {
+                node_limit: Some(limit),
+                ..config.clone()
+            };
+            let donor = service.request(SolveRequest::new(inst.clone(), truncated));
+            request_agrees_with_the_oracle("truncated donor", &inst, optimum, &donor);
+            let warm = service.request(SolveRequest::new(neighbour.clone(), config.clone()));
+            prop_assert_eq!(warm.disposition, CacheDisposition::WarmStart);
+            prop_assert!(warm.certificate.is_optimal());
+            request_agrees_with_the_oracle(
+                &format!("warm, donor truncated at {limit} nodes"),
+                &neighbour,
+                neighbour_optimum,
+                &warm,
+            );
+        }
+
+        // A fleet that loses members mid-solve, through the same service.
+        let fleet = GpuSolverConfig {
+            backend: BackendKind::Fleet(FleetTopology::uniform(2)),
+            fail_seed: Some(salt),
+            ..config.clone()
+        };
+        let failed = service.request(SolveRequest::new(inst.clone(), fleet));
+        prop_assert_eq!(failed.disposition, CacheDisposition::Miss);
+        request_agrees_with_the_oracle("fleet with failures", &inst, optimum, &failed);
+
+        // Checkpoint after `pause` batches, then resume.
+        let paused = GpuBnbSolver::new(
+            inst.clone(),
+            GpuSolverConfig {
+                checkpoint_after: Some(pause),
+                ..config.clone()
+            },
+        )
+        .solve();
+        let legs = std::iter::once(paused.clone()).chain(paused.checkpoint.as_ref().map(|checkpoint| {
+            GpuBnbSolver::new(inst.clone(), config.clone())
+                .resume(checkpoint)
+                .expect("a checkpoint of this instance resumes")
+        }));
+        for (leg, outcome) in legs.enumerate() {
+            agrees_with_the_oracle(
+                &format!("checkpoint leg {leg}"),
+                &inst,
+                optimum,
+                outcome.best_makespan,
+                outcome.best_schedule.as_deref(),
+                None,
+                outcome.is_optimal(),
+            );
         }
     }
 }

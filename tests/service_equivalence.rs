@@ -224,9 +224,12 @@ fn cancellation_keeps_an_anytime_outcome() {
 fn a_zero_deadline_expires_with_a_full_anytime_outcome() {
     let (inst, frozen) = workload(10, 6, 31);
     for kind in gated_kinds() {
-        let config = config_for(kind);
+        let config = GpuSolverConfig {
+            time_limit: Some(Duration::ZERO),
+            ..config_for(kind)
+        };
         let service = SolveService::new(ServiceConfig { max_concurrent: 1 });
-        let spec = spec_for(&inst, &frozen, &config).with_deadline(Duration::ZERO);
+        let spec = spec_for(&inst, &frozen, &config);
         let handle = service.submit(spec);
         service.run_until_idle();
 
