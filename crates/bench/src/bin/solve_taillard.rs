@@ -178,7 +178,21 @@ impl Report {
         if let Some(job) = self.job {
             let _ = write!(label, "#job{job}");
         }
+        if self.pool_size != SMOKE_POOL_SIZE {
+            let _ = write!(label, "@pool{}", self.pool_size);
+        }
         label
+    }
+
+    /// The key this row is matched by against a baseline.
+    fn key(&self) -> RowKey {
+        RowKey {
+            backend: self.mode.backend_name().to_string(),
+            devices: self.mode.devices(),
+            lookahead: self.lookahead,
+            job: self.job,
+            pool_size: self.pool_size,
+        }
     }
 
     /// The report's fields as JSON lines (no surrounding braces), indented
@@ -389,6 +403,16 @@ impl Default for Options {
     }
 }
 
+/// The pool size of the frozen smoke workload, and the pool size of a
+/// baseline row that names none.
+const SMOKE_POOL_SIZE: usize = 4_096;
+
+/// The pool size of the sub-wave smoke rows: every batch is below one
+/// device wave (3,584 nodes on the C2050), the regime the benchmark's
+/// workloads run in, where a device bounds a batch or fleet shard in one
+/// launch.
+const SUB_WAVE_POOL_SIZE: usize = 256;
+
 /// The frozen smoke workload the CI perf gate runs: small enough to finish in
 /// seconds, large enough that nodes/sec is dominated by the bounding hot
 /// path. The gate runs it once per row of [`SMOKE_ROWS`].
@@ -397,28 +421,42 @@ fn apply_smoke_preset(opts: &mut Options) {
     opts.machines = 20;
     opts.seed = 2012;
     opts.mode = Mode::BackendFast(BackendKind::Gpu);
-    opts.pool_size = 4_096;
+    opts.pool_size = SMOKE_POOL_SIZE;
     opts.node_limit = Some(60_000);
     opts.frozen = Some(512);
     opts.reps = 3;
     opts.smoke = true;
 }
 
-/// The `(backend, lookahead)` rows the smoke workload gates: the paper's
-/// one-launch off-load, the per-batch stream pipeline (PR 3), the
-/// cross-iteration pipeline (lookahead batch + persistent session), the
-/// two-device fleet riding per-device cross-iteration pipelines (PR 5 —
-/// its modelled device time must undercut the single-device rows), and the
-/// mixed-spec fleet with deterministic stealing (PR 8 — its modelled device
-/// time must undercut the equal-deal fleet row on the identical node set).
-const SMOKE_ROWS: [(BackendKind, bool); 5] = [
-    (BackendKind::Gpu, false),
-    (BackendKind::GpuPipelined, false),
-    (BackendKind::GpuPipelined, true),
-    (BackendKind::Fleet(FleetTopology::uniform(2)), true),
+/// The `(backend, lookahead, pool size)` rows the smoke workload gates. At
+/// the smoke pool, where batches fill a device wave: the paper's one-launch
+/// off-load, the per-batch stream pipeline, the cross-iteration pipeline
+/// (lookahead batch + persistent session), the two-device fleet riding
+/// per-device cross-iteration pipelines (its modelled device time must
+/// undercut the single-device rows), and the mixed-spec fleet with
+/// deterministic stealing (its modelled device time must undercut the
+/// equal-deal fleet row on the identical node set). At the sub-wave pool,
+/// the per-batch pipeline and the stealing mixed fleet with lookahead (the
+/// shapes the benchmark's exact and service workloads run).
+const SMOKE_ROWS: [(BackendKind, bool, usize); 7] = [
+    (BackendKind::Gpu, false, SMOKE_POOL_SIZE),
+    (BackendKind::GpuPipelined, false, SMOKE_POOL_SIZE),
+    (BackendKind::GpuPipelined, true, SMOKE_POOL_SIZE),
+    (
+        BackendKind::Fleet(FleetTopology::uniform(2)),
+        true,
+        SMOKE_POOL_SIZE,
+    ),
     (
         BackendKind::Fleet(FleetTopology::uniform(2).mixed().stealing()),
         true,
+        SMOKE_POOL_SIZE,
+    ),
+    (BackendKind::GpuPipelined, false, SUB_WAVE_POOL_SIZE),
+    (
+        BackendKind::Fleet(FleetTopology::uniform(2).mixed().stealing()),
+        true,
+        SUB_WAVE_POOL_SIZE,
     ),
 ];
 
@@ -600,13 +638,14 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                      \x20         --advisory (wall-clock gate warns instead of failing)\n\
                      misc:     --help (this message)\n\n\
                      --smoke runs the frozen workload once per gated row (gpu, gpu-pipelined,\n\
-                     gpu-pipelined+lookahead, fleet:2+lookahead, fleet:2:hetero:steal+lookahead)\n\
-                     and emits one report row each;\n\
+                     gpu-pipelined+lookahead, fleet:2+lookahead, fleet:2:hetero:steal+lookahead\n\
+                     at pool 4096; gpu-pipelined and fleet:2:hetero:steal+lookahead at pool 256,\n\
+                     below one device wave) and emits one report row each;\n\
                      --service adds one cost row per concurrent job. Each gate\n\
                      compares every row against the baseline row with the same backend,\n\
-                     device count, lookahead flag and job index — the cost gate on exact\n\
-                     counter equality, the wall-clock gate on nodes/sec (see\n\
-                     docs/BENCHMARKING.md)."
+                     device count, lookahead flag, job index and pool size (4096 when the\n\
+                     baseline row names none) — the cost gate on exact counter equality,\n\
+                     the wall-clock gate on nodes/sec (see docs/BENCHMARKING.md)."
                 );
                 std::process::exit(0);
             }
@@ -866,13 +905,14 @@ fn check_pool_fits(opts: &Options, jobs: usize, machines: usize) -> Result<(), S
     Ok(())
 }
 
-/// One timed solve over an already-prepared (deterministic) frozen pool —
-/// or, when `resume` is given, over the frontier of a previously written
-/// checkpoint.
+/// One timed solve at `pool_size` over an already-prepared (deterministic)
+/// frozen pool — or, when `resume` is given, over the frontier of a
+/// previously written checkpoint.
 fn run_once(
     opts: &Options,
     mode: Mode,
     lookahead: bool,
+    pool_size: usize,
     problem: &FspProblem,
     frozen: Option<&FrozenPool>,
     resume: Option<&gpu_bnb::SolveCheckpoint>,
@@ -914,7 +954,7 @@ fn run_once(
             let solver = GpuBnbSolver::from_problem(
                 problem.clone(),
                 GpuSolverConfig {
-                    pool_size: opts.pool_size,
+                    pool_size,
                     placement: DataPlacement::SharedJmPtm,
                     node_limit: opts.node_limit,
                     fast_forward: matches!(mode, Mode::BackendFast(_)),
@@ -988,13 +1028,14 @@ fn run_best_of(
     opts: &Options,
     mode: Mode,
     lookahead: bool,
+    pool_size: usize,
     problem: &FspProblem,
     frozen: Option<&FrozenPool>,
     resume: Option<&gpu_bnb::SolveCheckpoint>,
 ) -> RunMetrics {
     let mut best: Option<RunMetrics> = None;
     for _ in 0..opts.reps {
-        let run = run_once(opts, mode, lookahead, problem, frozen, resume);
+        let run = run_once(opts, mode, lookahead, pool_size, problem, frozen, resume);
         let better = match &best {
             Some(b) => {
                 run.nodes_bounded as f64 / run.elapsed.as_secs_f64().max(1e-9)
@@ -1225,29 +1266,50 @@ fn run_cache(opts: &Options, inst: &fsp::Instance, label: &str) -> Vec<Report> {
         .collect()
 }
 
-/// One `nodes_per_sec` figure of a baseline report, keyed by the backend
-/// name, device count, lookahead flag and (for service rows) job index of
-/// its row.
-struct BaselineRow {
+/// What a gated row is matched by across a run and a baseline: the backend
+/// name, device count, lookahead flag, job index (service and cache rows)
+/// and pool size of the row.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct RowKey {
     backend: String,
     devices: usize,
     lookahead: bool,
     job: Option<usize>,
+    pool_size: usize,
+}
+
+/// One `nodes_per_sec` figure of a baseline report, keyed by its row.
+struct BaselineRow {
+    key: RowKey,
     nodes_per_sec: f64,
 }
 
-/// The `(backend, devices, lookahead, job)` key of the row a byte offset
-/// falls in, read from the fields that precede it in a report written by
-/// this binary — shared by the wall-clock and cost baseline parsers. In the
-/// v1 single-object schema without a `backend` field the backend is `""`;
-/// pre-v3 rows without a `lookahead` field parse as `false`; pre-v4 rows
-/// without a `devices` field parse as 1; pre-v6 rows without a `job` field
-/// parse as `None`.
-fn row_key_before(text: &str, at: usize) -> (String, usize, bool, Option<usize>) {
+/// Reads the unsigned integer after the last `key` in `text[..at]`, when
+/// that key sits after `row_start` (so an optional field never bleeds in
+/// from an earlier row).
+fn row_number_before(text: &str, at: usize, row_start: Option<usize>, key: &str) -> Option<usize> {
+    let k = text[..at].rfind(key)?;
+    if row_start.is_none_or(|b| k < b) {
+        return None;
+    }
+    let rest = text[k + key.len()..].trim_start();
+    let end = rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].parse::<usize>().ok()
+}
+
+/// The [`RowKey`] of the row a byte offset falls in, read from the fields
+/// that precede it in a report written by this binary — shared by the
+/// wall-clock and cost baseline parsers. In the v1 single-object schema
+/// without a `backend` field the backend is `""`; pre-v3 rows without a
+/// `lookahead` field parse as `false`; pre-v4 rows without a `devices`
+/// field parse as 1; pre-v6 rows without a `job` field parse as `None`; a
+/// cost row without a `pool_size` field parses as [`SMOKE_POOL_SIZE`].
+fn row_key_before(text: &str, at: usize) -> RowKey {
     let backend_key = "\"backend\":";
     let devices_key = "\"devices\":";
     let lookahead_key = "\"lookahead\":";
-    let job_key = "\"job\":";
     let backend_at = text[..at].rfind(backend_key);
     let backend = backend_at
         .map(|b| {
@@ -1276,20 +1338,16 @@ fn row_key_before(text: &str, at: usize) -> (String, usize, bool, Option<usize>)
                 .starts_with("true")
         })
         .unwrap_or(false);
-    // `job` is optional per row, so a bare rfind could bleed a *previous*
-    // row's key into a row that lacks one: only accept a `"job":` that sits
-    // after this row's `"backend":` key.
-    let job = text[..at].rfind(job_key).and_then(|j| {
-        if backend_at.is_none_or(|b| j < b) {
-            return None;
-        }
-        let rest = text[j + job_key.len()..].trim_start();
-        let end = rest
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(rest.len());
-        rest[..end].parse::<usize>().ok()
-    });
-    (backend, devices, lookahead, job)
+    // `job` and `pool_size` are optional per row: only a key after this
+    // row's `"backend":` counts.
+    RowKey {
+        backend,
+        devices,
+        lookahead,
+        job: row_number_before(text, at, backend_at, "\"job\":"),
+        pool_size: row_number_before(text, at, backend_at, "\"pool_size\":")
+            .unwrap_or(SMOKE_POOL_SIZE),
+    }
 }
 
 /// Pulls the gate rows out of a report previously written by this binary (a
@@ -1300,19 +1358,15 @@ fn baseline_rows(text: &str) -> Vec<BaselineRow> {
     let mut search_from = 0;
     while let Some(rel) = text[search_from..].find(nps_key) {
         let nps_at = search_from + rel;
-        // The backend name, device count, lookahead flag and job index, when
-        // present, precede nodes_per_sec in their row.
-        let (backend, devices, lookahead, job) = row_key_before(text, nps_at);
+        // The row's key fields, when present, precede nodes_per_sec.
+        let key = row_key_before(text, nps_at);
         let rest = text[nps_at + nps_key.len()..].trim_start();
         let end = rest
             .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
             .unwrap_or(rest.len());
         if let Ok(value) = rest[..end].parse::<f64>() {
             rows.push(BaselineRow {
-                backend,
-                devices,
-                lookahead,
-                job,
+                key,
                 nodes_per_sec: value,
             });
         }
@@ -1324,10 +1378,7 @@ fn baseline_rows(text: &str) -> Vec<BaselineRow> {
 /// One [`CostReport`] of a cost baseline (or of a v5 perf report — the
 /// parser accepts both), keyed like [`BaselineRow`].
 struct CostRow {
-    backend: String,
-    devices: usize,
-    lookahead: bool,
-    job: Option<usize>,
+    key: RowKey,
     cost: CostReport,
 }
 
@@ -1340,7 +1391,8 @@ fn cost_rows(text: &str) -> Result<Vec<CostRow>, String> {
     let mut search_from = 0;
     while let Some(rel) = text[search_from..].find(cost_key) {
         let at = search_from + rel;
-        let (backend, devices, lookahead, job) = row_key_before(text, at);
+        let key = row_key_before(text, at);
+        let backend = &key.backend;
         let after = &text[at + cost_key.len()..];
         let open = after
             .find('{')
@@ -1378,13 +1430,7 @@ fn cost_rows(text: &str) -> Result<Vec<CostRow>, String> {
                 seen.len()
             ));
         }
-        rows.push(CostRow {
-            backend,
-            devices,
-            lookahead,
-            job,
-            cost,
-        });
+        rows.push(CostRow { key, cost });
         search_from = at + cost_key.len() + open + close;
     }
     Ok(rows)
@@ -1410,6 +1456,11 @@ fn cost_baseline_json(reports: &[Report]) -> String {
         let _ = writeln!(out, "      \"lookahead\": {},", report.lookahead);
         if let Some(job) = report.job {
             let _ = writeln!(out, "      \"job\": {job},");
+        }
+        // A row at the smoke pool names none, so the rows recorded before
+        // pool sizes were keyed keep their bytes.
+        if report.pool_size != SMOKE_POOL_SIZE {
+            let _ = writeln!(out, "      \"pool_size\": {},", report.pool_size);
         }
         let _ = writeln!(
             out,
@@ -1533,16 +1584,16 @@ fn main() -> ExitCode {
     // race on an identical workload).
     let frozen = opts.frozen.map(|target| frozen_pool(&problem, target));
 
-    let specs: Vec<(Mode, bool)> = if opts.smoke {
+    let specs: Vec<(Mode, bool, usize)> = if opts.smoke {
         SMOKE_ROWS
             .iter()
-            .map(|&(kind, lookahead)| (Mode::BackendFast(kind), lookahead))
+            .map(|&(kind, lookahead, pool)| (Mode::BackendFast(kind), lookahead, pool))
             .collect()
     } else if opts.service {
         // `--service` without `--smoke`: only the per-job service rows.
         Vec::new()
     } else {
-        vec![(opts.mode, opts.lookahead)]
+        vec![(opts.mode, opts.lookahead, opts.pool_size)]
     };
 
     // Fleet rows report their normalized deal-weight shares.
@@ -1556,7 +1607,7 @@ fn main() -> ExitCode {
 
     let mut reports: Vec<Report> = specs
         .into_iter()
-        .map(|(mode, lookahead)| Report {
+        .map(|(mode, lookahead, pool_size)| Report {
             instance: label.clone(),
             jobs,
             machines,
@@ -1564,12 +1615,13 @@ fn main() -> ExitCode {
             lookahead,
             job: None,
             fleet_weights: weight_shares(mode),
-            pool_size: opts.pool_size,
+            pool_size,
             reps: opts.reps,
             metrics: run_best_of(
                 &opts,
                 mode,
                 lookahead,
+                pool_size,
                 &problem,
                 frozen.as_ref(),
                 resume.as_ref(),
@@ -1593,7 +1645,11 @@ fn main() -> ExitCode {
         let device = |backend: &str, lookahead: bool| {
             reports
                 .iter()
-                .find(|r| r.lookahead == lookahead && r.mode.backend_name() == backend)
+                .find(|r| {
+                    r.lookahead == lookahead
+                        && r.mode.backend_name() == backend
+                        && r.pool_size == SMOKE_POOL_SIZE
+                })
                 .map(|r| r.metrics.device_seconds)
         };
         if let (Some(per_batch), Some(cross)) = (
@@ -1670,16 +1726,10 @@ fn main() -> ExitCode {
     };
 
     let cost_baseline_for = |report: &Report| -> Option<CostReport> {
-        cost_baseline.as_ref().and_then(|rows| {
-            rows.iter()
-                .find(|b| {
-                    b.backend == report.mode.backend_name()
-                        && b.devices == report.mode.devices()
-                        && b.lookahead == report.lookahead
-                        && b.job == report.job
-                })
-                .map(|b| b.cost)
-        })
+        let key = report.key();
+        cost_baseline
+            .as_ref()
+            .and_then(|rows| rows.iter().find(|b| b.key == key).map(|b| b.cost))
     };
 
     let baseline = match &opts.baseline {
@@ -1701,19 +1751,14 @@ fn main() -> ExitCode {
         None => None,
     };
 
-    // Match by backend name + device count + lookahead flag + job index; a
-    // v1 baseline without backend names gates its single figure against
-    // every row.
+    // Match by the row key; a v1 baseline without backend names gates its
+    // single figure against every row.
     let baseline_for = |report: &Report| -> Option<f64> {
+        let key = report.key();
         baseline.as_ref().and_then(|rows| {
             rows.iter()
-                .find(|b| {
-                    b.backend == report.mode.backend_name()
-                        && b.devices == report.mode.devices()
-                        && b.lookahead == report.lookahead
-                        && b.job == report.job
-                })
-                .or_else(|| rows.first().filter(|b| b.backend.is_empty()))
+                .find(|b| b.key == key)
+                .or_else(|| rows.first().filter(|b| b.key.backend.is_empty()))
                 .map(|b| b.nodes_per_sec)
         })
     };
@@ -1983,6 +2028,28 @@ mod tests {
             err.contains(&format!("row `gpu` names cost counter `{repeated}` twice")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_cost_row_without_a_pool_size_reads_as_the_smoke_pool() {
+        // The second row names no pool: it must not take the first row's.
+        let body: Vec<String> = CostReport::default()
+            .counters()
+            .iter()
+            .map(|(name, value)| format!("\"{name}\": {value}"))
+            .collect();
+        let row = |key: &str| format!("{{{key}, \"cost\": {{ {} }}}}", body.join(", "));
+        let text = format!(
+            "[{}, {}]",
+            row("\"backend\": \"gpu\", \"pool_size\": 256"),
+            row("\"backend\": \"gpu\"")
+        );
+        let pools: Vec<usize> = cost_rows(&text)
+            .expect("parses")
+            .iter()
+            .map(|r| r.key.pool_size)
+            .collect();
+        assert_eq!(pools, vec![SUB_WAVE_POOL_SIZE, SMOKE_POOL_SIZE]);
     }
 
     #[test]

@@ -187,9 +187,7 @@ pub fn autotune_pipeline_chunk(
     let candidates: Vec<usize> = if candidates.is_empty() {
         let mut c = default_chunk_candidates(&spec, base_config.block_threads);
         // The wave multiples assume device-filling batches; for smaller
-        // configured pools also probe the pipeline-depth split and the
-        // single launch of one real batch.
-        c.push(target.div_ceil(base_config.pipeline_depth.max(1)).max(1));
+        // configured pools also probe the single launch of one real batch.
         c.push(target);
         c.sort_unstable();
         c.dedup();
@@ -370,17 +368,10 @@ mod tests {
         let report = autotune_pipeline_chunk(&inst, &base(), &[], 2_000);
         let wave = gpu_sim::DeviceSpec::tesla_c2050().multiprocessors * base().block_threads;
         let swept: Vec<usize> = report.measurements.iter().map(|m| m.chunk_size).collect();
-        // Wave-derived candidates plus the batch-derived ones (the probe
-        // batch is the pool size capped by the budget: 2 000 here).
+        // Wave-derived candidates plus the one launch of a probe batch (the
+        // pool size capped by the budget: 2 000 here).
         let target = base().pool_size.min(2_000);
-        for expected in [
-            wave / 4,
-            wave / 2,
-            wave,
-            2 * wave,
-            target.div_ceil(base().pipeline_depth),
-            target,
-        ] {
+        for expected in [wave / 4, wave / 2, wave, 2 * wave, target] {
             assert!(swept.contains(&expected), "missing candidate {expected}");
         }
         let mut sorted = swept.clone();

@@ -162,50 +162,29 @@ pub(crate) fn serial_accesses(jobs: usize, machines: usize, batch: BatchView<'_>
         .sum()
 }
 
-/// Chunk size for a batch of `len` nodes on `engine`: an explicit override
-/// (typically the chunk auto-tuner's winner) clamped to the engine capacity;
-/// otherwise one full device wave (`SMs × block threads`) — chunks must keep
-/// every SM busy or per-SM block quantization inflates the summed kernel
-/// time past what the overlap wins back — falling back to `pipeline_depth`
-/// equal chunks on batches too small to fill the device. Shared by the
-/// pipelined backend and the fleet so their chunking can never diverge.
-pub(crate) fn wave_chunk_for(
-    engine: &BoundingEngine,
-    pipeline_depth: usize,
-    chunk_override: Option<usize>,
-    len: usize,
-) -> usize {
-    let spec = engine.device().spec();
-    wave_chunk(
-        (spec.multiprocessors * engine.block_threads()).max(1),
-        engine.max_pool(),
-        pipeline_depth,
-        chunk_override,
-        len,
-    )
+/// Nodes one full wave of `engine`'s device bounds: `SMs × block threads`.
+pub(crate) fn device_wave(engine: &BoundingEngine) -> usize {
+    (engine.device().spec().multiprocessors * engine.block_threads()).max(1)
 }
 
-/// The wave-aligned chunk heuristic on explicit geometry: `wave` nodes per
-/// chunk when the batch fills at least one wave, `pipeline_depth` equal
-/// chunks otherwise, an override clamped to `max_pool` either way. The
-/// fleet calls this on its *smallest* member wave so a larger member's
-/// small-batch fallback can never shrink the shared chunk below a full
-/// wave of the smallest device.
-pub(crate) fn wave_chunk(
-    wave: usize,
-    max_pool: usize,
-    pipeline_depth: usize,
+/// The chunk `engine` launches a run of `len` nodes at, when the run was
+/// planned in chunks of `planned`. A run below one device wave goes in one
+/// launch (capped at the engine capacity): it cannot fill the device, so
+/// cutting it busies no more SMs, while every extra launch adds its launch
+/// overhead and fixed issue cycles to the serial kernel stream and overlap
+/// can hide only the copies. A run of a wave or more launches at `planned`.
+/// An explicit [`GpuSolverConfig::pipeline_chunk`] (`chunk_override`) keeps
+/// `planned` at every length. The pipelined backend and every fleet GPU
+/// member launch through this one rule.
+pub(crate) fn wave_chunk_for(
+    engine: &BoundingEngine,
     chunk_override: Option<usize>,
+    planned: usize,
     len: usize,
 ) -> usize {
-    if let Some(chunk) = chunk_override {
-        return chunk.clamp(1, max_pool);
-    }
-    let wave = wave.max(1);
-    if len >= wave {
-        wave
-    } else {
-        len.div_ceil(pipeline_depth).max(1)
+    match chunk_override {
+        None if len < device_wave(engine) => len.clamp(1, engine.max_pool()),
+        _ => planned,
     }
 }
 
@@ -457,9 +436,11 @@ impl BoundingBackend for GpuBackend {
     }
 }
 
-/// The pipelined GPU backend: each batch is split into chunks ridden
-/// through [`BoundingEngine::bound_nodes_pipelined`], so the device time per
-/// batch approaches `max(kernel, transfer)` instead of their sum.
+/// The pipelined GPU backend: a batch of a device wave or more is split
+/// into one-wave chunks ridden through
+/// [`BoundingEngine::bound_nodes_pipelined`], so the device time per batch
+/// approaches `max(kernel, transfer)` instead of their sum. A batch below
+/// one wave is one launch, as on [`GpuBackend`].
 ///
 /// With [`GpuSolverConfig::lookahead`] enabled the backend additionally
 /// keeps one persistent [`crate::offload::PipelineSession`] across batches:
@@ -471,26 +452,17 @@ pub struct PipelinedGpuBackend {
     engine: BoundingEngine,
     host_lb: Arc<JohnsonLowerBound>,
     fast_forward: bool,
-    pipeline_depth: usize,
     chunk_override: Option<usize>,
     session: Option<crate::offload::PipelineSession>,
 }
 
 impl PipelinedGpuBackend {
     /// Creates the backend with an engine sized for `capacity` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.pipeline_depth` is zero.
     pub fn new(
         problem: &FspProblem<JohnsonLowerBound>,
         config: &GpuSolverConfig,
         capacity: usize,
     ) -> Self {
-        assert!(
-            config.pipeline_depth > 0,
-            "the pipelined backend needs a positive pipeline depth"
-        );
         let engine = BoundingEngine::new(
             problem.bound_fn().data(),
             config.placement.clone(),
@@ -503,7 +475,6 @@ impl PipelinedGpuBackend {
             engine,
             host_lb: problem.bound_fn().clone(),
             fast_forward: config.fast_forward,
-            pipeline_depth: config.pipeline_depth,
             chunk_override: config.pipeline_chunk,
             session,
         }
@@ -516,10 +487,15 @@ impl PipelinedGpuBackend {
     }
 
     /// Chunk size for a batch of `len` nodes (see [`wave_chunk_for`]): an
-    /// explicit [`GpuSolverConfig::pipeline_chunk`] wins, then the
-    /// wave-aligned heuristic.
+    /// explicit [`GpuSolverConfig::pipeline_chunk`] clamped to the engine
+    /// capacity wins; otherwise one device wave, or the whole batch below
+    /// one wave.
     fn chunk_for(&self, len: usize) -> usize {
-        wave_chunk_for(&self.engine, self.pipeline_depth, self.chunk_override, len)
+        let planned = self.chunk_override.map_or_else(
+            || device_wave(&self.engine),
+            |chunk| chunk.clamp(1, self.engine.max_pool()),
+        );
+        wave_chunk_for(&self.engine, self.chunk_override, planned, len)
     }
 }
 
@@ -684,6 +660,8 @@ mod tests {
 
     #[test]
     fn pipelined_backend_overlaps_and_gpu_backend_does_not() {
+        // An explicit chunk cuts the batch into four launches whatever its
+        // length (below one wave it would otherwise be one launch).
         let (problem, nodes, base) = fixture(128);
         let gpu = {
             let config = GpuSolverConfig {
@@ -695,7 +673,7 @@ mod tests {
         let piped = {
             let config = GpuSolverConfig {
                 backend: BackendKind::GpuPipelined,
-                pipeline_depth: 4,
+                pipeline_chunk: Some(nodes.len().div_ceil(4)),
                 ..base.clone()
             };
             make_backend(&problem, &config, nodes.len()).bound_batch(&nodes)
@@ -717,11 +695,45 @@ mod tests {
     }
 
     #[test]
+    fn a_sub_wave_batch_is_one_launch_priced_as_on_the_gpu_backend() {
+        // 128 nodes cannot fill one C2050 wave (14 SMs × 256 threads), so
+        // the pipelined backend launches them whole: the paper's one launch
+        // per pool, with the same bounds and every accounting field equal.
+        let (problem, nodes, base) = fixture(128);
+        assert!(nodes.len() < 14 * 256);
+        for fast_forward in [false, true] {
+            let bound = |backend| {
+                let config = GpuSolverConfig {
+                    backend,
+                    fast_forward,
+                    ..base.clone()
+                };
+                make_backend(&problem, &config, nodes.len()).bound_batch(&nodes)
+            };
+            let gpu = bound(BackendKind::Gpu);
+            let piped = bound(BackendKind::GpuPipelined);
+            assert_eq!(piped.bounds, gpu.bounds);
+            assert_eq!(piped.launch_times, gpu.launch_times);
+            let (a, b) = (piped.accounting, gpu.accounting);
+            assert_eq!(a.launches, 1);
+            assert_eq!(
+                (a.kernel_time, a.transfer_time, a.device_time),
+                (b.kernel_time, b.transfer_time, b.device_time),
+                "fast_forward={fast_forward}"
+            );
+            assert_eq!(
+                (a.upload_bytes, a.download_bytes, a.launches, a.waves),
+                (b.upload_bytes, b.download_bytes, b.launches, b.waves)
+            );
+            assert_eq!(a.device_nodes, b.device_nodes);
+        }
+    }
+
+    #[test]
     fn lookahead_pipelined_backend_overlaps_across_batches() {
         let (problem, nodes, base) = fixture(128);
         let mk = |lookahead| GpuSolverConfig {
             backend: BackendKind::GpuPipelined,
-            pipeline_depth: 4,
             lookahead,
             ..base.clone()
         };

@@ -93,7 +93,6 @@ fn hash_config(config: &GpuSolverConfig, scope: KeyScope, h: &mut DefaultHasher)
     config.fast_forward.hash(h);
     config.backend.to_string().hash(h);
     config.multicore_threads.hash(h);
-    config.pipeline_depth.hash(h);
     config.pipeline_chunk.hash(h);
     config.lookahead.hash(h);
     // Failure plans are backend state (deaths are keyed to the shared
@@ -453,10 +452,6 @@ mod tests {
             },
             GpuSolverConfig {
                 multicore_threads: base.multicore_threads + 1,
-                ..base.clone()
-            },
-            GpuSolverConfig {
-                pipeline_depth: base.pipeline_depth + 1,
                 ..base.clone()
             },
             GpuSolverConfig {

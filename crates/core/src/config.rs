@@ -289,8 +289,8 @@ impl std::fmt::Display for BackendKind {
 ///
 /// Struct-literal construction (with `..Default::default()`) keeps working;
 /// the validated path is [`GpuSolverConfig::builder`], which rejects
-/// inconsistent combinations (fault injection plus checkpointing, zero
-/// pipeline depth, a failure naming a missing fleet member) at build time
+/// inconsistent combinations (fault injection plus checkpointing, a zero
+/// pipeline chunk, a failure naming a missing fleet member) at build time
 /// instead of deep inside a solve.
 #[derive(Debug, Clone)]
 pub struct GpuSolverConfig {
@@ -323,15 +323,12 @@ pub struct GpuSolverConfig {
     pub backend: BackendKind,
     /// Worker threads of the [`BackendKind::Multicore`] backend.
     pub multicore_threads: usize,
-    /// Number of chunks the [`BackendKind::GpuPipelined`] backend splits
-    /// each batch into (the pipeline depth; ≥ 2 enables overlap). Only used
-    /// when [`GpuSolverConfig::pipeline_chunk`] is `None` and the batch is
-    /// too small to be cut at device waves.
-    pub pipeline_depth: usize,
     /// Explicit pipeline chunk size (nodes per kernel launch) for the
-    /// [`BackendKind::GpuPipelined`] backend. `None` keeps the wave-aligned
-    /// heuristic (`SMs × block threads` per chunk when the batch fills the
-    /// device). Set it from the chunk auto-tuner
+    /// [`BackendKind::GpuPipelined`] backend and the pipelined fleets' deal
+    /// and launches, at every batch length. `None` keeps the wave-aligned
+    /// rule: `SMs × block threads` per chunk when the batch fills the
+    /// device, one launch of the whole batch (or fleet shard) below one
+    /// wave. Set it from the chunk auto-tuner
     /// ([`crate::autotune::autotune_pipeline_chunk`]) to persist a per-device
     /// sweep result into the run configuration.
     pub pipeline_chunk: Option<usize>,
@@ -382,7 +379,6 @@ impl Default for GpuSolverConfig {
             fast_forward: false,
             backend: BackendKind::Gpu,
             multicore_threads: 4,
-            pipeline_depth: 4,
             pipeline_chunk: None,
             lookahead: false,
             fail_seed: None,
@@ -532,10 +528,6 @@ impl SolverConfigBuilder {
         multicore_threads: usize
     );
     builder_setter!(
-        /// Sets [`GpuSolverConfig::pipeline_depth`].
-        pipeline_depth: usize
-    );
-    builder_setter!(
         /// Sets [`GpuSolverConfig::pipeline_chunk`].
         pipeline_chunk: Option<usize>
     );
@@ -568,9 +560,6 @@ impl SolverConfigBuilder {
         }
         if config.multicore_threads == 0 {
             return Err(ConfigError("multicore_threads must be at least 1".into()));
-        }
-        if config.pipeline_depth == 0 {
-            return Err(ConfigError("pipeline_depth must be at least 1".into()));
         }
         if config.pipeline_chunk == Some(0) {
             return Err(ConfigError("pipeline_chunk must be at least 1".into()));
@@ -664,7 +653,6 @@ mod tests {
         }
         assert!("warp-drive".parse::<BackendKind>().is_err());
         assert_eq!(GpuSolverConfig::default().backend, BackendKind::Gpu);
-        assert!(GpuSolverConfig::default().pipeline_depth >= 2);
         // Cross-iteration pipelining is opt-in and chunking defaults to the
         // wave-aligned heuristic until the auto-tuner persists a sweep.
         assert!(!GpuSolverConfig::default().lookahead);
@@ -786,10 +774,6 @@ mod tests {
 
         // Zero-valued structural parameters are rejected.
         assert!(GpuSolverConfig::builder().pool_size(0).build().is_err());
-        assert!(GpuSolverConfig::builder()
-            .pipeline_depth(0)
-            .build()
-            .is_err());
         assert!(GpuSolverConfig::builder()
             .pipeline_chunk(Some(0))
             .build()

@@ -14,9 +14,14 @@
 //!
 //! **Weighted sharding** ([`plan_shards_weighted`]): the batch is cut into
 //! wave-aligned chunks (the same granularity the pipelined backend launches
-//! at) and each chunk is dealt to the member whose *modelled completion
+//! at; a batch below the smallest member wave into four equal deal quanta)
+//! and each chunk is dealt to the member whose *modelled completion
 //! time after taking it* — `(load + chunk) / weight` — is smallest, ties to
-//! the lowest ordinal. Weights start from each member's [`MemberModel`]
+//! the lowest ordinal. Below one wave the deal quantum is not the launch: a
+//! GPU member launches a shard below its own wave whole, however many
+//! quanta it holds, and a longer shard at the deal's chunk — the rule
+//! [`crate::PipelinedGpuBackend`] launches a batch by. Weights start from
+//! each member's [`MemberModel`]
 //! (its standalone full-wave throughput, derived from the `DeviceSpec` and
 //! the kernel cost model) but are re-quantized per batch by
 //! [`launch_models`]: the fleet launches every member at the *shared* chunk
@@ -53,7 +58,9 @@
 //! [`FleetDeviceStats`] for reports, including the idle time each member
 //! spends waiting at the merge barrier and the derived utilization.
 
-use crate::backend::{BackendAccounting, BackendBatch, BoundingBackend, MulticoreBackend};
+use crate::backend::{
+    device_wave, wave_chunk_for, BackendAccounting, BackendBatch, BoundingBackend, MulticoreBackend,
+};
 use crate::config::{BackendKind, FleetTopology, GpuSolverConfig, DEFAULT_FLEET_DEVICES};
 use crate::fault::{recovery_critical_seconds, redeal_plan, FailurePlan};
 use crate::offload::{BoundingEngine, PipelineSession, PipelinedBatch};
@@ -68,6 +75,12 @@ use std::time::Duration;
 /// Host cycles charged per bound merged back into input order (a branchy
 /// scatter write per node; the devices overlap, the merge does not).
 pub const FLEET_MERGE_CYCLES_PER_NODE: f64 = 4.0;
+
+/// Equal parts the deal cuts a batch below the smallest member wave into
+/// (before the deficit rule of [`effective_chunk`]): fine enough for the
+/// weighted deal to favour a faster member. Each member still launches the
+/// sub-wave shard it is dealt whole.
+const SUB_WAVE_DEAL_PARTS: usize = 4;
 
 /// What one fleet member is made of: a simulated GPU with its own spec, or
 /// a CPU thread-pool member bounding through the same backend trait.
@@ -280,7 +293,9 @@ pub fn plan_shards(len: usize, devices: usize, chunk: usize) -> Vec<FleetShard> 
 }
 
 /// Re-quantizes member models to the fleet's shared launch granularity:
-/// every shard is launched in chunks of `chunk` nodes, so one step of a GPU
+/// the planner prices every shard as launched in chunks of `chunk` nodes
+/// (a member launches a shard below its own wave whole, so there the price
+/// is the deal quantum's, not the launch's), so one step of a GPU
 /// member's completion curve is one launch of `chunk` nodes costing
 /// `ceil(chunk / wave) × wave_seconds` — a sub-wave launch still pays a
 /// full wave of issue, and a member larger than the shared chunk runs it
@@ -539,7 +554,6 @@ pub struct FleetBackend {
     host_lb: Arc<JohnsonLowerBound>,
     fast_forward: bool,
     pipelined: bool,
-    pipeline_depth: usize,
     chunk_override: Option<usize>,
     host: HostModel,
     stats: Vec<FleetDeviceStats>,
@@ -561,8 +575,7 @@ impl FleetBackend {
     ///
     /// # Panics
     ///
-    /// Panics if `devices` is zero, or if the fleet is pipelined and
-    /// `config.pipeline_depth` is zero.
+    /// Panics if `devices` is zero.
     pub fn new(
         problem: &FspProblem<JohnsonLowerBound>,
         config: &GpuSolverConfig,
@@ -587,8 +600,7 @@ impl FleetBackend {
     ///
     /// # Panics
     ///
-    /// Panics if `specs` is empty, or if the fleet is pipelined and
-    /// `config.pipeline_depth` is zero.
+    /// Panics if `specs` is empty.
     pub fn with_members(
         problem: &FspProblem<JohnsonLowerBound>,
         config: &GpuSolverConfig,
@@ -598,10 +610,6 @@ impl FleetBackend {
         stealing: bool,
     ) -> Self {
         assert!(!specs.is_empty(), "a fleet needs at least one device");
-        assert!(
-            !pipelined || config.pipeline_depth > 0,
-            "a pipelined fleet needs a positive pipeline depth"
-        );
         let inst = problem.instance();
         let models = member_models(&specs, config, inst.jobs(), inst.machines());
         let hetero = specs.iter().any(|s| *s != specs[0]);
@@ -661,7 +669,6 @@ impl FleetBackend {
             host_lb: problem.bound_fn().clone(),
             fast_forward: config.fast_forward,
             pipelined,
-            pipeline_depth: config.pipeline_depth,
             chunk_override: config.pipeline_chunk,
             host: HostModel::default(),
             stats,
@@ -722,22 +729,22 @@ impl FleetBackend {
         Duration::from_secs_f64(nodes as f64 * FLEET_MERGE_CYCLES_PER_NODE / self.host.clock_hz)
     }
 
-    /// Chunk granularity for a batch of `len` nodes: the wave-aligned
-    /// heuristic ([`crate::backend::wave_chunk`], shared with the pipelined
-    /// backend so chunking can never diverge) applied to the **smallest**
-    /// GPU member wave in the fleet — the deal quantum must keep the
-    /// smallest device's SMs saturated, and taking the minimum over the
-    /// member *waves* first (rather than over per-member chunk choices)
-    /// keeps a larger member's small-batch fallback from shrinking the
-    /// shared chunk below one full wave of the smallest device. Applied
-    /// before the deficit rule of [`effective_chunk`]. A fleet of only CPU
-    /// members deals `len / members` chunks.
+    /// The deal quantum for a batch of `len` nodes, before the deficit rule
+    /// of [`effective_chunk`]: an explicit
+    /// [`GpuSolverConfig::pipeline_chunk`] clamped to the smallest member
+    /// capacity; otherwise the **smallest** GPU member wave when the batch
+    /// fills it, [`SUB_WAVE_DEAL_PARTS`] equal parts below it. Taking the
+    /// minimum over the member *waves* first (rather than over per-member
+    /// choices) keeps a larger member's sub-wave rule from shrinking the
+    /// quantum below one full wave of the smallest device. A fleet of only
+    /// CPU members deals `len / members` chunks. Below one member wave the
+    /// quantum is only the deal's: the member launches its whole shard
+    /// ([`wave_chunk_for`]).
     fn chunk_for(&self, len: usize) -> usize {
         let mut wave_cap: Option<(usize, usize)> = None;
         for member in &self.members {
             if let MemberEngine::Gpu { engine, .. } = &member.engine {
-                let spec = engine.device().spec();
-                let wave = (spec.multiprocessors * engine.block_threads()).max(1);
+                let wave = device_wave(engine);
                 let cap = engine.max_pool();
                 wave_cap = Some(match wave_cap {
                     Some((w, c)) => (w.min(wave), c.min(cap)),
@@ -745,11 +752,11 @@ impl FleetBackend {
                 });
             }
         }
-        match wave_cap {
-            Some((wave, cap)) => {
-                crate::backend::wave_chunk(wave, cap, self.pipeline_depth, self.chunk_override, len)
-            }
-            None => len.div_ceil(self.members.len()).max(1),
+        match (wave_cap, self.chunk_override) {
+            (Some((_, cap)), Some(chunk)) => chunk.clamp(1, cap),
+            (Some((wave, _)), None) if len >= wave => wave,
+            (Some(_), None) => len.div_ceil(SUB_WAVE_DEAL_PARTS).max(1),
+            (None, _) => len.div_ceil(self.members.len()).max(1),
         }
     }
 }
@@ -824,9 +831,9 @@ impl BoundingBackend for FleetBackend {
         for shard in &shards {
             let member = &mut self.members[shard.device];
             // A shard of one range is a slice of the batch; a split or
-            // stolen shard's entries are gathered contiguously first
-            // (chunking the gathered shard at `eff` keeps the launch
-            // granularity the plan was cut at).
+            // stolen shard's entries are gathered contiguously first. A
+            // shard below the member's wave is one launch; a longer one
+            // launches at the granularity the plan was cut at, `eff`.
             let shard_view = match shard.ranges[..] {
                 [(start, len)] => batch.slice(start..start + len),
                 _ => {
@@ -842,12 +849,13 @@ impl BoundingBackend for FleetBackend {
             let (result, device_nodes): (PipelinedBatch, u64) = match &mut member.engine {
                 MemberEngine::Gpu { engine, session } => {
                     let result = if self.pipelined {
+                        let chunk = wave_chunk_for(engine, self.chunk_override, eff, shard.nodes());
                         match session {
                             Some(session) => {
-                                engine.bound_nodes_pipelined_in(shard_view, eff, host, session)
+                                engine.bound_nodes_pipelined_in(shard_view, chunk, host, session)
                             }
                             None => {
-                                let r = engine.bound_nodes_pipelined(shard_view, eff, host);
+                                let r = engine.bound_nodes_pipelined(shard_view, chunk, host);
                                 PipelinedBatch {
                                     bounds: r.bounds,
                                     kernel_time: r.kernel_time,

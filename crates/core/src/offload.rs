@@ -225,10 +225,6 @@ pub struct BoundingEngine {
     /// Block size, registers and the placement's shared buffers, built once;
     /// each launch only resizes the grid ([`LaunchConfig::fit_threads`]).
     launch: LaunchConfig,
-    /// Two reusable host staging buffers for the flat pool encoding,
-    /// alternated in lockstep with the device slots so chunk *k+1* is
-    /// encoded while chunk *k* is modelled in flight.
-    encode_bufs: [Vec<u32>; 2],
     /// Per-engine scratch for the host batch bound (fast-forward mode
     /// bounds whole pools without a single allocation).
     scratch: BoundScratch,
@@ -345,7 +341,6 @@ impl BoundingEngine {
             pool_bufs,
             out_bufs,
             launch,
-            encode_bufs: [Vec::new(), Vec::new()],
             scratch: BoundScratch::new(),
         }
     }
@@ -404,17 +399,19 @@ impl BoundingEngine {
         batch.depths().map(|depth| (1 + depth) * 2).sum()
     }
 
-    /// Encodes `batch` into the flat pool layout read by the kernel — per
-    /// entry its depth, then its parent's prefix followed by its job —
-    /// staged in the engine's reusable buffer `slot`.
+    /// Encodes `batch` straight into device pool slot `slot`, in the flat
+    /// layout the kernel reads: per entry its depth, then its parent's
+    /// prefix followed by its job, then zero padding to the node stride.
     fn encode(&mut self, batch: BatchView<'_>, slot: usize) {
         let stride = self.node_stride;
-        let flat = &mut self.encode_bufs[slot];
-        flat.clear();
-        flat.resize(batch.len() * stride, 0);
-        for (i, entry) in flat.chunks_exact_mut(stride).enumerate() {
-            entry[0] = batch.write_prefix(i, &mut entry[1..]) as u32;
-        }
+        self.device
+            .upload_with(self.pool_bufs[slot], batch.len() * stride, |flat| {
+                for (i, entry) in flat.chunks_exact_mut(stride).enumerate() {
+                    let depth = batch.write_prefix(i, &mut entry[1..]);
+                    entry[0] = depth as u32;
+                    entry[1 + depth..].fill(0);
+                }
+            });
     }
 
     fn kernel_on(&self, num_nodes: usize, slot: usize) -> LowerBoundKernel {
@@ -452,7 +449,6 @@ impl BoundingEngine {
             return self.empty_result();
         }
         self.encode(batch, 0);
-        self.device.upload(self.pool_bufs[0], &self.encode_bufs[0]);
         self.launch.fit_threads(batch.len());
         let kernel = self.kernel_on(batch.len(), 0);
         let result = self.device.launch(&kernel, &self.launch);
@@ -673,10 +669,6 @@ impl BoundingEngine {
             // means two chunks may be in flight, never three).
             let up_bytes = self.upload_bytes(chunk);
             let up_dur = self.device.htod_time(up_bytes);
-            if functional {
-                self.device
-                    .upload(self.pool_bufs[slot], &self.encode_bufs[slot]);
-            }
             let up_floor = session.kernel_end_by_slot[slot];
             let up_ev = timeline.record_after(
                 streams.h2d,

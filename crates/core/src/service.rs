@@ -239,11 +239,13 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
-    /// `true` when the search proved optimality: it exhausted the tree and
-    /// holds a schedule of [`Self::best_makespan`] (see
-    /// [`crate::GpuSolveOutcome::is_optimal`]).
+    /// `true` when the job proved optimality: it holds a schedule whose
+    /// makespan equals the proven [`Self::lower_bound`] (its gap is closed).
+    /// An exhausted search always does; so does one stopped early whose
+    /// pending bounds all reach the incumbent. This is the verdict of the
+    /// certificate the job yields ([`crate::Certificate::is_optimal`]).
     pub fn is_optimal(&self) -> bool {
-        self.stop == JobStopReason::Exhausted && self.best_schedule.is_some()
+        self.gap == 0.0
     }
 }
 

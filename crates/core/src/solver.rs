@@ -488,11 +488,15 @@ mod tests {
 
     #[test]
     fn pipelined_backend_overlaps_the_device_schedule() {
+        // Pools of 256 are below one device wave, where the pipelined
+        // backend launches a batch whole; an explicit chunk splits each
+        // batch into four launches that overlap.
         let inst = generate("t", 12, 10, 5);
         let base = GpuSolverConfig {
             pool_size: 256,
             node_limit: Some(3_000),
             fast_forward: true,
+            pipeline_chunk: Some(64),
             ..Default::default()
         };
         let serial = GpuBnbSolver::new(
@@ -524,6 +528,29 @@ mod tests {
             piped.gpu.overlapped_time,
             piped.gpu.kernel_time + piped.gpu.transfer_time
         );
+    }
+
+    #[test]
+    fn sub_wave_pools_price_the_pipelined_solve_as_the_one_launch_solve() {
+        // Without an explicit chunk every batch of a 256-node pool is one
+        // launch on both backends, so every cost counter agrees.
+        let inst = generate("t", 12, 10, 5);
+        let solve = |backend| {
+            let config = GpuSolverConfig {
+                pool_size: 256,
+                node_limit: Some(3_000),
+                fast_forward: true,
+                backend,
+                ..Default::default()
+            };
+            GpuBnbSolver::new(inst.clone(), config).solve()
+        };
+        let gpu = solve(crate::config::BackendKind::Gpu);
+        let piped = solve(crate::config::BackendKind::GpuPipelined);
+        assert_eq!(piped.stats.bounded, gpu.stats.bounded);
+        assert_eq!(piped.cost, gpu.cost);
+        assert_eq!(piped.cost.launches, piped.cost.batches);
+        assert_eq!(piped.gpu.overlapped_time, gpu.gpu.overlapped_time);
     }
 
     #[test]
@@ -622,7 +649,6 @@ mod tests {
             let cfg = GpuSolverConfig {
                 pool_size: 64,
                 backend: crate::config::BackendKind::GpuPipelined,
-                pipeline_depth: 4,
                 lookahead,
                 fast_forward: true,
                 ..Default::default()

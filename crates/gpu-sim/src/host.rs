@@ -240,6 +240,24 @@ impl Device {
         alloc.data[..data.len()].copy_from_slice(data);
     }
 
+    /// Overwrites the first `len` elements of an existing buffer by handing
+    /// them to `fill` — a recurring host→device copy encoded straight into
+    /// the device slot, with no host staging buffer. `fill` gets the slot's
+    /// previous contents and must write every element it wants defined.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds the buffer length.
+    pub fn upload_with(&mut self, buffer: DeviceBuffer, len: usize, fill: impl FnOnce(&mut [u32])) {
+        let alloc = &mut self.allocations[buffer.id];
+        assert!(
+            len <= alloc.data.len(),
+            "upload of {len} elements into a buffer of {}",
+            alloc.data.len()
+        );
+        fill(&mut alloc.data[..len]);
+    }
+
     /// Reads a buffer back to the host (`cudaMemcpy` device→host).
     pub fn download(&self, buffer: DeviceBuffer) -> Vec<u32> {
         self.allocations[buffer.id].data.clone()
@@ -579,6 +597,12 @@ mod tests {
         let back = dev.download(buf);
         assert_eq!(&back[..3], &[1, 2, 3]);
         assert_eq!(back.len(), 8);
+        // An in-place fill sees the slot and touches only its prefix.
+        dev.upload_with(buf, 2, |slot| {
+            assert_eq!(slot, &[1, 2]);
+            slot.copy_from_slice(&[7, 8]);
+        });
+        assert_eq!(dev.download_prefix(buf, 4), &[7, 8, 3, 0]);
     }
 
     #[test]

@@ -17,5 +17,5 @@ cargo build --release -p bench --bin solve_taillard
 ./target/release/solve_taillard --smoke --json "$out" >/dev/null
 
 echo "wrote $out:"
-grep -E '"(backend|devices|lookahead|nodes_per_sec)"' "$out" | sed 's/^ */  /'
+grep -E '"(backend|devices|lookahead|pool_size|nodes_per_sec)"' "$out" | sed 's/^ */  /'
 echo "review the figures, then commit $out (reference hardware only — see docs/BENCHMARKING.md)"

@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH_cost_baseline.json}"
 
 cargo build --release -p bench --bin solve_taillard
-# The five standalone smoke rows, the four per-job service rows and the
+# The seven standalone smoke rows, the four per-job service rows and the
 # four per-request cache rows — the same command the cost-gate CI job runs.
 ./target/release/solve_taillard --smoke --service --cache --jobs 4 \
     --emit-cost-baseline "$out" >/dev/null
@@ -30,5 +30,5 @@ trap 'rm -f "$second"' EXIT
 cmp "$out" "$second"
 
 echo "wrote $out (bit-identical across two runs):"
-grep -E '"(backend|devices|lookahead|job)"' "$out" | sed 's/^ */  /'
+grep -E '"(backend|devices|lookahead|job|pool_size)"' "$out" | sed 's/^ */  /'
 echo "commit $out together with the change that moved the counters"

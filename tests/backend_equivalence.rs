@@ -12,7 +12,11 @@
 //!    beats its own serialized cost;
 //! 3. a timeline test — the overlapped stream schedule never reorders
 //!    dependent operations (each chunk's kernel after its upload, each
-//!    download after its kernel, FIFO within a stream).
+//!    download after its kernel, FIFO within a stream);
+//! 4. a property test over batches below one device wave — the pipelined
+//!    backend launches such a batch once and prices it exactly as the
+//!    one-launch `gpu` backend does, and every fleet member launches the
+//!    shard it is dealt once.
 //!
 //! The CI `backend-matrix` job runs this suite once per backend by setting
 //! `BACKEND_FILTER` (e.g. `multicore`, `fleet:4`): the filtered kind is
@@ -20,13 +24,18 @@
 //! regression fails exactly the job named after it. Unset, every kind runs
 //! (the `BackendKind::ALL` set plus 1- and 4-device fleets).
 
-use flowshop_gpu_bnb::bb::{frozen_pool, Batch, FspProblem};
+use flowshop_gpu_bnb::bb::{frozen_pool, Batch, FspNode, FspProblem};
 use flowshop_gpu_bnb::fsp::{taillard, Time};
 use flowshop_gpu_bnb::gpu_bnb::backend::make_backend;
 use flowshop_gpu_bnb::gpu_bnb::{
-    BackendKind, BoundingEngine, DataPlacement, FleetTopology, GpuBnbSolver, GpuSolverConfig,
+    fleet_member_specs, BackendKind, BoundingBackend, BoundingEngine, DataPlacement, FleetBackend,
+    FleetTopology, GpuBnbSolver, GpuSolverConfig,
 };
 use proptest::prelude::*;
+use std::sync::OnceLock;
+
+/// Nodes one Tesla C2050 wave bounds: 14 SMs × 256 threads per block.
+const C2050_WAVE: usize = 14 * 256;
 
 /// The backends this suite checks: `BACKEND_FILTER` (plus the sequential
 /// reference) when set, the full roster otherwise.
@@ -99,6 +108,75 @@ proptest! {
             match &reference {
                 None => reference = Some(batch.bounds),
                 Some(expected) => prop_assert_eq!(&batch.bounds, expected, "{} diverged", kind),
+            }
+        }
+    }
+}
+
+/// A frozen pool longer than one device wave, shared by every case of the
+/// sub-wave test (freezing it is the expensive part).
+fn wave_pool() -> &'static (FspProblem, Vec<FspNode>) {
+    static POOL: OnceLock<(FspProblem, Vec<FspNode>)> = OnceLock::new();
+    POOL.get_or_init(|| {
+        let problem = FspProblem::new(taillard::generate("wave", 14, 8, 2012));
+        let nodes = frozen_pool(&problem, C2050_WAVE + 512).nodes;
+        assert!(nodes.len() >= C2050_WAVE, "the pool must reach one wave");
+        (problem, nodes)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Below one wave a device bounds what it is given in one launch: the
+    /// pipelined backend's whole batch, priced exactly as the one-launch
+    /// `gpu` backend prices it, and each fleet member's whole shard.
+    /// Fast-forward, since only the accounting is under test.
+    #[test]
+    fn sub_wave_batches_are_one_launch_per_device(len in 0usize..C2050_WAVE) {
+        let (problem, pool) = wave_pool();
+        let nodes = &pool[..len];
+        let config = |kind| GpuSolverConfig {
+            fast_forward: true,
+            ..config_for(kind, len.max(1))
+        };
+        let capacity = len.max(1);
+        for kind in gated_kinds() {
+            match kind {
+                BackendKind::GpuPipelined => {
+                    let piped = make_backend(problem, &config(kind), capacity).bound_batch(nodes);
+                    let gpu = make_backend(problem, &config(BackendKind::Gpu), capacity)
+                        .bound_batch(nodes);
+                    prop_assert_eq!(&piped.bounds, &gpu.bounds);
+                    prop_assert_eq!(&piped.launch_times, &gpu.launch_times);
+                    let (a, b) = (piped.accounting, gpu.accounting);
+                    prop_assert_eq!(a.launches, u64::from(len > 0));
+                    prop_assert_eq!(
+                        (a.kernel_time, a.transfer_time, a.device_time),
+                        (b.kernel_time, b.transfer_time, b.device_time)
+                    );
+                    prop_assert_eq!(
+                        (a.upload_bytes, a.download_bytes, a.launches, a.waves, a.device_nodes),
+                        (b.upload_bytes, b.download_bytes, b.launches, b.waves, b.device_nodes)
+                    );
+                }
+                BackendKind::Fleet(topology) => {
+                    let mut fleet = FleetBackend::with_members(
+                        problem,
+                        &config(kind),
+                        capacity,
+                        fleet_member_specs(topology.devices, topology.is_hetero()),
+                        topology.is_pipelined(),
+                        topology.is_stealing(),
+                    );
+                    let batch = fleet.bound_batch(nodes);
+                    let dealt = fleet.device_stats().iter().filter(|m| m.batches > 0);
+                    for member in dealt.clone() {
+                        prop_assert_eq!(member.launches, 1, "{} member {}", kind, member.ordinal);
+                    }
+                    prop_assert_eq!(batch.accounting.launches, dealt.count() as u64, "{}", kind);
+                }
+                _ => {}
             }
         }
     }

@@ -144,12 +144,22 @@ fn request_agrees_with_the_oracle(
         Some(cert.lower_bound),
         cert.is_optimal(),
     );
-    // A truncated job can still close its gap, so the certificate may prove
-    // more than the job's stop reason claims, never less.
+    // One verdict per request: the job that ran and the certificate it
+    // yields agree, also when a limit stopped the job with its gap closed.
     if let Some(job) = &answer.job {
-        assert!(
-            !job.is_optimal() || cert.is_optimal(),
-            "{what}: the job claims an optimum its certificate does not"
+        assert_eq!(
+            job.is_optimal(),
+            cert.is_optimal(),
+            "{what}: the job's verdict differs from its certificate's"
+        );
+        agrees_with_the_oracle(
+            &format!("{what} (job)"),
+            inst,
+            optimum,
+            job.best_makespan,
+            job.best_schedule.as_deref(),
+            Some(job.lower_bound),
+            job.is_optimal(),
         );
     }
 }
