@@ -449,8 +449,9 @@ impl std::error::Error for ConfigError {}
 /// fault injection combined with checkpointing (a checkpointed solve must
 /// replay bit-identically, which an injected failure breaks), fault
 /// injection on a non-fleet backend, a `fail_at` event naming a member the
-/// fleet does not have, zero pool / depth parameters, and a block larger
-/// than a GPU the backend launches on allows.
+/// fleet does not have, a `pool_size`, `block_threads`, `multicore_threads`
+/// or `pipeline_chunk` of zero, and a block larger than a GPU the backend
+/// launches on allows.
 ///
 /// ```
 /// use gpu_bnb::{BackendKind, FleetTopology, GpuSolverConfig};

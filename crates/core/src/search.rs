@@ -10,8 +10,9 @@
 //! leaf it prices.
 //!
 //! The callers keep only what differs between them: the standalone solver
-//! its limits, checkpoint trigger and lookahead speculation; a service job
-//! its budget, deadline, cancellation and incumbent stream.
+//! its checkpoint trigger and lookahead speculation; a service job its
+//! cancellation and incumbent stream. Both stop at the configuration's
+//! `node_limit` and `time_limit`.
 
 use crate::backend::{serial_accesses, BackendBatch};
 use crate::config::GpuSolverConfig;

@@ -9,9 +9,13 @@
 //! Jobs with the same [`InstanceKey`] and [`ReuseKey`] share one backend, so
 //! their batches ride it (and, under [`GpuSolverConfig::lookahead`], its
 //! persistent pipeline sessions) back to back, while each job keeps its own
-//! books.
+//! books. A backend lives from the first admission of its key to the end of
+//! the last job admitted with that key: the round in which no running or
+//! queued job holds the key any more drops it. The service's memory thus
+//! follows its concurrency, and cross-solve overlap happens only among jobs
+//! admitted together.
 //!
-//! Three guarantees, all covered by `tests/service_equivalence.rs`:
+//! Four guarantees, all covered by `tests/service_equivalence.rs`:
 //!
 //! * **Per-job exactness** — without persistent sessions each job's visited
 //!   node set, [`CostReport`] and latency histograms are bit-identical to a
@@ -24,6 +28,10 @@
 //! * **Exhaustive accounting** — the per-job [`CostReport`]s sum exactly to
 //!   the service-wide accounting ([`SolveService::shared_cost`]), so the
 //!   cost gate extends to service-mode runs unchanged.
+//! * **History-free bills** — apart from what the cache answers, a
+//!   request's bill does not depend on what the service solved earlier: a
+//!   job admitted while no other job holds its key starts on a fresh
+//!   backend, so it is billed exactly as on a fresh service.
 //!
 //! See `docs/SERVICE.md` for the lifecycle, scheduling and fairness rules.
 
@@ -330,6 +338,8 @@ struct QueuedJob {
     id: JobId,
     shared: Arc<JobShared>,
     spec: JobSpec,
+    /// Key of the shared backend the job will ride, hashed once at submit.
+    backend_key: BackendKey,
 }
 
 /// A running job: one [`SearchState`] plus the service-level stops, stepped
@@ -432,6 +442,8 @@ type BackendKey = (InstanceKey, ReuseKey);
 struct ServiceState {
     queued: Vec<QueuedJob>,
     running: Vec<JobRun>,
+    /// The shared backends, one per key; after every round only keys a
+    /// running or queued job holds.
     backends: HashMap<BackendKey, Box<dyn BoundingBackend>>,
     /// The absorbed counters of every job that finished after running.
     finished_cost: CostReport,
@@ -629,10 +641,12 @@ impl SolveService {
     pub fn submit(&self, spec: JobSpec) -> JobHandle {
         let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
         let shared = Arc::new(JobShared::new());
+        let backend_key = (InstanceKey::of(&spec.instance), ReuseKey::of(&spec.config));
         self.pending.lock().unwrap().push(QueuedJob {
             id,
             shared: Arc::clone(&shared),
             spec,
+            backend_key,
         });
         JobHandle { id, shared }
     }
@@ -792,7 +806,8 @@ impl SolveService {
     ///    finalized without starting;
     /// 3. steps every running job once — limit and cancel checks, then one
     ///    select → bound → eliminate batch — in priority order
-    ///    (descending, ties by submission order).
+    ///    (descending, ties by submission order);
+    /// 4. drops every backend whose key no running or queued job holds.
     ///
     /// Single batches from several jobs ride the shared backends back to
     /// back, and the fixed round order makes the whole schedule — including
@@ -804,6 +819,9 @@ impl SolveService {
             state.queued.append(&mut self.pending.lock().unwrap());
             self.admit(&mut state, &mut finished);
             if state.running.is_empty() && state.queued.is_empty() {
+                // A queued job cancelled since the last round may have held
+                // a key; now nothing does.
+                Self::release_backends(&mut state);
                 break;
             }
             Self::round(&mut state, &mut finished);
@@ -857,9 +875,13 @@ impl SolveService {
     /// Admits one job: finds (or builds) its shared backend, seeds the
     /// search exactly as the standalone solver does, and marks it running.
     fn start_job(state: &mut ServiceState, queued: QueuedJob) {
-        let QueuedJob { id, shared, spec } = queued;
+        let QueuedJob {
+            id,
+            shared,
+            spec,
+            backend_key,
+        } = queued;
         let problem = FspProblem::new(spec.instance.clone());
-        let backend_key = (InstanceKey::of(&spec.instance), ReuseKey::of(&spec.config));
         state.backends.entry(backend_key).or_insert_with(|| {
             let capacity = spec.config.pool_size + spec.instance.jobs();
             make_backend(&problem, &spec.config, capacity)
@@ -925,6 +947,24 @@ impl SolveService {
             }
         }
         state.running.retain(|r| !r.finished);
+        Self::release_backends(state);
+    }
+
+    /// Drops every backend whose key no running or queued job holds: a
+    /// backend lives from the first admission of its key to the end of the
+    /// last job admitted with it, so the service holds as many backends as
+    /// it has distinct keys in flight, not as many as it ever saw.
+    fn release_backends(state: &mut ServiceState) {
+        let ServiceState {
+            queued,
+            running,
+            backends,
+            ..
+        } = state;
+        backends.retain(|key, _| {
+            running.iter().any(|run| run.backend_key == *key)
+                || queued.iter().any(|job| job.backend_key == *key)
+        });
     }
 }
 
@@ -1063,24 +1103,49 @@ mod tests {
     fn same_spec_jobs_share_one_backend_distinct_specs_do_not() {
         // Backends are keyed by the cache's (InstanceKey, ReuseKey): the
         // limits are not reuse identity, the backend and `use_initial_ub`
-        // are.
-        let service = SolveService::with_defaults();
-        let inst = generate("t", 7, 4, 13);
+        // are. A backend lives while a running or queued job holds its key.
+        let inst = generate("t", 10, 6, 13);
         let cfg = config(BackendKind::Gpu, 16);
         let mut limited = cfg.clone();
         limited.node_limit = Some(50);
         let mut unseeded = cfg.clone();
         unseeded.use_initial_ub = false;
-        let backends_after = |config: GpuSolverConfig| {
+        let live = |service: &SolveService| service.state.lock().unwrap().backends.len();
+
+        let service = SolveService::with_defaults();
+        for config in [
+            cfg.clone(),
+            limited,
+            config(BackendKind::Sequential, 16),
+            unseeded,
+        ] {
             service.submit(JobSpec::new(inst.clone(), config));
-            service.run_until_idle();
-            service.state.lock().unwrap().backends.len()
-        };
-        assert_eq!(backends_after(cfg.clone()), 1);
-        assert_eq!(backends_after(cfg), 1);
-        assert_eq!(backends_after(limited), 1, "a node limit shares");
-        assert_eq!(backends_after(config(BackendKind::Sequential, 16)), 2);
-        assert_eq!(backends_after(unseeded), 3, "use_initial_ub splits");
+        }
+        service.run_rounds(1);
+        assert_eq!(
+            live(&service),
+            3,
+            "a node limit shares; the backend and use_initial_ub split"
+        );
+        service.run_until_idle();
+        assert_eq!(live(&service), 0, "an idle service holds no backend");
+
+        // One slot: the queued twin holds the key while the first job ends.
+        // A cancelled queued job holds it until admission drops it.
+        let service = SolveService::new(ServiceConfig { max_concurrent: 1 });
+        let first = service.submit(JobSpec::new(inst.clone(), cfg.clone()));
+        let twin = service.submit(JobSpec::new(inst.clone(), cfg.clone()));
+        let victim = service.submit(JobSpec::new(inst, cfg));
+        while first.outcome().is_none() {
+            service.run_rounds(1);
+        }
+        assert_eq!(twin.status(), JobStatus::Queued);
+        assert_eq!(live(&service), 1, "the queued twin keeps the backend");
+        victim.cancel();
+        service.run_until_idle();
+        assert_eq!(twin.status(), JobStatus::Done);
+        assert_eq!(victim.status(), JobStatus::Cancelled);
+        assert_eq!(live(&service), 0);
     }
 
     #[test]

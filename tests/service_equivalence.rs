@@ -5,7 +5,7 @@
 //! run their batches back to back on one shared fleet, but a backend call
 //! never carries two jobs' nodes, so — without persistent lookahead
 //! sessions — every job's outcome is **bit-identical** to a standalone
-//! `GpuBnbSolver` run of the same spec. This suite pins that down four ways:
+//! `GpuBnbSolver` run of the same spec. This suite pins that down five ways:
 //!
 //! 1. N concurrent jobs on *distinct* instances, each checked against its
 //!    own standalone solve: makespan, node counters, every cost counter and
@@ -17,7 +17,11 @@
 //!    the fleet; a job cancelled while running stops with a usable anytime
 //!    outcome;
 //! 4. deadline regression — a zero deadline expires on the job's first
-//!    round, again with a full anytime outcome and zero device work.
+//!    round, again with a full anytime outcome and zero device work;
+//! 5. history-free bills — with persistent lookahead sessions, a request
+//!    repeated after the service went idle, or after another request, is
+//!    billed exactly as on a fresh service: the service drops a backend
+//!    once no job holds its key, so no session outlives its jobs.
 //!
 //! Like `backend_equivalence`, the CI `backend-matrix` job runs this suite
 //! once per backend by setting `BACKEND_FILTER`; unset, every kind runs.
@@ -27,8 +31,8 @@ use std::time::Duration;
 use flowshop_gpu_bnb::bb::{frozen_pool, FrozenPool, FspProblem};
 use flowshop_gpu_bnb::fsp::{taillard, Instance};
 use flowshop_gpu_bnb::gpu_bnb::{
-    BackendKind, DataPlacement, FleetTopology, GpuBnbSolver, GpuSolverConfig, JobSpec, JobStatus,
-    JobStopReason, ServiceConfig, SolveService,
+    BackendKind, CachePolicy, DataPlacement, FleetTopology, GpuBnbSolver, GpuSolverConfig, JobSpec,
+    JobStatus, JobStopReason, ServiceConfig, SolveRequest, SolveService,
 };
 
 /// The backends this suite checks: `BACKEND_FILTER` when set, the full
@@ -52,6 +56,20 @@ fn gated_kinds() -> Vec<BackendKind> {
             ));
             kinds
         }
+    }
+}
+
+/// The backends with persistent pipeline sessions under lookahead, where a
+/// kept backend would carry one request's timeline into the next:
+/// `BACKEND_FILTER` when set, `gpu-pipelined` and `fleet:2:hetero:steal`
+/// otherwise.
+fn session_kinds() -> Vec<BackendKind> {
+    match std::env::var("BACKEND_FILTER") {
+        Ok(spec) if !spec.trim().is_empty() => gated_kinds(),
+        _ => vec![
+            BackendKind::GpuPipelined,
+            BackendKind::Fleet(FleetTopology::uniform(2).mixed().stealing()),
+        ],
     }
 }
 
@@ -247,5 +265,48 @@ fn a_zero_deadline_expires_with_a_full_anytime_outcome() {
         assert!(outcome.best_schedule.is_some(), "{kind}");
         assert!(outcome.lower_bound <= outcome.best_makespan, "{kind}");
         assert!(outcome.gap >= 0.0 && outcome.gap <= 1.0, "{kind}");
+    }
+}
+
+#[test]
+fn a_request_is_billed_the_same_whatever_the_service_solved_before() {
+    let a = taillard::generate("svc-a", 8, 8, 7919 + 13);
+    let b = taillard::generate("svc-b", 8, 8, 2 * 7919 + 13);
+    for kind in session_kinds() {
+        let config = GpuSolverConfig {
+            pool_size: 192,
+            lookahead: true,
+            ..config_for(kind)
+        };
+        let request = |inst: &Instance| {
+            SolveRequest::new(inst.clone(), config.clone()).with_cache(CachePolicy::Disabled)
+        };
+        let fresh = |inst: &Instance| {
+            SolveService::with_defaults()
+                .request(request(inst))
+                .request_cost
+        };
+        let (fresh_a, fresh_b) = (fresh(&a), fresh(&b));
+
+        // The same request again, once the service went idle.
+        let service = SolveService::with_defaults();
+        let first = service.request(request(&a)).request_cost;
+        assert!(service.is_idle(), "{kind}");
+        let repeat = service.request(request(&a)).request_cost;
+        assert_eq!(first, fresh_a, "{kind}");
+        assert_eq!(
+            repeat, first,
+            "{kind}: the repeat rode the first request's pipeline session"
+        );
+
+        // Interleaved releases: A, then B, then A again.
+        let service = SolveService::with_defaults();
+        for (name, inst, expected) in [("A", &a, fresh_a), ("B", &b, fresh_b), ("A", &a, fresh_a)] {
+            assert_eq!(
+                service.request(request(inst)).request_cost,
+                expected,
+                "{kind}: request {name} billed other than on a fresh service"
+            );
+        }
     }
 }
