@@ -36,9 +36,9 @@ use bb::{frozen_pool, FrozenPool, FspProblem, SerialSolver, SolverConfig};
 use fsp::taillard;
 use gpu_bnb::cost::{CostTable, COST_COUNTERS};
 use gpu_bnb::{
-    BackendKind, BoundingEngine, CacheDisposition, CostReport, DataPlacement, FailureEvent,
-    FailurePlan, FleetMemberSpec, FleetTopology, GpuBnbSolver, GpuSolverConfig, JobSpec,
-    ServiceConfig, SolveLatencies, SolveRequest, SolveService,
+    BackendKind, BoundingEngine, CacheDisposition, CostReport, DataPlacement, FleetTopology,
+    GpuBnbSolver, GpuSolverConfig, JobSpec, ServiceConfig, SolveLatencies, SolveRequest,
+    SolveService,
 };
 use gpu_sim::DeviceSpec;
 use std::fmt::Write as _;
@@ -343,10 +343,6 @@ struct Options {
     service_jobs: usize,
     /// Seed each service job's incumbent from NEH at submission.
     warm_start: bool,
-    /// Seed a deterministic fleet failure plan (fleet backends only).
-    fail_seed: Option<u64>,
-    /// Explicit fleet failure events as `(batch, member)` pairs.
-    fail_at: Vec<(u64, usize)>,
     /// Pause after this many batches and write a resumable checkpoint to
     /// the path.
     checkpoint: Option<(u64, String)>,
@@ -392,8 +388,6 @@ impl Default for Options {
             service: false,
             service_jobs: 4,
             warm_start: false,
-            fail_seed: None,
-            fail_at: Vec::new(),
             checkpoint: None,
             resume: None,
             cache: false,
@@ -550,29 +544,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("{e}"))?
             }
-            "--fail-seed" => {
-                opts.fail_seed = Some(
-                    value(args, &mut i, flag)?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                )
-            }
-            "--fail-at" => {
-                let events: Result<Vec<(u64, usize)>, String> = value(args, &mut i, flag)?
-                    .split(',')
-                    .map(|pair| {
-                        let pair = pair.trim();
-                        let (batch, member) = pair
-                            .split_once(':')
-                            .ok_or_else(|| format!("--fail-at event `{pair}` is not B:M"))?;
-                        Ok((
-                            batch.parse().map_err(|e| format!("{e}"))?,
-                            member.parse().map_err(|e| format!("{e}"))?,
-                        ))
-                    })
-                    .collect();
-                opts.fail_at = events?;
-            }
             "--checkpoint" => {
                 let spec = value(args, &mut i, flag)?;
                 let (batches, path) = spec
@@ -616,9 +587,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                      \x20         --lookahead (cross-iteration pipelining)  --pipeline-chunk C\n\
                      \x20         --autotune (sweep pool size, then chunk size where the backend reads it)\n\
                      \x20         --pool-size P  --node-limit N  --frozen K  --reps R\n\
-                     fault:    --fail-seed S (seeded deterministic fleet member failures)\n\
-                     \x20         --fail-at B:M[,B:M...] (explicit failure events: member M\n\
-                     \x20         dies at batch B; fleet backends only)\n\
                      resume:   --checkpoint BATCHES:PATH (pause after BATCHES batches and\n\
                      \x20         write a resumable checkpoint to PATH)\n\
                      \x20         --resume PATH (continue a solve from a checkpoint file)\n\
@@ -701,33 +669,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
         }
     }
-    let fault_flags = opts.fail_seed.is_some() || !opts.fail_at.is_empty();
-    if fault_flags {
-        if opts.smoke || opts.service || opts.cache {
-            return Err("--fail-seed/--fail-at cannot be combined with --smoke, \
-                        --service or --cache (the gate's baselines are recorded failure-free)"
-                .into());
-        }
-        let members = match opts.mode {
-            Mode::Backend(kind @ BackendKind::Fleet { .. })
-            | Mode::BackendFast(kind @ BackendKind::Fleet { .. }) => kind.devices(),
-            _ => {
-                return Err("--fail-seed/--fail-at require a fleet backend \
-                            (--backend fleet[:N] or --devices N)"
-                    .into())
-            }
-        };
-        if !opts.fail_at.is_empty() {
-            let events = opts
-                .fail_at
-                .iter()
-                .map(|&(batch, member)| FailureEvent { batch, member })
-                .collect();
-            FailurePlan::from_events(events)
-                .check_fits(members)
-                .map_err(|msg| format!("--fail-at: {msg}"))?;
-        }
-    }
     if opts.checkpoint.is_some() || opts.resume.is_some() {
         if opts.smoke || opts.service || opts.autotune || opts.cache {
             return Err("--checkpoint/--resume cannot be combined with --smoke, \
@@ -745,14 +686,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                         solve is not a throughput sample to take best-of)"
                     .into(),
             );
-        }
-        if fault_flags {
-            // A fresh backend restarts the failure-plan batch clock, so the
-            // recovery counters of a resumed solve are not comparable to an
-            // uninterrupted one (see docs/BENCHMARKING.md).
-            return Err("--fail-seed/--fail-at cannot be combined with \
-                        --checkpoint/--resume"
-                .into());
         }
     }
     if opts.resume.is_some() && opts.frozen.is_some() {
@@ -878,21 +811,18 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 /// serial mode get the C2050's limit, so one pool size means the same on
 /// every backend.
 fn check_pool_fits(opts: &Options, jobs: usize, machines: usize) -> Result<(), String> {
-    let members = match opts.mode {
-        Mode::Backend(BackendKind::Fleet(topology))
-        | Mode::BackendFast(BackendKind::Fleet(topology)) => {
-            gpu_bnb::fleet_member_specs(topology.devices, topology.is_hetero())
-        }
-        _ => vec![FleetMemberSpec::Gpu(DeviceSpec::tesla_c2050())],
+    let mut devices = match opts.mode {
+        Mode::Backend(kind) | Mode::BackendFast(kind) => kind.launch_devices(),
+        Mode::Serial => Vec::new(),
     };
+    if devices.is_empty() {
+        devices.push(DeviceSpec::tesla_c2050());
+    }
     let bytes = opts
         .pool_size
         .checked_add(jobs)
         .and_then(|capacity| BoundingEngine::device_bytes(jobs, machines, capacity));
-    for member in members {
-        let FleetMemberSpec::Gpu(spec) = member else {
-            continue;
-        };
+    for spec in devices {
         if bytes.is_none_or(|bytes| bytes > spec.global_memory_bytes) {
             let needed = bytes.map_or("more than usize::MAX".into(), |b| b.to_string());
             return Err(format!(
@@ -961,8 +891,6 @@ fn run_once(
                     backend: kind,
                     lookahead,
                     pipeline_chunk: opts.pipeline_chunk,
-                    fail_seed: opts.fail_seed,
-                    fail_at: opts.fail_at.clone(),
                     checkpoint_after: opts.checkpoint.as_ref().map(|(batches, _)| *batches),
                     ..Default::default()
                 },
@@ -2119,27 +2047,5 @@ mod tests {
             .expect("rejected");
         assert!(err.contains("--pipeline-chunk must be at least 1"), "{err}");
         assert!(parse(&format!("{flags} --pipeline-chunk 1")).is_ok());
-    }
-
-    #[test]
-    fn fail_at_naming_a_member_outside_the_fleet_is_rejected() {
-        let err = parse("--fail-at 0:5 --backend fleet:2")
-            .err()
-            .expect("rejected");
-        assert!(err.contains("kills member 5 of a 2-member fleet"), "{err}");
-        assert!(parse("--fail-at 0:1 --backend fleet:2").is_ok());
-        // Tuning keeps the fleet's size, so the events still name members
-        // the tuned run has.
-        assert!(parse("--fail-at 0:3 --backend fleet:4 --autotune").is_ok());
-    }
-
-    #[test]
-    fn fail_at_killing_every_member_is_rejected() {
-        let err = parse("--fail-at 0:0,0:1 --backend fleet:2")
-            .err()
-            .expect("rejected");
-        assert!(err.contains("at least one fleet member alive"), "{err}");
-        // Two deaths of one member are one death.
-        assert!(parse("--fail-at 0:1,3:1 --backend fleet:2").is_ok());
     }
 }

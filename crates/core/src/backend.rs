@@ -67,15 +67,6 @@ pub struct BackendAccounting {
     /// critical path and the slowest member's (the merge-barrier wait).
     /// Zero off the fleet backend; feeds the per-member utilization story.
     pub idle_time: Duration,
-    /// Fleet member deaths fired this batch from the deterministic failure
-    /// plan (zero off the fleet backend and in failure-free runs).
-    pub failures: u64,
-    /// Nodes the recovery planner re-dealt from dead members to survivors
-    /// this batch (zero in failure-free runs).
-    pub redealt_nodes: u64,
-    /// Modelled critical path of absorbing the re-dealt shards on the
-    /// survivors (the recovery overlay; zero in failure-free runs).
-    pub recovery_time: Duration,
 }
 
 /// Result of bounding one batch through a [`BoundingBackend`].
@@ -257,9 +248,6 @@ impl BoundingBackend for SequentialBackend {
                 steals: 0,
                 stolen_nodes: 0,
                 idle_time: Duration::ZERO,
-                failures: 0,
-                redealt_nodes: 0,
-                recovery_time: Duration::ZERO,
             },
             launch_times: if batch.is_empty() {
                 Vec::new()
@@ -343,9 +331,6 @@ impl BoundingBackend for MulticoreBackend {
                 steals: 0,
                 stolen_nodes: 0,
                 idle_time: Duration::ZERO,
-                failures: 0,
-                redealt_nodes: 0,
-                recovery_time: Duration::ZERO,
             },
             launch_times: if batch.is_empty() {
                 Vec::new()
@@ -419,9 +404,6 @@ impl BoundingBackend for GpuBackend {
                 steals: 0,
                 stolen_nodes: 0,
                 idle_time: Duration::ZERO,
-                failures: 0,
-                redealt_nodes: 0,
-                recovery_time: Duration::ZERO,
             },
             launch_times: if batch.is_empty() {
                 Vec::new()
@@ -553,9 +535,6 @@ impl BoundingBackend for PipelinedGpuBackend {
                 steals: 0,
                 stolen_nodes: 0,
                 idle_time: Duration::ZERO,
-                failures: 0,
-                redealt_nodes: 0,
-                recovery_time: Duration::ZERO,
             },
             launch_times: result.launch_times,
         }
@@ -580,13 +559,8 @@ pub fn make_backend(
         }
         BackendKind::Gpu => Box::new(GpuBackend::new(problem, config, capacity)),
         BackendKind::GpuPipelined => Box::new(PipelinedGpuBackend::new(problem, config, capacity)),
-        BackendKind::Fleet(topology) => Box::new(crate::fleet::FleetBackend::with_members(
-            problem,
-            config,
-            capacity,
-            crate::fleet::fleet_member_specs(topology.devices, topology.is_hetero()),
-            topology.is_pipelined(),
-            topology.is_stealing(),
+        BackendKind::Fleet(topology) => Box::new(crate::fleet::FleetBackend::new(
+            problem, config, capacity, topology,
         )),
     }
 }

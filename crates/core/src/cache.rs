@@ -7,8 +7,8 @@
 //! solve-relevant configuration knobs. Repeating a workload therefore hits
 //! the cache even if the instance was re-generated, re-labelled or re-read
 //! from disk — and changing an **observability-only** knob (today:
-//! [`GpuSolverConfig::checkpoint_after`], which PR 9's fault suite proved
-//! certificate-invisible) does *not* miss.
+//! [`GpuSolverConfig::checkpoint_after`], which the checkpoint suite
+//! proves certificate-invisible) does *not* miss.
 //!
 //! Three access paths, all driven by `SolveService::request`
 //! (see `docs/CACHING.md`):
@@ -71,7 +71,7 @@ enum KeyScope {
 /// This is the normalization contract of the cache: a field is hashed here
 /// iff changing it can change the certificate or any cost counter of a
 /// fresh solve. `checkpoint_after` is deliberately absent — it only adds a
-/// checkpoint artifact to the outcome; `tests/fault_equivalence.rs` proves
+/// checkpoint artifact to the outcome; `tests/checkpoint_equivalence.rs` proves
 /// the certificate (makespan, bound, gap, summed cost) is identical with
 /// and without it. The regression test
 /// `config_key_separates_identity_bearing_fields_only` enumerates both
@@ -95,11 +95,6 @@ fn hash_config(config: &GpuSolverConfig, scope: KeyScope, h: &mut DefaultHasher)
     config.multicore_threads.hash(h);
     config.pipeline_chunk.hash(h);
     config.lookahead.hash(h);
-    // Failure plans are backend state (deaths are keyed to the shared
-    // backend's batch ordinals), so jobs with different plans never share
-    // an engine.
-    config.fail_seed.hash(h);
-    config.fail_at.hash(h);
 }
 
 /// Exact-hit configuration identity: two configs with equal `ConfigKey`s
@@ -393,7 +388,7 @@ mod tests {
         let reuse = ReuseKey::of(&base);
 
         // Observability-only: checkpointing is certificate-invisible
-        // (proven by tests/fault_equivalence.rs), so it must not miss.
+        // (proven by tests/checkpoint_equivalence.rs), so it must not miss.
         let observed = GpuSolverConfig {
             checkpoint_after: Some(3),
             ..base.clone()
@@ -460,14 +455,6 @@ mod tests {
             },
             GpuSolverConfig {
                 lookahead: !base.lookahead,
-                ..base.clone()
-            },
-            GpuSolverConfig {
-                fail_seed: Some(7),
-                ..base.clone()
-            },
-            GpuSolverConfig {
-                fail_at: vec![(2, 0)],
                 ..base.clone()
             },
         ];

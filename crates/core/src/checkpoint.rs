@@ -1,238 +1,25 @@
-//! Deterministic fault injection and solve checkpointing.
+//! Solve checkpoints: the solver's complete resumable state at a batch
+//! boundary.
 //!
-//! The source paper targets a *cluster* of GPU-accelerated hosts, where a
-//! member disappearing mid-solve is the normal case, not the exception.
-//! This module supplies the two substrates that story needs:
-//!
-//! **Failure plans** ([`FailurePlan`]): a schedule of member-death events
-//! keyed by the fleet's batch ordinal — either spelled out explicitly
-//! ([`GpuSolverConfig::fail_at`]) or derived as a pure function of a seed
-//! ([`FailurePlan::seeded`], [`GpuSolverConfig::fail_seed`]) so every run
-//! is reproducible. The [`crate::fleet::FleetBackend`] fires the events at
-//! batch boundaries: a dead member is retired from the roster, and every
-//! shard the failure-free plan would have delivered to it is re-dealt over
-//! the survivors by [`redeal_plan`] — the same
-//! [`plan_shards_weighted`]/[`steal_pass`] machinery that cut the original
-//! deal. Because a node's bound depends only on the node, *who* bounds a
-//! shard cannot change a single bit of the search: the visited node set,
-//! the incumbent trajectory and all non-recovery cost counters stay exactly
-//! equal to the failure-free run, while the recovery itself is observable
-//! through three dedicated [`CostReport`] counters (`fleet_failures`,
-//! `fleet_redealt_nodes`, `fleet_recovery_nanos`) under the same
-//! exact-equality cost gate as everything else.
-//!
-//! **Checkpoints** ([`SolveCheckpoint`]): the solver's complete resumable
-//! state at a batch boundary — pool frontier (in deterministic drain
-//! order), incumbent, proven bound and accumulated [`CostReport`] — with a
-//! hand-rolled JSON round-trip ([`SolveCheckpoint::to_json`] /
-//! [`SolveCheckpoint::from_json`], schema [`CHECKPOINT_SCHEMA_VERSION`]).
-//! Re-pushing the frontier in drain order reproduces the pool's exact pop
-//! order (best-first on bound, ties deeper-first then insertion order), so
-//! a resumed solve ([`crate::solver::GpuBnbSolver::resume`],
+//! A [`SolveCheckpoint`] holds the pool frontier (in deterministic drain
+//! order), the incumbent, the proven bound and the accumulated
+//! [`CostReport`], with a hand-rolled JSON round-trip
+//! ([`SolveCheckpoint::to_json`] / [`SolveCheckpoint::from_json`], schema
+//! [`CHECKPOINT_SCHEMA_VERSION`]). Re-pushing the frontier in drain order
+//! reproduces the pool's exact pop order (best-first on bound, ties
+//! deeper-first then insertion order), so a resumed solve
+//! ([`crate::solver::GpuBnbSolver::resume`],
 //! [`crate::service::JobSpec::resume_from`]) continues the identical
 //! exploration and ends with the same certificate — makespan, proven bound
 //! and summed cost — as an uninterrupted run.
 
-use crate::config::GpuSolverConfig;
 use crate::cost::{CostReport, COST_COUNTERS};
-use crate::fleet::{plan_shards_weighted, steal_pass, FleetShard, MemberModel};
 use bb::problem::NodeBound;
 use bb::{FspNode, FspProblem};
 use fsp::{Job, JohnsonLowerBound, Time};
 
 /// Schema tag of the checkpoint JSON document.
 pub const CHECKPOINT_SCHEMA_VERSION: &str = "flowshop-bnb-checkpoint/v1";
-
-/// One scheduled member death: `member` dies at the start of fleet batch
-/// `batch` (0-based ordinal of non-empty `bound_batch` calls).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FailureEvent {
-    /// Fleet batch ordinal at whose start the member dies.
-    pub batch: u64,
-    /// Ordinal of the member that dies.
-    pub member: usize,
-}
-
-/// A deterministic schedule of fleet member deaths: a pure function of its
-/// inputs (explicit events or a seed), so runs with the same plan are
-/// bit-for-bit reproducible. Events are kept sorted by `(batch, member)`
-/// with at most one death per member (the earliest wins).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FailurePlan {
-    events: Vec<FailureEvent>,
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Batch ordinals the seeded plan draws deaths from: failures land early in
-/// the solve (ordinals `0..16`), where the pool is still shallow and a
-/// recovery bug would bite hardest.
-const SEEDED_BATCH_RANGE: u64 = 16;
-
-impl FailurePlan {
-    /// Builds a plan from explicit events. Duplicate deaths of the same
-    /// member collapse to the earliest one; the result is sorted by
-    /// `(batch, member)`.
-    pub fn from_events(events: Vec<FailureEvent>) -> Self {
-        let mut sorted = events;
-        sorted.sort_unstable_by_key(|e| (e.batch, e.member));
-        let mut dedup: Vec<FailureEvent> = Vec::with_capacity(sorted.len());
-        for event in sorted {
-            if !dedup.iter().any(|e| e.member == event.member) {
-                dedup.push(event);
-            }
-        }
-        Self { events: dedup }
-    }
-
-    /// Derives a plan purely from `seed` for a fleet of `members`: kills
-    /// `members / 2` distinct members (so at least one always survives; a
-    /// one-member fleet gets an empty plan) at seed-chosen batch ordinals in
-    /// `0..16`. The same `(seed, members)` pair always yields the same plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `members` is zero.
-    pub fn seeded(seed: u64, members: usize) -> Self {
-        assert!(members > 0, "a failure plan needs a non-empty fleet");
-        let deaths = members / 2;
-        // Fold in a constant so seed 0 still walks a non-trivial sequence.
-        let mut state = seed ^ 0x5EED_FA17_D1ED_0DD5;
-        let mut dead = vec![false; members];
-        let mut events = Vec::with_capacity(deaths);
-        while events.len() < deaths {
-            let member = (splitmix64(&mut state) % members as u64) as usize;
-            if dead[member] {
-                continue;
-            }
-            dead[member] = true;
-            let batch = splitmix64(&mut state) % SEEDED_BATCH_RANGE;
-            events.push(FailureEvent { batch, member });
-        }
-        Self::from_events(events)
-    }
-
-    /// The plan a fleet of `members` derives from its configuration:
-    /// explicit [`GpuSolverConfig::fail_at`] events take precedence over
-    /// [`GpuSolverConfig::fail_seed`]; with neither set the plan is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an explicit event names a member ordinal `>= members`, or
-    /// if the plan would leave no member alive.
-    pub fn from_config(config: &GpuSolverConfig, members: usize) -> Self {
-        let plan = if !config.fail_at.is_empty() {
-            Self::from_events(
-                config
-                    .fail_at
-                    .iter()
-                    .map(|&(batch, member)| FailureEvent { batch, member })
-                    .collect(),
-            )
-        } else if let Some(seed) = config.fail_seed {
-            Self::seeded(seed, members)
-        } else {
-            Self::default()
-        };
-        plan.assert_fits(members);
-        plan
-    }
-
-    /// Checks the plan against a fleet of `members`: an error names an
-    /// event's member ordinal `>= members`, or a plan that kills every
-    /// member (recovery needs at least one survivor).
-    pub fn check_fits(&self, members: usize) -> Result<(), String> {
-        if let Some(event) = self.events.iter().find(|e| e.member >= members) {
-            return Err(format!(
-                "failure plan kills member {} of a {members}-member fleet",
-                event.member
-            ));
-        }
-        if !self.events.is_empty() && self.events.len() >= members {
-            return Err("failure plan must leave at least one fleet member alive".into());
-        }
-        Ok(())
-    }
-
-    /// Validates the plan against a fleet of `members`.
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`Self::check_fits`] returns an error.
-    pub fn assert_fits(&self, members: usize) {
-        if let Err(msg) = self.check_fits(members) {
-            panic!("{msg}");
-        }
-    }
-
-    /// The scheduled deaths, sorted by `(batch, member)`, one per member.
-    pub fn events(&self) -> &[FailureEvent] {
-        &self.events
-    }
-
-    /// `true` when the plan schedules no deaths.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-/// Re-deals `dead_nodes` nodes (the combined shard a dead member would have
-/// received) over the surviving members: the survivors' launch-quantized
-/// models drive the same weighted deal as the original plan
-/// ([`plan_shards_weighted`] at the batch's chunk granularity, rebalanced by
-/// [`steal_pass`] when `stealing`), and the resulting shards are remapped
-/// from survivor positions back to fleet ordinals. The result partitions
-/// `0..dead_nodes` (indices into the dead member's shard, in input order),
-/// assigns work only to `survivors`, and is a pure function of its inputs.
-///
-/// `survivors` lists the alive fleet ordinals in ascending order; `models`
-/// is indexed by fleet ordinal (dead members' entries are ignored).
-///
-/// # Panics
-///
-/// Panics if `survivors` is empty, names an ordinal outside `models`, or a
-/// survivor's model weight is non-finite or non-positive.
-pub fn redeal_plan(
-    dead_nodes: usize,
-    survivors: &[usize],
-    models: &[MemberModel],
-    chunk: usize,
-    stealing: bool,
-) -> Vec<FleetShard> {
-    assert!(
-        !survivors.is_empty(),
-        "recovery needs at least one surviving member"
-    );
-    let survivor_models: Vec<MemberModel> = survivors.iter().map(|&o| models[o]).collect();
-    let weights: Vec<f64> = survivor_models.iter().map(|m| m.weight).collect();
-    let mut shards = plan_shards_weighted(dead_nodes, &weights, chunk);
-    if stealing {
-        steal_pass(&mut shards, &survivor_models);
-    }
-    // Remap survivor positions back to fleet ordinals (ascending, so the
-    // shard order stays ordinal order).
-    for shard in &mut shards {
-        shard.device = survivors[shard.device];
-    }
-    shards
-}
-
-/// Modelled critical path of a recovery plan: the slowest survivor's
-/// completion time over its re-dealt shard (`models` indexed by fleet
-/// ordinal). This is what [`crate::fleet::FleetBackend`] charges to the
-/// `fleet_recovery_nanos` counter.
-pub fn recovery_critical_seconds(shards: &[FleetShard], models: &[MemberModel]) -> f64 {
-    shards
-        .iter()
-        .map(|s| models[s.device].completion_seconds(s.nodes()))
-        .fold(0.0, f64::max)
-}
 
 /// A solve frozen at a batch boundary: everything
 /// [`crate::solver::GpuBnbSolver::resume`] needs to continue the identical
@@ -652,147 +439,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::member_models;
-    use crate::fleet::{effective_chunk, fleet_member_specs};
     use fsp::taillard::generate;
-
-    fn models(devices: usize, hetero: bool) -> Vec<MemberModel> {
-        member_models(
-            &fleet_member_specs(devices, hetero),
-            &GpuSolverConfig::default(),
-            12,
-            6,
-        )
-    }
-
-    #[test]
-    fn seeded_plans_are_reproducible_and_leave_survivors() {
-        for members in 1..=6 {
-            for seed in 0..8u64 {
-                let a = FailurePlan::seeded(seed, members);
-                let b = FailurePlan::seeded(seed, members);
-                assert_eq!(a, b);
-                assert_eq!(a.events().len(), members / 2);
-                a.assert_fits(members);
-                let mut dead: Vec<usize> = a.events().iter().map(|e| e.member).collect();
-                dead.sort_unstable();
-                dead.dedup();
-                assert_eq!(dead.len(), a.events().len(), "distinct members die");
-                assert!(a.events().iter().all(|e| e.batch < SEEDED_BATCH_RANGE));
-            }
-        }
-    }
-
-    #[test]
-    fn explicit_events_dedup_to_the_earliest_per_member() {
-        let plan = FailurePlan::from_events(vec![
-            FailureEvent {
-                batch: 5,
-                member: 1,
-            },
-            FailureEvent {
-                batch: 2,
-                member: 1,
-            },
-            FailureEvent {
-                batch: 3,
-                member: 0,
-            },
-        ]);
-        assert_eq!(
-            plan.events(),
-            &[
-                FailureEvent {
-                    batch: 2,
-                    member: 1
-                },
-                FailureEvent {
-                    batch: 3,
-                    member: 0
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn config_plans_prefer_explicit_events_over_the_seed() {
-        let config = GpuSolverConfig {
-            fail_seed: Some(7),
-            fail_at: vec![(4, 2)],
-            ..Default::default()
-        };
-        let plan = FailurePlan::from_config(&config, 4);
-        assert_eq!(
-            plan.events(),
-            &[FailureEvent {
-                batch: 4,
-                member: 2
-            }]
-        );
-        assert!(FailurePlan::from_config(&GpuSolverConfig::default(), 4).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one fleet member alive")]
-    fn plans_that_kill_everyone_are_rejected() {
-        let config = GpuSolverConfig {
-            fail_at: vec![(0, 0), (1, 1)],
-            ..Default::default()
-        };
-        let _ = FailurePlan::from_config(&config, 2);
-    }
-
-    #[test]
-    fn redeal_partitions_the_dead_shard_over_survivors_only() {
-        let models = models(4, true);
-        for dead_nodes in [1usize, 7, 64, 129, 500] {
-            for stealing in [false, true] {
-                let survivors = [0usize, 2, 3];
-                let shards = redeal_plan(dead_nodes, &survivors, &models, 32, stealing);
-                // Partition of 0..dead_nodes, survivors only.
-                let mut seen = vec![false; dead_nodes];
-                for shard in &shards {
-                    assert!(survivors.contains(&shard.device), "{shard:?}");
-                    for &(start, len) in &shard.ranges {
-                        for covered in &mut seen[start..start + len] {
-                            assert!(!*covered, "index covered twice");
-                            *covered = true;
-                        }
-                    }
-                }
-                assert!(seen.iter().all(|&c| c), "every index covered");
-            }
-        }
-    }
-
-    #[test]
-    fn redeal_is_wave_aligned_before_stealing() {
-        let models = models(4, false);
-        let survivors = [1usize, 3];
-        for dead_nodes in [64usize, 100, 257] {
-            let chunk = 32;
-            let eff = effective_chunk(dead_nodes, survivors.len(), chunk);
-            let shards = redeal_plan(dead_nodes, &survivors, &models, chunk, false);
-            let ragged = shards
-                .iter()
-                .flat_map(|s| s.ranges.iter())
-                .filter(|(_, len)| len % eff != 0)
-                .count();
-            assert!(ragged <= 1, "at most the tail chunk may be sub-wave");
-        }
-    }
-
-    #[test]
-    fn recovery_critical_path_is_the_slowest_survivor() {
-        let models = models(4, true);
-        let shards = redeal_plan(300, &[0, 1], &models, 32, false);
-        let expected = shards
-            .iter()
-            .map(|s| models[s.device].completion_seconds(s.nodes()))
-            .fold(0.0, f64::max);
-        assert_eq!(recovery_critical_seconds(&shards, &models), expected);
-        assert!(expected > 0.0);
-    }
 
     #[test]
     fn checkpoint_json_round_trips_exactly() {

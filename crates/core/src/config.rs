@@ -1,6 +1,6 @@
 //! Configuration of the GPU-accelerated solver.
 
-use crate::fleet::{fleet_member_specs, FleetMemberSpec};
+use crate::fleet::fleet_member_specs;
 use crate::placement::DataPlacement;
 use gpu_sim::DeviceSpec;
 use std::time::Duration;
@@ -254,6 +254,19 @@ impl BackendKind {
             _ => 1,
         }
     }
+
+    /// The simulated GPUs this backend launches its kernel on: the Tesla
+    /// C2050 of a single-device backend, every member of a fleet, none for
+    /// the host backends.
+    pub fn launch_devices(self) -> Vec<DeviceSpec> {
+        match self {
+            BackendKind::Sequential | BackendKind::Multicore => Vec::new(),
+            BackendKind::Gpu | BackendKind::GpuPipelined => vec![DeviceSpec::tesla_c2050()],
+            BackendKind::Fleet(topology) => {
+                fleet_member_specs(topology.devices, topology.is_hetero())
+            }
+        }
+    }
 }
 
 impl std::str::FromStr for BackendKind {
@@ -289,9 +302,9 @@ impl std::fmt::Display for BackendKind {
 ///
 /// Struct-literal construction (with `..Default::default()`) keeps working;
 /// the validated path is [`GpuSolverConfig::builder`], which rejects
-/// inconsistent combinations (fault injection plus checkpointing, a zero
-/// pipeline chunk, a failure naming a missing fleet member) at build time
-/// instead of deep inside a solve.
+/// inconsistent combinations (a zero pool or pipeline chunk, a fleet
+/// without devices, a block larger than a launch device allows) at build
+/// time instead of deep inside a solve.
 #[derive(Debug, Clone)]
 pub struct GpuSolverConfig {
     /// Number of sub-problems off-loaded to the device per bounding
@@ -347,20 +360,8 @@ pub struct GpuSolverConfig {
     /// the visited node set provably matches the strict loop (constant
     /// incumbent).
     pub lookahead: bool,
-    /// Seed of the deterministic fleet failure plan
-    /// ([`crate::fault::FailurePlan::seeded`]): `Some(seed)` kills
-    /// `devices / 2` distinct fleet members at seed-derived batch ordinals.
-    /// `None` (the default) injects no failures. Only meaningful for the
-    /// [`BackendKind::Fleet`] backends; ignored when
-    /// [`GpuSolverConfig::fail_at`] lists explicit events.
-    pub fail_seed: Option<u64>,
-    /// Explicit fleet member-death events as `(batch, member)` pairs: the
-    /// member dies at the start of that batch ordinal (0-based, counted per
-    /// fleet `bound_batch` call). Takes precedence over
-    /// [`GpuSolverConfig::fail_seed`]. Empty (the default) injects nothing.
-    pub fail_at: Vec<(u64, usize)>,
     /// Stop the solve at the first batch boundary after this many bounded
-    /// batches and return a [`crate::fault::SolveCheckpoint`] in the
+    /// batches and return a [`crate::checkpoint::SolveCheckpoint`] in the
     /// outcome ([`crate::solver::GpuSolveOutcome::checkpoint`]). `None`
     /// (the default) runs to the configured limits.
     pub checkpoint_after: Option<u64>,
@@ -381,8 +382,6 @@ impl Default for GpuSolverConfig {
             multicore_threads: 4,
             pipeline_chunk: None,
             lookahead: false,
-            fail_seed: None,
-            fail_at: Vec::new(),
             checkpoint_after: None,
         }
     }
@@ -446,12 +445,9 @@ impl std::error::Error for ConfigError {}
 /// keeps struct-literal construction working while giving callers a checked
 /// path: every setter is chainable, and [`SolverConfigBuilder::build`]
 /// rejects combinations the solver would otherwise only trip over mid-run —
-/// fault injection combined with checkpointing (a checkpointed solve must
-/// replay bit-identically, which an injected failure breaks), fault
-/// injection on a non-fleet backend, a `fail_at` event naming a member the
-/// fleet does not have, a `pool_size`, `block_threads`, `multicore_threads`
-/// or `pipeline_chunk` of zero, and a block larger than a GPU the backend
-/// launches on allows.
+/// a `pool_size`, `block_threads`, `multicore_threads` or `pipeline_chunk`
+/// of zero, a fleet of zero devices, and a block larger than a GPU the
+/// backend launches on allows.
 ///
 /// ```
 /// use gpu_bnb::{BackendKind, FleetTopology, GpuSolverConfig};
@@ -465,12 +461,10 @@ impl std::error::Error for ConfigError {}
 /// assert_eq!(config.backend.devices(), 2);
 ///
 /// let err = GpuSolverConfig::builder()
-///     .backend(BackendKind::Fleet(FleetTopology::uniform(2)))
-///     .fail_seed(Some(7))
-///     .checkpoint_after(Some(3))
+///     .backend(BackendKind::Fleet(FleetTopology::uniform(0)))
 ///     .build()
 ///     .unwrap_err();
-/// assert!(err.to_string().contains("checkpoint"));
+/// assert!(err.to_string().contains("at least one device"));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SolverConfigBuilder {
@@ -537,14 +531,6 @@ impl SolverConfigBuilder {
         lookahead: bool
     );
     builder_setter!(
-        /// Sets [`GpuSolverConfig::fail_seed`].
-        fail_seed: Option<u64>
-    );
-    builder_setter!(
-        /// Sets [`GpuSolverConfig::fail_at`].
-        fail_at: Vec<(u64, usize)>
-    );
-    builder_setter!(
         /// Sets [`GpuSolverConfig::checkpoint_after`].
         checkpoint_after: Option<u64>
     );
@@ -559,22 +545,18 @@ impl SolverConfigBuilder {
         if config.block_threads == 0 {
             return Err(ConfigError("block_threads must be at least 1".into()));
         }
+        if config.backend.devices() == 0 {
+            return Err(ConfigError("a fleet needs at least one device".into()));
+        }
         if config.multicore_threads == 0 {
             return Err(ConfigError("multicore_threads must be at least 1".into()));
         }
         if config.pipeline_chunk == Some(0) {
             return Err(ConfigError("pipeline_chunk must be at least 1".into()));
         }
-        let injects_faults = config.fail_seed.is_some() || !config.fail_at.is_empty();
-        if injects_faults && config.checkpoint_after.is_some() {
-            return Err(ConfigError(
-                "fault injection (fail_seed / fail_at) cannot be combined with \
-                 checkpoint_after: a checkpointed solve must replay bit-identically, \
-                 which an injected member failure breaks"
-                    .into(),
-            ));
-        }
-        if let Some(gpu) = launch_devices(config.backend)
+        if let Some(gpu) = config
+            .backend
+            .launch_devices()
             .iter()
             .find(|gpu| config.block_threads > gpu.max_threads_per_block)
         {
@@ -584,44 +566,7 @@ impl SolverConfigBuilder {
                 config.block_threads, gpu.max_threads_per_block, gpu.name, config.backend
             )));
         }
-        let fleet = match config.backend {
-            BackendKind::Fleet(topology) => Some(topology),
-            _ => None,
-        };
-        if injects_faults && fleet.is_none() {
-            return Err(ConfigError(format!(
-                "fault injection needs a fleet backend (got `{}`)",
-                config.backend
-            )));
-        }
-        if let Some(topology) = fleet {
-            for &(_, member) in &config.fail_at {
-                if member >= topology.devices {
-                    return Err(ConfigError(format!(
-                        "fail_at names member {member} but the fleet has only {} devices",
-                        topology.devices
-                    )));
-                }
-            }
-        }
         Ok(config)
-    }
-}
-
-/// The simulated GPUs `backend` launches its kernel on: the Tesla C2050
-/// of a single-device backend, every GPU member of a fleet, none for the
-/// host backends.
-fn launch_devices(backend: BackendKind) -> Vec<DeviceSpec> {
-    match backend {
-        BackendKind::Sequential | BackendKind::Multicore => Vec::new(),
-        BackendKind::Gpu | BackendKind::GpuPipelined => vec![DeviceSpec::tesla_c2050()],
-        BackendKind::Fleet(topology) => fleet_member_specs(topology.devices, topology.is_hetero())
-            .into_iter()
-            .filter_map(|member| match member {
-                FleetMemberSpec::Gpu(spec) => Some(spec),
-                FleetMemberSpec::Cpu { .. } => None,
-            })
-            .collect(),
     }
 }
 
@@ -743,36 +688,6 @@ mod tests {
             GpuSolverConfig::default().block_threads
         );
 
-        // Fault injection and checkpointing conflict at build time.
-        let err = GpuSolverConfig::builder()
-            .backend(BackendKind::Fleet(FleetTopology::uniform(2)))
-            .fail_seed(Some(11))
-            .checkpoint_after(Some(5))
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("checkpoint"), "{err}");
-        let err = GpuSolverConfig::builder()
-            .backend(BackendKind::Fleet(FleetTopology::uniform(2)))
-            .fail_at(vec![(3, 1)])
-            .checkpoint_after(Some(5))
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("bit-identically"), "{err}");
-
-        // Fault injection needs a fleet backend.
-        assert!(GpuSolverConfig::builder()
-            .fail_seed(Some(11))
-            .build()
-            .is_err());
-
-        // Explicit fail_at events must name an existing member.
-        let fleet = BackendKind::Fleet(FleetTopology::uniform(2));
-        assert!(GpuSolverConfig::builder()
-            .backend(fleet)
-            .fail_at(vec![(0, 2)])
-            .build()
-            .is_err());
-
         // Zero-valued structural parameters are rejected.
         assert!(GpuSolverConfig::builder().pool_size(0).build().is_err());
         assert!(GpuSolverConfig::builder()
@@ -817,6 +732,21 @@ mod tests {
         assert!(with_block(hetero, 1024).is_ok());
         let err = with_block(hetero, 2048).unwrap_err();
         assert!(err.to_string().contains("fleet:2:hetero"), "{err}");
+    }
+
+    #[test]
+    fn a_zero_device_fleet_is_a_config_error() {
+        // The fleet would panic at its first batch; the parser already
+        // rejects `fleet:0`, and a programmatic topology is checked here.
+        let err = GpuSolverConfig::builder()
+            .backend(BackendKind::Fleet(FleetTopology::uniform(0).mixed()))
+            .build()
+            .unwrap_err();
+        assert_eq!(err.to_string(), "a fleet needs at least one device");
+        assert!(GpuSolverConfig::builder()
+            .backend(BackendKind::Fleet(FleetTopology::uniform(1)))
+            .build()
+            .is_ok());
     }
 
     #[test]

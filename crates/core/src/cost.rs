@@ -128,15 +128,15 @@ pub struct CostReport {
     /// backend). Together with `schedule_nanos` this prices per-member
     /// utilization.
     pub fleet_idle_nanos: u64,
-    /// Fleet member deaths fired from the deterministic failure plan
-    /// ([`crate::fault::FailurePlan`]); zero off the fleet backend and in
-    /// failure-free runs.
+    /// Always 0: no fleet member ever fails. Kept, like
+    /// `fleet_redealt_nodes` and `fleet_recovery_nanos`, because the
+    /// benchmark's per-layer metric names include it.
     pub fleet_failures: u64,
-    /// Nodes re-dealt from dead members to survivors by the recovery
-    /// planner (summed over batches; zero in failure-free runs).
+    /// Always 0: no member's shard is ever re-dealt. Kept because the
+    /// benchmark's per-layer metric names include it.
     pub fleet_redealt_nodes: u64,
-    /// Modelled nanoseconds the survivors spent absorbing re-dealt shards
-    /// (the recovery overlay's critical path, summed over batches).
+    /// Always 0: no recovery is ever priced. Kept because the benchmark's
+    /// per-layer metric names include it.
     pub fleet_recovery_nanos: u64,
     /// Matrix accesses the equivalent serial bounding would perform.
     pub serial_accesses: u64,
@@ -184,9 +184,6 @@ impl CostReport {
         self.fleet_steals += acc.steals;
         self.fleet_stolen_nodes += acc.stolen_nodes;
         self.fleet_idle_nanos += nanos(acc.idle_time);
-        self.fleet_failures += acc.failures;
-        self.fleet_redealt_nodes += acc.redealt_nodes;
-        self.fleet_recovery_nanos += nanos(acc.recovery_time);
         self.serial_accesses += serial_accesses;
     }
 
@@ -622,9 +619,6 @@ mod tests {
             steals: 1,
             stolen_nodes: 8,
             idle_time: Duration::from_micros(3),
-            failures: 1,
-            redealt_nodes: 6,
-            recovery_time: Duration::from_micros(2),
         };
         report.record_backend_batch(&acc, 20, 5_000);
         assert_eq!(report.batches, 1);
@@ -635,9 +629,6 @@ mod tests {
         assert_eq!(report.fleet_steals, 1);
         assert_eq!(report.fleet_stolen_nodes, 8);
         assert_eq!(report.fleet_idle_nanos, 3_000);
-        assert_eq!(report.fleet_failures, 1);
-        assert_eq!(report.fleet_redealt_nodes, 6);
-        assert_eq!(report.fleet_recovery_nanos, 2_000);
         assert_eq!(report.kernel_nanos, 100_000);
         assert_eq!(report.schedule_nanos, 110_000);
         assert_eq!(

@@ -1,16 +1,16 @@
 //! Multi-device fleet bounding: partition each pool across several
-//! simulated GPUs (and, optionally, CPU members).
+//! simulated GPUs.
 //!
 //! The paper targets a *cluster* of GPU-accelerated nodes; everything in
 //! this workspace so far drives exactly one simulated device. This module is
 //! the first scaling step toward that cluster: a [`FleetBackend`] owns `N`
-//! independent members — a [`BoundingEngine`] with its own
-//! [`gpu_sim::Device`] and independently-clocked timeline per GPU member, a
-//! [`crate::backend::MulticoreBackend`] per CPU member — splits every batch
-//! into per-member shards, bounds the shards concurrently on the model, and
-//! merges the bounds back in input order — so the rest of the workspace
-//! (solver, auto-tuner, service, bench binaries) drives a fleet through the
-//! very same [`BoundingBackend`] trait as a single card.
+//! independent members — each a [`BoundingEngine`] with its own
+//! [`gpu_sim::Device`] and independently-clocked timeline — splits every
+//! batch into per-member shards, bounds the shards concurrently on the
+//! model, and merges the bounds back in input order — so the rest of the
+//! workspace (solver, auto-tuner, service, bench binaries) drives a fleet
+//! through the very same [`BoundingBackend`] trait as a single card. The
+//! fleet's shape is its [`FleetTopology`].
 //!
 //! **Weighted sharding** ([`plan_shards_weighted`]): the batch is cut into
 //! wave-aligned chunks (the same granularity the pipelined backend launches
@@ -18,7 +18,7 @@
 //! and each chunk is dealt to the member whose *modelled completion
 //! time after taking it* — `(load + chunk) / weight` — is smallest, ties to
 //! the lowest ordinal. Below one wave the deal quantum is not the launch: a
-//! GPU member launches a shard below its own wave whole, however many
+//! member launches a shard below its own wave whole, however many
 //! quanta it holds, and a longer shard at the deal's chunk — the rule
 //! [`crate::PipelinedGpuBackend`] launches a batch by. Weights start from
 //! each member's [`MemberModel`]
@@ -59,16 +59,14 @@
 //! spends waiting at the merge barrier and the derived utilization.
 
 use crate::backend::{
-    device_wave, wave_chunk_for, BackendAccounting, BackendBatch, BoundingBackend, MulticoreBackend,
+    device_wave, wave_chunk_for, BackendAccounting, BackendBatch, BoundingBackend,
 };
-use crate::config::{BackendKind, FleetTopology, GpuSolverConfig, DEFAULT_FLEET_DEVICES};
-use crate::fault::{recovery_critical_seconds, redeal_plan, FailurePlan};
+use crate::config::{BackendKind, FleetTopology, GpuSolverConfig};
 use crate::offload::{BoundingEngine, PipelineSession, PipelinedBatch};
 use bb::{BatchView, Child, FspProblem};
 use fsp::bound::counts::AccessCounts;
 use fsp::{JohnsonLowerBound, Time};
 use gpu_sim::{CostModel, Device, DeviceSpec, HostModel};
-use multicore_bnb::MulticoreModel;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -82,31 +80,17 @@ pub const FLEET_MERGE_CYCLES_PER_NODE: f64 = 4.0;
 /// sub-wave shard it is dealt whole.
 const SUB_WAVE_DEAL_PARTS: usize = 4;
 
-/// What one fleet member is made of: a simulated GPU with its own spec, or
-/// a CPU thread-pool member bounding through the same backend trait.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FleetMemberSpec {
-    /// A simulated GPU with this device specification.
-    Gpu(DeviceSpec),
-    /// A CPU member: the multicore thread-pool backend with this many
-    /// worker threads.
-    Cpu {
-        /// Worker threads of the member's bounding pool.
-        threads: usize,
-    },
-}
-
-/// The member specs a [`BackendKind::Fleet`] resolves to: `devices` Tesla
+/// The device specs a [`BackendKind::Fleet`] resolves to: `devices` Tesla
 /// C2050s for the homogeneous fleet, or — with `hetero` — members
 /// alternating between the paper's Tesla C2050 (even ordinals) and the
 /// faster GeForce GTX 580 (odd ordinals).
-pub fn fleet_member_specs(devices: usize, hetero: bool) -> Vec<FleetMemberSpec> {
+pub fn fleet_member_specs(devices: usize, hetero: bool) -> Vec<DeviceSpec> {
     (0..devices)
         .map(|ordinal| {
             if hetero && ordinal % 2 == 1 {
-                FleetMemberSpec::Gpu(DeviceSpec::gtx_580())
+                DeviceSpec::gtx_580()
             } else {
-                FleetMemberSpec::Gpu(DeviceSpec::tesla_c2050())
+                DeviceSpec::tesla_c2050()
             }
         })
         .collect()
@@ -121,77 +105,51 @@ pub struct MemberModel {
     /// Modelled throughput in nodes per second (only ratios matter for the
     /// deal).
     pub weight: f64,
-    /// Nodes one full device wave bounds (`SMs × block threads`); `0` for
-    /// CPU members, which have no wave quantization.
+    /// Nodes one full device wave bounds (`SMs × block threads`).
     pub wave_nodes: usize,
-    /// Modelled seconds one full wave takes (`0.0` for CPU members).
+    /// Modelled seconds one full wave takes.
     pub wave_seconds: f64,
 }
 
 impl MemberModel {
-    /// Modelled completion time of `nodes` nodes on this member: linear for
-    /// CPU members, wave-quantized (`ceil(nodes / wave) × wave seconds`) for
-    /// GPU members — partially-filled waves cost a full wave, which is
-    /// exactly why linear equalization alone is not worth stealing for.
+    /// Modelled completion time of `nodes` nodes on this member,
+    /// wave-quantized (`ceil(nodes / wave) × wave seconds`):
+    /// partially-filled waves cost a full wave, which is exactly why linear
+    /// equalization alone is not worth stealing for.
     pub fn completion_seconds(&self, nodes: usize) -> f64 {
-        if nodes == 0 {
-            0.0
-        } else if self.wave_nodes == 0 {
-            nodes as f64 / self.weight
-        } else {
-            nodes.div_ceil(self.wave_nodes) as f64 * self.wave_seconds
-        }
+        nodes.div_ceil(self.wave_nodes) as f64 * self.wave_seconds
     }
 }
 
-/// Derives every member's [`MemberModel`] from its spec and the calibrated
-/// cost models, for an instance of `jobs × machines`. GPU members: one wave
-/// is `SMs × block threads` nodes and costs the divergence-scaled issue
-/// cycles of its resident warps, so the weight is proportional to
+/// Derives every member's [`MemberModel`] from its device spec and the
+/// calibrated kernel cost model, for an instance of `jobs × machines`: one
+/// wave is `SMs × block threads` nodes and costs the divergence-scaled
+/// issue cycles of its resident warps, so the weight is proportional to
 /// `SMs × clock` — wave time is invariant to how full the wave is. These
 /// are *standalone* full-wave figures; the fleet planner re-quantizes them
-/// to the shared launch chunk with [`launch_models`] before dealing. CPU
-/// members: the host model's bounding time scaled by the calibrated
-/// multicore speedup, linear in nodes.
+/// to the shared launch chunk with [`launch_models`] before dealing.
 pub fn member_models(
-    specs: &[FleetMemberSpec],
+    specs: &[DeviceSpec],
     config: &GpuSolverConfig,
     jobs: usize,
     machines: usize,
 ) -> Vec<MemberModel> {
     let cost = CostModel::default();
-    let host = HostModel::default();
-    let footprint = crate::backend::matrix_footprint_bytes(jobs, machines);
     // Expected accesses of one root-level bound — the planner's per-node
     // work unit (ratios between members are depth-independent).
     let accesses = AccessCounts::impl_expected(jobs, machines, jobs).total() as f64;
     specs
         .iter()
-        .map(|spec| match spec {
-            FleetMemberSpec::Gpu(spec) => {
-                let warps_per_block = config.block_threads.div_ceil(spec.warp_size.max(1));
-                let issue_per_warp = cost.divergence_factor
-                    * (cost.alu_cycles_per_access * accesses + cost.fixed_cycles_per_thread);
-                let wave_nodes = (spec.multiprocessors * config.block_threads).max(1);
-                let wave_seconds = spec.cycles_to_seconds(warps_per_block as f64 * issue_per_warp);
-                MemberModel {
-                    weight: wave_nodes as f64 / wave_seconds,
-                    wave_nodes,
-                    wave_seconds,
-                }
-            }
-            FleetMemberSpec::Cpu { threads } => {
-                let speedup = MulticoreModel::default()
-                    .speedup((*threads).max(1), footprint)
-                    .max(1.0);
-                let per_node = host
-                    .bounding_time(accesses as u64, 1, footprint)
-                    .as_secs_f64();
-                MemberModel {
-                    weight: speedup / per_node,
-                    wave_nodes: 0,
-                    wave_seconds: 0.0,
-                }
+        .map(|spec| {
+            let warps_per_block = config.block_threads.div_ceil(spec.warp_size.max(1));
+            let issue_per_warp = cost.divergence_factor
+                * (cost.alu_cycles_per_access * accesses + cost.fixed_cycles_per_thread);
+            let wave_nodes = (spec.multiprocessors * config.block_threads).max(1);
+            let wave_seconds = spec.cycles_to_seconds(warps_per_block as f64 * issue_per_warp);
+            MemberModel {
+                weight: wave_nodes as f64 / wave_seconds,
+                wave_nodes,
+                wave_seconds,
             }
         })
         .collect()
@@ -295,8 +253,8 @@ pub fn plan_shards(len: usize, devices: usize, chunk: usize) -> Vec<FleetShard> 
 /// Re-quantizes member models to the fleet's shared launch granularity:
 /// the planner prices every shard as launched in chunks of `chunk` nodes
 /// (a member launches a shard below its own wave whole, so there the price
-/// is the deal quantum's, not the launch's), so one step of a GPU
-/// member's completion curve is one launch of `chunk` nodes costing
+/// is the deal quantum's, not the launch's), so one step of a member's
+/// completion curve is one launch of `chunk` nodes costing
 /// `ceil(chunk / wave) × wave_seconds` — a sub-wave launch still pays a
 /// full wave of issue, and a member larger than the shared chunk runs it
 /// below full occupancy. That is why the deal ratio between two GPUs at
@@ -304,22 +262,17 @@ pub fn plan_shards(len: usize, devices: usize, chunk: usize) -> Vec<FleetShard> 
 /// idle SMs do not speed up the launch. The returned models carry the
 /// launch quantum in `wave_nodes`, the per-launch seconds in
 /// `wave_seconds`, and the member's throughput at exactly that granularity
-/// as `weight`. CPU members have no launch quantization and pass through
-/// unchanged.
+/// as `weight`.
 pub fn launch_models(models: &[MemberModel], chunk: usize) -> Vec<MemberModel> {
     let chunk = chunk.max(1);
     models
         .iter()
         .map(|m| {
-            if m.wave_nodes == 0 {
-                *m
-            } else {
-                let launch_seconds = chunk.div_ceil(m.wave_nodes) as f64 * m.wave_seconds;
-                MemberModel {
-                    weight: chunk as f64 / launch_seconds,
-                    wave_nodes: chunk,
-                    wave_seconds: launch_seconds,
-                }
+            let launch_seconds = chunk.div_ceil(m.wave_nodes) as f64 * m.wave_seconds;
+            MemberModel {
+                weight: chunk as f64 / launch_seconds,
+                wave_nodes: chunk,
+                wave_seconds: launch_seconds,
             }
         })
         .collect()
@@ -400,7 +353,7 @@ pub fn steal_pass(shards: &mut Vec<FleetShard>, models: &[MemberModel]) -> Steal
             break;
         }
         // Gate: the thief must be predicted to finish at least one of its
-        // own full waves before the donor (CPU thieves gate at zero).
+        // own full waves before the donor.
         if f[donor] - f[thief] <= models[thief].wave_seconds {
             break;
         }
@@ -478,18 +431,15 @@ pub fn steal_pass(shards: &mut Vec<FleetShard>, models: &[MemberModel]) -> Steal
 /// scaling analyses.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct FleetDeviceStats {
-    /// Member ordinal (matches [`gpu_sim::Device::ordinal`] for GPU
-    /// members).
+    /// Member ordinal (matches [`gpu_sim::Device::ordinal`]).
     pub ordinal: usize,
     /// Batches in which this member received a non-empty shard.
     pub batches: u64,
     /// Nodes this member bounded.
     pub nodes_bounded: u64,
-    /// Summed kernel time of this member's launches (CPU bounding time for
-    /// CPU members).
+    /// Summed kernel time of this member's launches.
     pub kernel_time: Duration,
-    /// Summed PCIe transfer time of this member's copies (zero for CPU
-    /// members).
+    /// Summed PCIe transfer time of this member's copies.
     pub transfer_time: Duration,
     /// Modelled wall time of this member's schedule (summed critical-path
     /// increments of its session, or standalone schedules without one).
@@ -518,163 +468,91 @@ impl FleetDeviceStats {
     }
 }
 
-/// A fleet member's bounding implementation: a GPU engine (with, under
-/// [`GpuSolverConfig::lookahead`], its persistent cross-iteration session)
-/// or the CPU thread-pool backend.
-enum MemberEngine {
-    Gpu {
-        // Boxed: an engine is ~1 KiB and would dwarf the CPU variant.
-        engine: Box<BoundingEngine>,
-        session: Option<PipelineSession>,
-    },
-    Cpu(MulticoreBackend),
-}
-
-/// One fleet member: its bounding implementation and a reusable gather
-/// buffer for a shard of the current batch that spans several ranges. A
-/// shard is a range of the batch's `(parent, job)` entries, so gathering
-/// copies 8-byte entries, never nodes; the buffer is emptied once the shard
-/// is bounded.
+/// One fleet member: its engine, its persistent cross-iteration session
+/// (under [`GpuSolverConfig::lookahead`] on a pipelined fleet), and a
+/// reusable gather buffer for a shard of the current batch that spans
+/// several ranges. A shard is a range of the batch's `(parent, job)`
+/// entries, so gathering copies 8-byte entries, never nodes; the buffer is
+/// emptied once the shard is bounded.
 struct FleetMember {
-    engine: MemberEngine,
+    engine: BoundingEngine,
+    session: Option<PipelineSession>,
     gather: Vec<Child>,
 }
 
-/// A fleet of simulated devices (and optional CPU members) behind the
-/// [`BoundingBackend`] trait: every batch is partitioned by
-/// [`plan_shards_weighted`] (optionally rebalanced by [`steal_pass`]), each
-/// shard rides its own member (stream-pipelined per GPU member when built
-/// `pipelined`, one launch per shard otherwise), and the bounds are merged
-/// back in input order.
+/// A fleet of simulated devices behind the [`BoundingBackend`] trait: every
+/// batch is partitioned by [`plan_shards_weighted`] (optionally rebalanced
+/// by [`steal_pass`]), each shard rides its own member (stream-pipelined
+/// when the topology is pipelined, one launch per shard otherwise), and the
+/// bounds are merged back in input order.
 pub struct FleetBackend {
     members: Vec<FleetMember>,
     models: Vec<MemberModel>,
-    name: &'static str,
-    stealing: bool,
+    topology: FleetTopology,
     host_lb: Arc<JohnsonLowerBound>,
     fast_forward: bool,
-    pipelined: bool,
     chunk_override: Option<usize>,
     host: HostModel,
     stats: Vec<FleetDeviceStats>,
-    /// Deterministic failure-injection schedule (empty by default); see
-    /// [`crate::fault`].
-    plan: FailurePlan,
-    /// 0-based ordinal of the next non-empty `bound_batch` call — the clock
-    /// the failure plan's events are keyed to.
-    batch_ordinal: u64,
-    /// `false` once a member's death event fired (the member is retired
-    /// from the roster and its planned shards are re-dealt to survivors).
-    alive: Vec<bool>,
 }
 
 impl FleetBackend {
-    /// Creates a homogeneous fleet of `devices` Tesla C2050s, each engine
-    /// sized for batches of up to `capacity` nodes (no stealing — the
-    /// weighted deal over equal weights is the classic least-loaded deal).
+    /// Creates the fleet `topology` describes, each member's engine sized
+    /// for batches of up to `capacity` nodes: one simulated GPU per device
+    /// ([`fleet_member_specs`]), dealt by the weighted deal over the member
+    /// models, stream-pipelined or one launch per shard as the topology
+    /// says, with the deterministic steal pass when it is stealing.
     ///
     /// # Panics
     ///
-    /// Panics if `devices` is zero.
+    /// Panics if the topology has no devices.
     pub fn new(
         problem: &FspProblem<JohnsonLowerBound>,
         config: &GpuSolverConfig,
         capacity: usize,
-        devices: usize,
-        pipelined: bool,
+        topology: FleetTopology,
     ) -> Self {
-        Self::with_members(
-            problem,
-            config,
-            capacity,
-            fleet_member_specs(devices, false),
-            pipelined,
-            false,
-        )
-    }
-
-    /// Creates a fleet with one member per entry of `specs` — mixed GPU
-    /// specs and CPU members are legal — with the weighted deal derived
-    /// from the member models and the deterministic steal pass enabled by
-    /// `stealing`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `specs` is empty.
-    pub fn with_members(
-        problem: &FspProblem<JohnsonLowerBound>,
-        config: &GpuSolverConfig,
-        capacity: usize,
-        specs: Vec<FleetMemberSpec>,
-        pipelined: bool,
-        stealing: bool,
-    ) -> Self {
-        assert!(!specs.is_empty(), "a fleet needs at least one device");
+        assert!(topology.devices > 0, "a fleet needs at least one device");
         let inst = problem.instance();
+        let specs = fleet_member_specs(topology.devices, topology.is_hetero());
         let models = member_models(&specs, config, inst.jobs(), inst.machines());
-        let hetero = specs.iter().any(|s| *s != specs[0]);
-        let mut topology = FleetTopology::uniform(DEFAULT_FLEET_DEVICES);
-        if hetero {
-            topology = topology.mixed();
-        }
-        if stealing {
-            topology = topology.stealing();
-        }
-        let name = topology.name();
         let data = problem.bound_fn().data();
-        let members: Vec<FleetMember> = specs
-            .iter()
+        let members = specs
+            .into_iter()
             .enumerate()
             .map(|(ordinal, spec)| {
-                let engine = match spec {
-                    FleetMemberSpec::Gpu(spec) => {
-                        let engine = BoundingEngine::on_device(
-                            Device::new(spec.clone()).with_ordinal(ordinal),
-                            data,
-                            config.placement.clone(),
-                            config.block_threads,
-                            config.registers_per_thread,
-                            capacity,
-                        );
-                        let session =
-                            (pipelined && config.lookahead).then(|| engine.pipeline_session());
-                        MemberEngine::Gpu {
-                            engine: Box::new(engine),
-                            session,
-                        }
-                    }
-                    FleetMemberSpec::Cpu { threads } => {
-                        MemberEngine::Cpu(MulticoreBackend::new(problem, (*threads).max(1)))
-                    }
-                };
+                let engine = BoundingEngine::on_device(
+                    Device::new(spec).with_ordinal(ordinal),
+                    data,
+                    config.placement.clone(),
+                    config.block_threads,
+                    config.registers_per_thread,
+                    capacity,
+                );
+                let session = (topology.is_pipelined() && config.lookahead)
+                    .then(|| engine.pipeline_session());
                 FleetMember {
                     engine,
+                    session,
                     gather: Vec::new(),
                 }
             })
             .collect();
-        let stats = (0..specs.len())
+        let stats = (0..topology.devices)
             .map(|ordinal| FleetDeviceStats {
                 ordinal,
                 ..Default::default()
             })
             .collect();
-        let plan = FailurePlan::from_config(config, specs.len());
-        let alive = vec![true; specs.len()];
         Self {
             members,
             models,
-            name,
-            stealing,
+            topology,
             host_lb: problem.bound_fn().clone(),
             fast_forward: config.fast_forward,
-            pipelined,
             chunk_override: config.pipeline_chunk,
             host: HostModel::default(),
             stats,
-            plan,
-            batch_ordinal: 0,
-            alive,
         }
     }
 
@@ -683,14 +561,14 @@ impl FleetBackend {
         self.members.len()
     }
 
-    /// `true` when each GPU member runs the stream-overlapped pipeline.
+    /// `true` when each member runs the stream-overlapped pipeline.
     pub fn is_pipelined(&self) -> bool {
-        self.pipelined
+        self.topology.is_pipelined()
     }
 
     /// `true` when the deterministic steal pass rebalances each plan.
     pub fn is_stealing(&self) -> bool {
-        self.stealing
+        self.topology.is_stealing()
     }
 
     /// The planner's standalone throughput model of every member, in
@@ -705,25 +583,6 @@ impl FleetBackend {
         &self.stats
     }
 
-    /// The deterministic failure plan this fleet runs under (empty unless
-    /// [`GpuSolverConfig::fail_seed`] or [`GpuSolverConfig::fail_at`]
-    /// schedules deaths; see [`crate::fault`]).
-    pub fn failure_plan(&self) -> &FailurePlan {
-        &self.plan
-    }
-
-    /// Ordinals of members whose death events have fired — retired from the
-    /// roster, their planned shards re-dealt to survivors — in ascending
-    /// order. Empty while every member is alive.
-    pub fn retired_members(&self) -> Vec<usize> {
-        self.alive
-            .iter()
-            .enumerate()
-            .filter(|&(_, alive)| !alive)
-            .map(|(ordinal, _)| ordinal)
-            .collect()
-    }
-
     /// Modelled host time to merge `nodes` bounds back into input order.
     pub fn merge_time(&self, nodes: usize) -> Duration {
         Duration::from_secs_f64(nodes as f64 * FLEET_MERGE_CYCLES_PER_NODE / self.host.clock_hz)
@@ -732,42 +591,35 @@ impl FleetBackend {
     /// The deal quantum for a batch of `len` nodes, before the deficit rule
     /// of [`effective_chunk`]: an explicit
     /// [`GpuSolverConfig::pipeline_chunk`] clamped to the smallest member
-    /// capacity; otherwise the **smallest** GPU member wave when the batch
+    /// capacity; otherwise the **smallest** member wave when the batch
     /// fills it, [`SUB_WAVE_DEAL_PARTS`] equal parts below it. Taking the
     /// minimum over the member *waves* first (rather than over per-member
     /// choices) keeps a larger member's sub-wave rule from shrinking the
-    /// quantum below one full wave of the smallest device. A fleet of only
-    /// CPU members deals `len / members` chunks. Below one member wave the
-    /// quantum is only the deal's: the member launches its whole shard
-    /// ([`wave_chunk_for`]).
+    /// quantum below one full wave of the smallest device. Below one member
+    /// wave the quantum is only the deal's: the member launches its whole
+    /// shard ([`wave_chunk_for`]).
     fn chunk_for(&self, len: usize) -> usize {
-        let mut wave_cap: Option<(usize, usize)> = None;
-        for member in &self.members {
-            if let MemberEngine::Gpu { engine, .. } = &member.engine {
-                let wave = device_wave(engine);
-                let cap = engine.max_pool();
-                wave_cap = Some(match wave_cap {
-                    Some((w, c)) => (w.min(wave), c.min(cap)),
-                    None => (wave, cap),
-                });
-            }
-        }
-        match (wave_cap, self.chunk_override) {
-            (Some((_, cap)), Some(chunk)) => chunk.clamp(1, cap),
-            (Some((wave, _)), None) if len >= wave => wave,
-            (Some(_), None) => len.div_ceil(SUB_WAVE_DEAL_PARTS).max(1),
-            (None, _) => len.div_ceil(self.members.len()).max(1),
+        let wave = self
+            .members
+            .iter()
+            .map(|member| device_wave(&member.engine))
+            .min()
+            .expect("a fleet has members");
+        match self.chunk_override {
+            Some(chunk) => chunk.clamp(1, self.max_batch().expect("a fleet has members")),
+            None if len >= wave => wave,
+            None => len.div_ceil(SUB_WAVE_DEAL_PARTS).max(1),
         }
     }
 }
 
 impl BoundingBackend for FleetBackend {
     fn name(&self) -> &'static str {
-        self.name
+        self.topology.name()
     }
 
-    /// Fast-forward members bound against `cutoff`; functional-kernel and
-    /// CPU members return exact bounds.
+    /// Fast-forward members bound against `cutoff`; functional-kernel
+    /// members return exact bounds.
     fn bound_view(&mut self, batch: BatchView<'_>, cutoff: Time) -> BackendBatch {
         if batch.is_empty() {
             return BackendBatch {
@@ -783,46 +635,11 @@ impl BoundingBackend for FleetBackend {
         let planning = launch_models(&self.models, eff);
         let weights: Vec<f64> = planning.iter().map(|m| m.weight).collect();
         let mut shards = plan_shards_weighted(batch.len(), &weights, chunk);
-        let steal = if self.stealing {
+        let steal = if self.is_stealing() {
             steal_pass(&mut shards, &planning)
         } else {
             StealSummary::default()
         };
-
-        // Deterministic failure injection (see [`crate::fault`]): fire any
-        // death events due at this batch ordinal, then overlay the recovery
-        // — every shard the failure-free plan dealt to a retired member is
-        // re-dealt over the survivors by the same planner. A node's bound
-        // depends only on the node, so *who* bounds a re-dealt shard cannot
-        // change a bit of the search: the simulation keeps executing the
-        // original plan, with the retired member's engine standing in for
-        // the survivors that absorb its shards, and the recovery surfaces
-        // exclusively through the `failures` / `redealt_nodes` /
-        // `recovery_time` accounting — all other counters stay bit-equal to
-        // the failure-free run.
-        let ordinal = self.batch_ordinal;
-        self.batch_ordinal += 1;
-        let mut failures = 0u64;
-        for event in self.plan.events() {
-            if event.batch <= ordinal && self.alive[event.member] {
-                self.alive[event.member] = false;
-                failures += 1;
-            }
-        }
-        let dead_nodes: usize = shards
-            .iter()
-            .filter(|s| !self.alive[s.device])
-            .map(|s| s.nodes())
-            .sum();
-        let mut redealt_nodes = 0u64;
-        let mut recovery_time = Duration::ZERO;
-        if dead_nodes > 0 {
-            let survivors: Vec<usize> =
-                (0..self.members.len()).filter(|&o| self.alive[o]).collect();
-            let redeal = redeal_plan(dead_nodes, &survivors, &planning, chunk, self.stealing);
-            redealt_nodes = dead_nodes as u64;
-            recovery_time = Duration::from_secs_f64(recovery_critical_seconds(&redeal, &planning));
-        }
 
         let mut bounds = vec![Time::default(); batch.len()];
         let mut acc = BackendAccounting::default();
@@ -846,63 +663,44 @@ impl BoundingBackend for FleetBackend {
                 }
             };
             let host = self.fast_forward.then_some((self.host_lb.as_ref(), cutoff));
-            let (result, device_nodes): (PipelinedBatch, u64) = match &mut member.engine {
-                MemberEngine::Gpu { engine, session } => {
-                    let result = if self.pipelined {
-                        let chunk = wave_chunk_for(engine, self.chunk_override, eff, shard.nodes());
-                        match session {
-                            Some(session) => {
-                                engine.bound_nodes_pipelined_in(shard_view, chunk, host, session)
-                            }
-                            None => {
-                                let r = engine.bound_nodes_pipelined(shard_view, chunk, host);
-                                PipelinedBatch {
-                                    bounds: r.bounds,
-                                    kernel_time: r.kernel_time,
-                                    transfer_time: r.transfer_time,
-                                    critical_path: r.overlapped_time,
-                                    upload_bytes: r.upload_bytes,
-                                    download_bytes: r.download_bytes,
-                                    chunks: r.chunks,
-                                    waves: r.waves,
-                                    launch_times: r.launch_times,
-                                }
-                            }
-                        }
-                    } else {
-                        let r = match host {
-                            Some((lb, cutoff)) => engine.bound_nodes_fast(shard_view, lb, cutoff),
-                            None => engine.bound_nodes(shard_view),
-                        };
-                        let shard_waves = engine.device().spec().waves(r.stats.grid_blocks) as u64;
+            let engine = &mut member.engine;
+            let result: PipelinedBatch = if self.topology.is_pipelined() {
+                let chunk = wave_chunk_for(engine, self.chunk_override, eff, shard.nodes());
+                match &mut member.session {
+                    Some(session) => {
+                        engine.bound_nodes_pipelined_in(shard_view, chunk, host, session)
+                    }
+                    None => {
+                        let r = engine.bound_nodes_pipelined(shard_view, chunk, host);
                         PipelinedBatch {
-                            critical_path: r.device_time(),
-                            kernel_time: r.kernel.duration,
+                            bounds: r.bounds,
+                            kernel_time: r.kernel_time,
                             transfer_time: r.transfer_time,
+                            critical_path: r.overlapped_time,
                             upload_bytes: r.upload_bytes,
                             download_bytes: r.download_bytes,
-                            chunks: 1,
-                            waves: shard_waves,
-                            launch_times: vec![r.kernel.duration],
-                            bounds: r.bounds,
+                            chunks: r.chunks,
+                            waves: r.waves,
+                            launch_times: r.launch_times,
                         }
-                    };
-                    (result, shard.nodes() as u64)
+                    }
                 }
-                MemberEngine::Cpu(backend) => {
-                    let cpu = backend.bound_view(shard_view, cutoff);
-                    let result = PipelinedBatch {
-                        bounds: cpu.bounds,
-                        kernel_time: cpu.accounting.kernel_time,
-                        transfer_time: Duration::ZERO,
-                        critical_path: cpu.accounting.device_time,
-                        upload_bytes: 0,
-                        download_bytes: 0,
-                        chunks: cpu.accounting.launches as usize,
-                        waves: 0,
-                        launch_times: cpu.launch_times,
-                    };
-                    (result, 0)
+            } else {
+                let r = match host {
+                    Some((lb, cutoff)) => engine.bound_nodes_fast(shard_view, lb, cutoff),
+                    None => engine.bound_nodes(shard_view),
+                };
+                let shard_waves = engine.device().spec().waves(r.stats.grid_blocks) as u64;
+                PipelinedBatch {
+                    critical_path: r.device_time(),
+                    kernel_time: r.kernel.duration,
+                    transfer_time: r.transfer_time,
+                    upload_bytes: r.upload_bytes,
+                    download_bytes: r.download_bytes,
+                    chunks: 1,
+                    waves: shard_waves,
+                    launch_times: vec![r.kernel.duration],
+                    bounds: r.bounds,
                 }
             };
 
@@ -929,7 +727,7 @@ impl BoundingBackend for FleetBackend {
             acc.download_bytes += result.download_bytes as u64;
             acc.launches += result.chunks as u64;
             acc.waves += result.waves;
-            acc.device_nodes += device_nodes;
+            acc.device_nodes += shard.nodes() as u64;
             launch_times.extend(result.launch_times);
             critical_paths.push((shard.device, result.critical_path));
         }
@@ -948,9 +746,6 @@ impl BoundingBackend for FleetBackend {
         }
         acc.steals = steal.steals;
         acc.stolen_nodes = steal.stolen_nodes;
-        acc.failures = failures;
-        acc.redealt_nodes = redealt_nodes;
-        acc.recovery_time = recovery_time;
         acc.device_time = slowest + self.merge_time(batch.len());
         acc.merge_cycles =
             crate::cost::CostTable::cycles(crate::cost::CostTable::FLEET_MERGE, batch.len() as u64);
@@ -964,10 +759,7 @@ impl BoundingBackend for FleetBackend {
     fn max_batch(&self) -> Option<usize> {
         self.members
             .iter()
-            .filter_map(|member| match &member.engine {
-                MemberEngine::Gpu { engine, .. } => Some(engine.max_pool()),
-                MemberEngine::Cpu(_) => None,
-            })
+            .map(|member| member.engine.max_pool())
             .min()
     }
 }
@@ -988,17 +780,8 @@ pub fn fleet_weight_shares(
     let standalone = member_models(&specs, config, jobs, machines);
     // Shares reflect the deal the fleet actually runs: models re-quantized
     // to the shared launch chunk (the smallest member wave).
-    let chunk = standalone
-        .iter()
-        .map(|m| m.wave_nodes)
-        .filter(|&w| w > 0)
-        .min()
-        .unwrap_or(0);
-    let models = if chunk > 0 {
-        launch_models(&standalone, chunk)
-    } else {
-        standalone
-    };
+    let chunk = standalone.iter().map(|m| m.wave_nodes).min().unwrap_or(1);
+    let models = launch_models(&standalone, chunk);
     let total: f64 = models.iter().map(|m| m.weight).sum();
     Some(models.iter().map(|m| m.weight / total).collect())
 }
@@ -1051,77 +834,6 @@ mod tests {
             seen.iter().all(|&count| count == 1),
             "every input index must be covered exactly once"
         );
-    }
-
-    #[test]
-    fn injected_failures_change_only_the_recovery_accounting() {
-        let (problem, nodes, config) = wave_fixture(512);
-        let faulty_config = GpuSolverConfig {
-            fail_at: vec![(1, 0)],
-            ..config.clone()
-        };
-        let specs = fleet_member_specs(3, true);
-        let mut clean =
-            FleetBackend::with_members(&problem, &config, nodes.len(), specs.clone(), true, true);
-        let mut faulty =
-            FleetBackend::with_members(&problem, &faulty_config, nodes.len(), specs, true, true);
-        for batch in 0..3u64 {
-            let a = clean.bound_batch(&nodes);
-            let b = faulty.bound_batch(&nodes);
-            // Bounds and every non-recovery charge are bit-identical: the
-            // overlay re-deals planning, never execution.
-            assert_eq!(a.bounds, b.bounds, "batch {batch}");
-            assert_eq!(a.launch_times, b.launch_times, "batch {batch}");
-            let (ca, cb) = (a.accounting, b.accounting);
-            assert_eq!(ca.kernel_time, cb.kernel_time);
-            assert_eq!(ca.transfer_time, cb.transfer_time);
-            assert_eq!(ca.device_time, cb.device_time);
-            assert_eq!(ca.upload_bytes, cb.upload_bytes);
-            assert_eq!(ca.download_bytes, cb.download_bytes);
-            assert_eq!(ca.launches, cb.launches);
-            assert_eq!(ca.waves, cb.waves);
-            assert_eq!(ca.device_nodes, cb.device_nodes);
-            assert_eq!(ca.merge_cycles, cb.merge_cycles);
-            assert_eq!(ca.steals, cb.steals);
-            assert_eq!(ca.stolen_nodes, cb.stolen_nodes);
-            assert_eq!(ca.idle_time, cb.idle_time);
-            assert_eq!((ca.failures, ca.redealt_nodes), (0, 0));
-            assert_eq!(ca.recovery_time, Duration::ZERO);
-            if batch == 0 {
-                assert_eq!(cb.failures, 0, "the event fires at batch 1");
-                assert_eq!(cb.redealt_nodes, 0);
-            } else {
-                assert_eq!(cb.failures, u64::from(batch == 1), "fires exactly once");
-                assert!(cb.redealt_nodes > 0, "the dead member's shard re-deals");
-                assert!(cb.recovery_time > Duration::ZERO);
-            }
-        }
-        assert_eq!(faulty.retired_members(), vec![0]);
-        assert!(clean.retired_members().is_empty());
-    }
-
-    #[test]
-    fn seeded_plans_retire_half_the_fleet_within_the_batch_range() {
-        let (problem, nodes, config) = fixture(96);
-        let config = GpuSolverConfig {
-            fail_seed: Some(2012),
-            ..config
-        };
-        let mut fleet = FleetBackend::with_members(
-            &problem,
-            &config,
-            nodes.len(),
-            fleet_member_specs(4, false),
-            false,
-            false,
-        );
-        assert_eq!(fleet.failure_plan().events().len(), 2);
-        let mut total_failures = 0;
-        for _ in 0..16 {
-            total_failures += fleet.bound_batch(&nodes).accounting.failures;
-        }
-        assert_eq!(total_failures, 2, "every scheduled death fired once");
-        assert_eq!(fleet.retired_members().len(), 2);
     }
 
     #[test]
@@ -1324,28 +1036,18 @@ mod tests {
     }
 
     #[test]
-    fn member_models_rank_the_gtx_above_the_c2050_above_the_cpu() {
+    fn member_models_rank_the_gtx_above_the_c2050() {
         let (_, _, config) = fixture(16);
-        let specs = vec![
-            FleetMemberSpec::Gpu(DeviceSpec::tesla_c2050()),
-            FleetMemberSpec::Gpu(DeviceSpec::gtx_580()),
-            FleetMemberSpec::Cpu { threads: 4 },
-        ];
-        let models = member_models(&specs, &config, 20, 20);
+        let models = member_models(&fleet_member_specs(2, true), &config, 20, 20);
         assert!(
             models[1].weight > models[0].weight,
             "GTX must out-weigh C2050"
         );
-        assert!(
-            models[0].weight > models[2].weight,
-            "C2050 must out-weigh the CPU"
-        );
-        // GPU wave throughput is ∝ SMs × clock (wave time is warp-issue
-        // bound and invariant to how full the wave is).
+        // Wave throughput is ∝ SMs × clock (wave time is warp-issue bound
+        // and invariant to how full the wave is).
         let ratio = models[1].weight / models[0].weight;
         let expected = (16.0 * 1.544e9) / (14.0 * 1.15e9);
         assert!((ratio - expected).abs() < 1e-9, "{ratio} vs {expected}");
-        assert_eq!(models[2].wave_nodes, 0, "CPU members have no wave");
     }
 
     #[test]
@@ -1356,8 +1058,13 @@ mod tests {
             .bounds;
         for devices in [1, 2, 3, 4] {
             for pipelined in [false, true] {
-                let mut fleet =
-                    FleetBackend::new(&problem, &config, nodes.len(), devices, pipelined);
+                let topology = FleetTopology::uniform(devices);
+                let topology = if pipelined {
+                    topology
+                } else {
+                    topology.one_launch()
+                };
+                let mut fleet = FleetBackend::new(&problem, &config, nodes.len(), topology);
                 let batch = fleet.bound_batch(&nodes);
                 assert_eq!(
                     batch.bounds, reference,
@@ -1368,40 +1075,22 @@ mod tests {
     }
 
     #[test]
-    fn hetero_and_cpu_members_bound_bit_for_bit() {
+    fn hetero_members_bound_bit_for_bit() {
         let (problem, nodes, config) = fixture(96);
         let reference = PipelinedGpuBackend::new(&problem, &config, nodes.len())
             .bound_batch(&nodes)
             .bounds;
-        for (specs, label) in [
-            (fleet_member_specs(2, true), "hetero pair"),
-            (fleet_member_specs(3, true), "hetero trio"),
-            (
-                vec![
-                    FleetMemberSpec::Gpu(DeviceSpec::tesla_c2050()),
-                    FleetMemberSpec::Cpu { threads: 4 },
-                ],
-                "gpu + cpu",
-            ),
-            (
-                vec![
-                    FleetMemberSpec::Cpu { threads: 2 },
-                    FleetMemberSpec::Cpu { threads: 4 },
-                ],
-                "cpu only",
-            ),
-        ] {
+        for devices in [2, 3] {
             for stealing in [false, true] {
-                let mut fleet = FleetBackend::with_members(
-                    &problem,
-                    &config,
-                    nodes.len(),
-                    specs.clone(),
-                    true,
-                    stealing,
-                );
+                let topology = FleetTopology::uniform(devices).mixed();
+                let topology = if stealing {
+                    topology.stealing()
+                } else {
+                    topology
+                };
+                let mut fleet = FleetBackend::new(&problem, &config, nodes.len(), topology);
                 let batch = fleet.bound_batch(&nodes);
-                assert_eq!(batch.bounds, reference, "{label}, stealing={stealing}");
+                assert_eq!(batch.bounds, reference, "{topology}");
             }
         }
     }
@@ -1420,14 +1109,12 @@ mod tests {
             fast_forward: true,
             ..base
         };
-        let mut homo = FleetBackend::new(&problem, &config, nodes.len(), 2, true);
-        let mut hetero = FleetBackend::with_members(
+        let mut homo = FleetBackend::new(&problem, &config, nodes.len(), FleetTopology::uniform(2));
+        let mut hetero = FleetBackend::new(
             &problem,
             &config,
             nodes.len(),
-            fleet_member_specs(2, true),
-            true,
-            false,
+            FleetTopology::uniform(2).mixed(),
         );
         assert_eq!(hetero.name(), "fleet-hetero");
         let homo_batch = homo.bound_batch(&nodes);
@@ -1451,10 +1138,15 @@ mod tests {
     fn two_devices_undercut_one_on_the_modelled_schedule() {
         let (problem, nodes, config) = fixture(128);
         let device_time = |devices: usize| {
-            FleetBackend::new(&problem, &config, nodes.len(), devices, true)
-                .bound_batch(&nodes)
-                .accounting
-                .device_time
+            FleetBackend::new(
+                &problem,
+                &config,
+                nodes.len(),
+                FleetTopology::uniform(devices),
+            )
+            .bound_batch(&nodes)
+            .accounting
+            .device_time
         };
         let one = device_time(1);
         let two = device_time(2);
@@ -1467,8 +1159,12 @@ mod tests {
     #[test]
     fn fleet_accounting_sums_work_and_maxes_schedules() {
         let (problem, nodes, config) = fixture(128);
-        let mut fleet = FleetBackend::new(&problem, &config, nodes.len(), 2, true);
+        let mut fleet =
+            FleetBackend::new(&problem, &config, nodes.len(), FleetTopology::uniform(2));
         let acc = fleet.bound_batch(&nodes).accounting;
+        // Each member is dealt several ranges, gathered contiguously; the
+        // copies are dropped once each shard is bounded.
+        assert!(fleet.members.iter().all(|m| m.gather.is_empty()));
         let stats = fleet.device_stats();
         assert_eq!(stats.len(), 2);
         assert!(stats.iter().all(|s| s.nodes_bounded > 0));
@@ -1494,61 +1190,13 @@ mod tests {
     }
 
     #[test]
-    fn a_gpu_cpu_mix_makes_the_steal_pass_fire() {
-        // The linear deal can leave the GPU member a last launch the CPU
-        // member would finish sooner: the CPU thief has no wave to gate
-        // on, so the steal pass hands it the GPU's tail before launch (at
-        // this length one steal drops a whole launch), the modelled
-        // schedule drops, and bounds stay bit-identical.
-        let (problem, frozen, base) = wave_fixture(8192);
-        let nodes = &frozen[..3_795];
-        let config = GpuSolverConfig {
-            fast_forward: true,
-            ..base
-        };
-        let reference = PipelinedGpuBackend::new(&problem, &config, nodes.len())
-            .bound_batch(nodes)
-            .bounds;
-        let build = |stealing| {
-            FleetBackend::with_members(
-                &problem,
-                &config,
-                nodes.len(),
-                vec![
-                    FleetMemberSpec::Gpu(DeviceSpec::tesla_c2050()),
-                    FleetMemberSpec::Cpu { threads: 4 },
-                ],
-                true,
-                stealing,
-            )
-        };
-        let mut greedy = build(false);
-        let mut stealing = build(true);
-        let greedy_batch = greedy.bound_batch(nodes);
-        let steal_batch = stealing.bound_batch(nodes);
-        assert_eq!(greedy_batch.bounds, reference);
-        assert_eq!(steal_batch.bounds, reference);
-        assert_eq!(greedy_batch.accounting.steals, 0);
-        assert!(steal_batch.accounting.steals > 0, "the gate must fire");
-        assert!(steal_batch.accounting.stolen_nodes > 0);
-        // Stolen shards span several ranges and are gathered; the copies
-        // are dropped once each shard is bounded.
-        assert!(stealing.members.iter().all(|m| m.gather.is_empty()));
-        assert!(
-            steal_batch.accounting.device_time < greedy_batch.accounting.device_time,
-            "stealing {:?} must beat the plain deal {:?}",
-            steal_batch.accounting.device_time,
-            greedy_batch.accounting.device_time
-        );
-    }
-
-    #[test]
     fn single_device_fleet_matches_the_pipelined_backend_schedule() {
         // A fleet of one is the pipelined backend plus the merge cost — the
         // partition is the identity, so per-batch schedules agree exactly.
         let (problem, nodes, config) = fixture(96);
         let single = PipelinedGpuBackend::new(&problem, &config, nodes.len()).bound_batch(&nodes);
-        let mut fleet = FleetBackend::new(&problem, &config, nodes.len(), 1, true);
+        let mut fleet =
+            FleetBackend::new(&problem, &config, nodes.len(), FleetTopology::uniform(1));
         let batch = fleet.bound_batch(&nodes);
         assert_eq!(batch.bounds, single.bounds);
         assert_eq!(batch.accounting.kernel_time, single.accounting.kernel_time);
@@ -1561,7 +1209,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_free_no_op() {
         let (problem, _, config) = fixture(16);
-        let mut fleet = FleetBackend::new(&problem, &config, 16, 3, true);
+        let mut fleet = FleetBackend::new(&problem, &config, 16, FleetTopology::uniform(3));
         let batch = fleet.bound_batch(&[]);
         assert!(batch.bounds.is_empty());
         assert_eq!(batch.accounting.device_time, Duration::ZERO);
@@ -1620,8 +1268,8 @@ mod tests {
             lookahead,
             ..base.clone()
         };
-        let mut per_batch = FleetBackend::new(&problem, &mk(false), 64, 2, true);
-        let mut cross = FleetBackend::new(&problem, &mk(true), 64, 2, true);
+        let mut per_batch = FleetBackend::new(&problem, &mk(false), 64, FleetTopology::uniform(2));
+        let mut cross = FleetBackend::new(&problem, &mk(true), 64, FleetTopology::uniform(2));
         let mut t_per_batch = Duration::ZERO;
         let mut t_cross = Duration::ZERO;
         for half in nodes.chunks(64) {

@@ -10,9 +10,9 @@
 pub mod autotune;
 pub mod backend;
 pub mod cache;
+pub mod checkpoint;
 pub mod config;
 pub mod cost;
-pub mod fault;
 pub mod fleet;
 pub mod kernel_lb;
 pub mod offload;
@@ -30,19 +30,16 @@ pub use cache::{
     perturbed, CacheDonor, Certificate, ConfigKey, InstanceKey, ReuseKey, SolveCache,
     DEFAULT_CACHE_CAPACITY,
 };
+pub use checkpoint::{SolveCheckpoint, CHECKPOINT_SCHEMA_VERSION};
 pub use config::{
     BackendKind, ConfigError, FleetTopology, GpuSolverConfig, LaunchMode, MemberMix,
     SolverConfigBuilder, StealPolicy, DEFAULT_FLEET_DEVICES,
 };
 pub use cost::{CostReport, CostSummary, CostTable, LatencyHistogram, OpCost, SolveLatencies};
-pub use fault::{
-    recovery_critical_seconds, redeal_plan, FailureEvent, FailurePlan, SolveCheckpoint,
-    CHECKPOINT_SCHEMA_VERSION,
-};
 pub use fleet::{
     fleet_member_specs, fleet_weight_shares, launch_models, member_models, plan_shards,
-    plan_shards_weighted, steal_pass, FleetBackend, FleetDeviceStats, FleetMemberSpec, FleetShard,
-    MemberModel, StealSummary,
+    plan_shards_weighted, steal_pass, FleetBackend, FleetDeviceStats, FleetShard, MemberModel,
+    StealSummary,
 };
 pub use kernel_lb::LowerBoundKernel;
 pub use offload::{BoundingEngine, PipelineSession, PipelinedBatch, PipelinedBoundingResult};

@@ -15,9 +15,9 @@
 //! `node_limit` and `time_limit`.
 
 use crate::backend::{serial_accesses, BackendBatch};
+use crate::checkpoint::SolveCheckpoint;
 use crate::config::GpuSolverConfig;
 use crate::cost::{CostReport, SolveLatencies};
-use crate::fault::SolveCheckpoint;
 use crate::stats::GpuRunStats;
 use bb::pool::Pool;
 use bb::stats::SolveStats;

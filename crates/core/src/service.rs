@@ -37,9 +37,9 @@
 
 use crate::backend::{make_backend, BoundingBackend};
 use crate::cache::{Certificate, ConfigKey, InstanceKey, ReuseKey, SolveCache};
+use crate::checkpoint::SolveCheckpoint;
 use crate::config::GpuSolverConfig;
 use crate::cost::{CostReport, SolveLatencies};
-use crate::fault::SolveCheckpoint;
 use crate::search::SearchState;
 use crate::stats::GpuRunStats;
 use bb::stats::SolveStats;
@@ -133,7 +133,7 @@ impl JobSpec {
         self
     }
 
-    /// Resumes the job from a [`crate::fault::SolveCheckpoint`]: the frozen
+    /// Resumes the job from a [`crate::checkpoint::SolveCheckpoint`]: the frozen
     /// frontier becomes the starting pool (re-pushed in drain order, which
     /// reproduces the original pop order), the incumbent is restored, and
     /// the checkpoint's cost counters are absorbed at admission — so the
@@ -143,7 +143,7 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Returns the reason when [`crate::fault::SolveCheckpoint::to_nodes`]
+    /// Returns the reason when [`crate::checkpoint::SolveCheckpoint::to_nodes`]
     /// rejects the checkpoint for the job's instance.
     pub fn resume_from(mut self, checkpoint: &SolveCheckpoint) -> Result<Self, String> {
         let nodes = checkpoint.to_nodes(&FspProblem::new(self.instance.clone()))?;

@@ -7,9 +7,9 @@
 //! sub-problem; the bounds come back and drive pruning and the incumbent.
 
 use crate::backend::{make_backend, BackendBatch};
+use crate::checkpoint::SolveCheckpoint;
 use crate::config::GpuSolverConfig;
 use crate::cost::{CostReport, SolveLatencies};
-use crate::fault::SolveCheckpoint;
 use crate::placement::MatrixId;
 use crate::search::SearchState;
 use crate::stats::GpuRunStats;
@@ -690,7 +690,7 @@ mod tests {
             assert_eq!(paused.stop, StopReason::Checkpoint, "after {after}");
             let checkpoint = paused.checkpoint.expect("a checkpoint rides the outcome");
             // Cross the wire: serialize, parse, resume from the parse.
-            let checkpoint = crate::fault::SolveCheckpoint::from_json(&checkpoint.to_json())
+            let checkpoint = crate::checkpoint::SolveCheckpoint::from_json(&checkpoint.to_json())
                 .expect("round trip");
             let resumed = GpuBnbSolver::new(inst.clone(), base.clone())
                 .resume(&checkpoint)

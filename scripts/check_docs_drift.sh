@@ -50,14 +50,14 @@ if [ "$emitter_schema" != "$docs_schema" ]; then
 fi
 echo "docs drift: ok — report schema $emitter_schema agrees between emitter and docs"
 
-# Same for the checkpoint schema (emitted by gpu_bnb::fault, documented in
-# docs/BENCHMARKING.md's checkpoint/resume section).
+# Same for the checkpoint schema (emitted by gpu_bnb::checkpoint, documented
+# in docs/BENCHMARKING.md's checkpoint/resume section).
 ckpt_schema="$(grep -oE 'flowshop-bnb-checkpoint/v[0-9]+' \
-    crates/core/src/fault.rs | sort -uV | tail -1)"
+    crates/core/src/checkpoint.rs | sort -uV | tail -1)"
 ckpt_docs="$(grep -oE 'flowshop-bnb-checkpoint/v[0-9]+' \
     docs/BENCHMARKING.md | sort -uV | tail -1)"
 if [ "$ckpt_schema" != "$ckpt_docs" ]; then
-    echo "docs drift: checkpoint schema disagrees — gpu_bnb::fault writes" >&2
+    echo "docs drift: checkpoint schema disagrees — gpu_bnb::checkpoint writes" >&2
     echo "\`$ckpt_schema\` but docs/BENCHMARKING.md documents \`${ckpt_docs:-nothing}\`." >&2
     exit 1
 fi

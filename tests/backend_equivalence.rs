@@ -28,8 +28,8 @@ use flowshop_gpu_bnb::bb::{frozen_pool, Batch, FspNode, FspProblem};
 use flowshop_gpu_bnb::fsp::{taillard, Time};
 use flowshop_gpu_bnb::gpu_bnb::backend::make_backend;
 use flowshop_gpu_bnb::gpu_bnb::{
-    fleet_member_specs, BackendKind, BoundingBackend, BoundingEngine, DataPlacement, FleetBackend,
-    FleetTopology, GpuBnbSolver, GpuSolverConfig,
+    BackendKind, BoundingBackend, BoundingEngine, DataPlacement, FleetBackend, FleetTopology,
+    GpuBnbSolver, GpuSolverConfig,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -161,14 +161,7 @@ proptest! {
                     );
                 }
                 BackendKind::Fleet(topology) => {
-                    let mut fleet = FleetBackend::with_members(
-                        problem,
-                        &config(kind),
-                        capacity,
-                        fleet_member_specs(topology.devices, topology.is_hetero()),
-                        topology.is_pipelined(),
-                        topology.is_stealing(),
-                    );
+                    let mut fleet = FleetBackend::new(problem, &config(kind), capacity, topology);
                     let batch = fleet.bound_batch(nodes);
                     let dealt = fleet.device_stats().iter().filter(|m| m.batches > 0);
                     for member in dealt.clone() {

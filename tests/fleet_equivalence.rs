@@ -130,9 +130,10 @@ proptest! {
     }
 
     /// The weighted deal partitions the batch for arbitrary weight vectors,
-    /// and the deterministic steal pass — run over mixed wave-quantized
-    /// (GPU-like) and linear (CPU-like) member models — only re-deals
-    /// ranges between members: the partition survives untouched.
+    /// and the deterministic steal pass — run over mixed member models,
+    /// coarse waves on even ordinals and one-node waves (a linear
+    /// completion curve) on odd ones — only re-deals ranges between
+    /// members: the partition survives untouched.
     #[test]
     fn weighted_plans_partition_and_the_steal_pass_preserves_it(
         len in 0usize..5_000,
@@ -154,7 +155,7 @@ proptest! {
                         wave_seconds: wave_nodes as f64 / weight,
                     }
                 } else {
-                    MemberModel { weight, wave_nodes: 0, wave_seconds: 0.0 }
+                    MemberModel { weight, wave_nodes: 1, wave_seconds: 1.0 / weight }
                 }
             })
             .collect();

@@ -348,10 +348,11 @@ proptest! {
     /// Every way to obtain a certificate — a cold request, its exact
     /// repeat, a cache-disabled request, warm starts on a neighbour from an
     /// exhausted donor and from a donor truncated by a node limit,
-    /// checkpoint and resume, and a fleet solve that loses members — agrees
-    /// with the brute-force optimum. The neighbour halves a few cells, so
-    /// the donor's closed subtrees need not stay closed on it: a warm start
-    /// that resumed them could certify a makespan above the optimum.
+    /// checkpoint and resume, and the fleet the `service-stream` benchmark
+    /// runs — agrees with the brute-force optimum. The neighbour halves a
+    /// few cells, so the donor's closed subtrees need not stay closed on
+    /// it: a warm start that resumed them could certify a makespan above
+    /// the optimum.
     #[test]
     fn every_certificate_agrees_with_the_brute_force_oracle(
         jobs in 0usize..ORACLE_JOBS.len(),
@@ -410,15 +411,18 @@ proptest! {
             );
         }
 
-        // A fleet that loses members mid-solve, through the same service.
-        let fleet = GpuSolverConfig {
-            backend: BackendKind::Fleet(FleetTopology::uniform(2)),
-            fail_seed: Some(salt),
+        // The fleet configuration of the `service-stream` benchmark
+        // workload (a mixed, stealing pair with lookahead on the functional
+        // kernel), through the same service.
+        let stream_fleet = GpuSolverConfig {
+            backend: BackendKind::Fleet(FleetTopology::uniform(2).mixed().stealing()),
+            lookahead: true,
+            fast_forward: false,
             ..config.clone()
         };
-        let failed = service.request(SolveRequest::new(inst.clone(), fleet));
-        prop_assert_eq!(failed.disposition, CacheDisposition::Miss);
-        request_agrees_with_the_oracle("fleet with failures", &inst, optimum, &failed);
+        let fleet = service.request(SolveRequest::new(inst.clone(), stream_fleet));
+        prop_assert_eq!(fleet.disposition, CacheDisposition::Miss);
+        request_agrees_with_the_oracle("service-stream fleet", &inst, optimum, &fleet);
 
         // Checkpoint after `pause` batches, then resume.
         let paused = GpuBnbSolver::new(
